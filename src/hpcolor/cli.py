@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_bench
-from .engine import InternalError, solve_detailed
+from .engine import InternalError, max_attempts_default, solve_detailed
 from .generate import MODES, GenSpec, generate
 from .model import (
     Instance,
@@ -46,7 +46,11 @@ def _fail(message: str) -> int:
 def cmd_color(args) -> int:
     inst = _read_instance(args.instance)
     try:
-        result = solve_detailed(inst, check=not args.no_verify)
+        attempts = max_attempts_default()
+    except ValueError as exc:
+        return _fail(str(exc))
+    try:
+        result = solve_detailed(inst, check=not args.no_verify, max_attempts=attempts)
     except InternalError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -1003,13 +1003,16 @@ class SolveResult:
 
 
 def max_attempts_default() -> int:
+    """``HPCOLOR_MAX_ATTEMPTS`` if set and non-empty, else the default.
+
+    Raises ValueError unless the value is a positive decimal integer.
+    """
     value = os.environ.get("HPCOLOR_MAX_ATTEMPTS")
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return DEFAULT_MAX_ATTEMPTS
+    if not value:
+        return DEFAULT_MAX_ATTEMPTS
+    if not (value.isascii() and value.isdigit() and int(value) > 0):
+        raise ValueError(f"HPCOLOR_MAX_ATTEMPTS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def solve_detailed(

@@ -57,20 +57,28 @@ def solve_nae(n: int, edges: Sequence[Sequence[int]]) -> Optional[list[int]]:
                     queue.append(uv)
         return True
 
-    def dfs(start: int) -> bool:
-        v = start
+    def first_free(v: int) -> int:
         while v < n and assign[v] is not None:
             v += 1
-        if v == n:
-            return True
-        for color in (BLUE, RED):
-            trail: list[int] = []
-            set_var(v, color, trail)
-            if propagate(trail, [v]) and dfs(v + 1):
-                return True
-            undo(trail)
-        return False
+        return v
 
-    if dfs(0):
-        return [assign[v] for v in range(n)]
-    return None
+    # Depth-first search over an explicit stack of the decisions on the
+    # current path, each with the trail of values it set: variables in
+    # index order, blue before red, so no Python recursion depth limit.
+    stack: list[tuple[int, int, list[int]]] = []
+    v, color = first_free(0), BLUE
+    while v < n:
+        trail: list[int] = []
+        set_var(v, color, trail)
+        if propagate(trail, [v]):
+            stack.append((v, color, trail))
+            v, color = first_free(v + 1), BLUE
+            continue
+        undo(trail)
+        while color == RED:  # both colors failed here: backtrack
+            if not stack:
+                return None
+            v, color, trail = stack.pop()
+            undo(trail)
+        color = RED
+    return [assign[v] for v in range(n)]

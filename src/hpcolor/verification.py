@@ -6,7 +6,9 @@ arrangement, so a finite set of exact sample points (vertices, edge
 midpoints and far points, and one point inside every face) decides
 goodness.  ``verify`` walks each boundary line with incremental
 containment counts, all in integer homogeneous coordinates; nothing is
-ever rounded.
+ever rounded.  It orders the crossings along a line by an exact integer
+key and builds ``Fraction`` coordinates only for the witness of the
+violation it reports.
 """
 
 from __future__ import annotations
@@ -272,6 +274,8 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
     faces around each vertex are checked.  Vertex and face checks run
     once, owned by the lowest incident line.  Deterministic order: lines
     by first occurrence, then increasing x, then sectors by angle.
+    Crossings are ordered by an exact integer key, and ``Fraction``
+    coordinates are built only for the witness that is reported.
     """
     if len(colors) != len(inst):
         raise LengthMismatchError(
@@ -288,10 +292,9 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
     lines, members = _line_table(inst)
     nlines = len(lines)
 
-    # vertices keyed by reduced integer homogeneous triples (fast hashing)
+    # vertices keyed by reduced integer homogeneous triples (X, Y, W), W > 0
     vertex_lines: dict = {}
-    vertex_frac: dict = {}
-    crossings: list[dict] = [dict() for _ in lines]  # vkey -> Fraction x
+    crossings: list[set] = [set() for _ in lines]
     for g1 in range(nlines):
         l1 = lines[g1]
         for g2 in range(g1 + 1, nlines):
@@ -299,34 +302,49 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
             if meet is None:
                 continue
             x, y, w = meet
-            g = math.gcd(math.gcd(abs(x), abs(y)), w)
+            g = math.gcd(x, y, w)
             vkey = (x // g, y // g, w // g)
             seen = vertex_lines.get(vkey)
             if seen is None:
                 vertex_lines[vkey] = {g1, g2}
-                vertex_frac[vkey] = (Fraction(x, w), Fraction(y, w))
             else:
                 seen.update((g1, g2))
-            fx = vertex_frac[vkey][0]
-            crossings[g1][vkey] = fx
-            crossings[g2][vkey] = fx
+            crossings[g1].add(vkey)
+            crossings[g2].add(vkey)
+    for vkey, incident in vertex_lines.items():
+        vertex_lines[vkey] = sorted(incident)
 
-    def check(nblue: int, nred: int, witness_fn) -> Optional[Violation]:
-        if nblue + nred >= k and (nblue == 0 or nred == 0):
-            w = witness_fn()
-            covering = depth(inst, w)[1]
-            return Violation(w, tuple(covering), RED if nblue == 0 else BLUE)
-        return None
+    # Two distinct abscissae X1/W1 != X2/W2 differ by at least
+    # 1/(W1*W2) >= 1/wmax**2, so scaled by m > wmax**2 they differ by
+    # more than 1 and their floors keep their order: X*m // W is an exact
+    # sort key.  (A line is never vertical, so its crossings have
+    # distinct abscissae.)
+    wmax = max((vkey[2] for vkey in vertex_lines), default=1)
+    m = wmax * wmax + 1
+
+    def x_key(vkey) -> int:
+        return vkey[0] * m // vkey[2]
+
+    def vertex_point(vkey) -> tuple:
+        x, y, w = vkey
+        return Fraction(x, w), Fraction(y, w)
+
+    def mono(nblue: int, nred: int) -> bool:
+        return nblue + nred >= k and (nblue == 0 or nred == 0)
+
+    def violation(nblue: int, witness) -> Violation:
+        covering = depth(inst, witness)[1]
+        return Violation(witness, tuple(covering), RED if nblue == 0 else BLUE)
 
     for g in range(nlines):
         p, q, r = lines[g]
-        xs = sorted(crossings[g].items(), key=lambda kv: kv[1])
+        xs = sorted(crossings[g], key=x_key)
 
         def y_at(x: Fraction, p=p, q=q, r=r) -> Fraction:
             return Fraction(-(p * x + r), q)
 
-        x0 = (xs[0][1] - 1) if xs else Fraction(0)
-        X0, Y0, W0 = _point_on(lines[g], Fraction(x0))
+        x0 = (vertex_point(xs[0])[0] - 1) if xs else Fraction(0)
+        X0, Y0, W0 = _point_on(lines[g], x0)
 
         # containment state for every half-plane at the current on-line point
         contained = [False] * n
@@ -343,14 +361,12 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                 if inside:
                     cnt[1 if is_red[hp] else 0] += 1
 
-        v = check(cnt[0], cnt[1], lambda x0=x0: (x0, y_at(x0)))
-        if v:
-            return v
+        if mono(cnt[0], cnt[1]):
+            return violation(cnt[0], (x0, y_at(x0)))
 
-        for pos, (vkey, x) in enumerate(xs):
-            all_inc = sorted(vertex_lines[vkey])
+        for pos, vkey in enumerate(xs):
+            all_inc = vertex_lines[vkey]
             incident = [h for h in all_inc if h != g]
-            owner = all_inc[0] == g
             # vertex sample: every incident half-plane becomes contained
             dblue = dred = 0
             for h in incident:
@@ -360,26 +376,14 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                             dred += 1
                         else:
                             dblue += 1
-            if owner:
-                v = check(
-                    cnt[0] + dblue,
-                    cnt[1] + dred,
-                    lambda vkey=vkey: vertex_frac[vkey],
-                )
-                if v:
-                    return v
-
-                # face samples: one direction inside each sector
-                rays = []
-                for h in all_inc:
-                    ph, qh, _rh = lines[h]
-                    rays.append((qh, -ph))
-                    rays.append((-qh, ph))
-                rays = _sort_rays(rays)
+            if all_inc[0] == g:  # this line owns the vertex
                 onv_blue = cnt[0] + dblue
                 onv_red = cnt[1] + dred
-                for r1, r2 in zip(rays, rays[1:] + rays[:1]):
-                    d = (r1[0] + r2[0], r1[1] + r2[1])
+                if mono(onv_blue, onv_red):
+                    return violation(onv_blue, vertex_point(vkey))
+
+                # face samples: one direction inside each sector
+                for d in _sector_directions([lines[h] for h in all_inc]):
                     sblue, sred = onv_blue, onv_red
                     for h in all_inc:
                         ph, qh, _rh = lines[h]
@@ -390,15 +394,10 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                                     sred -= 1
                                 else:
                                     sblue -= 1
-
-                    def sector_witness(vkey=vkey, d=d, all_inc=all_inc):
-                        vx, vy = vertex_frac[vkey]
+                    if mono(sblue, sred):
+                        vx, vy = vertex_point(vkey)
                         delta = _safe_offset(lines, all_inc, (vx, vy), d)
-                        return (vx + delta * d[0], vy + delta * d[1])
-
-                    v = check(sblue, sred, sector_witness)
-                    if v:
-                        return v
+                        return violation(sblue, (vx + delta * d[0], vy + delta * d[1]))
 
             # step over the vertex: incident line signs flip
             for h in incident:
@@ -412,13 +411,13 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
 
             # the edge after this vertex: midpoint to the next crossing,
             # or a far point past the last one
-            if pos + 1 < len(xs):
-                wit = lambda a=x, b=xs[pos + 1][1]: ((a + b) / 2, y_at((a + b) / 2))
-            else:
-                wit = lambda x=x: (x + 1, y_at(x + 1))
-            v = check(cnt[0], cnt[1], wit)
-            if v:
-                return v
+            if mono(cnt[0], cnt[1]):
+                x = vertex_point(vkey)[0]
+                if pos + 1 < len(xs):
+                    x = (x + vertex_point(xs[pos + 1])[0]) / 2
+                else:
+                    x = x + 1
+                return violation(cnt[0], (x, y_at(x)))
 
         if not xs:
             # crossing-free line: the two adjacent cells, one per side
@@ -431,9 +430,8 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                             sred -= 1
                         else:
                             sblue -= 1
-
-                def side_witness(updir=updir, x0=x0):
-                    y0 = y_at(Fraction(x0))
+                if mono(sblue, sred):
+                    y0 = y_at(x0)
                     gaps = [
                         abs(Fraction(-(ph * x0 + rh), qh) - y0)
                         for hh, (ph, qh, rh) in enumerate(lines)
@@ -441,13 +439,28 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                     ]
                     gaps = [gp for gp in gaps if gp > 0]
                     delta = min(gaps) / 2 if gaps else Fraction(1)
-                    return (x0, y0 + updir * delta)
-
-                v = check(sblue, sred, side_witness)
-                if v:
-                    return v
+                    return violation(sblue, (x0, y0 + updir * delta))
 
     return None
+
+
+def _sector_directions(incident_lines) -> list:
+    """One direction inside each sector around a vertex, by angle from +x.
+
+    Each line contributes the direction along it in the upper half
+    (dy > 0, or dy == 0 and dx > 0); these are ordered by exact cross
+    product and followed by their negations, which gives every ray
+    around the vertex in angular order.  Adjacent rays sum to a direction
+    strictly inside their sector.
+    """
+    ups = sorted(
+        ((q, -p) if p <= 0 else (-q, p) for p, q, _r in incident_lines),
+        key=functools.cmp_to_key(lambda d1, d2: d2[0] * d1[1] - d1[0] * d2[1]),
+    )
+    rays = ups + [(-dx, -dy) for dx, dy in ups]
+    return [
+        (r1[0] + r2[0], r1[1] + r2[1]) for r1, r2 in zip(rays, rays[1:] + rays[:1])
+    ]
 
 
 def oracle(inst: Instance, k: int = 3) -> Optional[list]:

@@ -41,6 +41,19 @@ def test_color_malformed_input(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_color_max_attempts_env(tmp_path, i3_file, monkeypatch, capsys):
+    out = tmp_path / "colors.json"
+    for junk in ("abc", "0", "-2", "1.5", " 4"):
+        monkeypatch.setenv("HPCOLOR_MAX_ATTEMPTS", junk)
+        assert run_cli("color", str(i3_file), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "HPCOLOR_MAX_ATTEMPTS" in err and repr(junk) in err
+    assert not out.exists()
+    monkeypatch.setenv("HPCOLOR_MAX_ATTEMPTS", "2")
+    assert run_cli("color", str(i3_file), "--out", str(out)) == 0
+
+
 def test_color_rejects_threshold_flag(i3_file):
     assert run_cli("color", str(i3_file), "--threshold", "4") == 3
 

@@ -125,6 +125,17 @@ def test_nae_lexicographic_first():
             break
 
 
+def test_nae_deep_search_is_iterative():
+    # one search level per variable: a recursive search overflows the
+    # interpreter stack long before 3000 variables
+    n = 3000
+    edges = [(i, i + 1, i + 2) for i in range(n - 2)]
+    edges += [(i, i + 7) for i in range(0, n - 7, 5)]
+    got = solve_nae(n, edges)
+    assert got is not None and len(got) == n
+    assert all(len({got[v] for v in e}) == 2 for e in edges)
+
+
 def test_color_points_uses_both_colors():
     rng = random.Random(6)
     for _ in range(30):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from hpcolor.model import BLUE, LOWER, RED, UPPER, Instance
+from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance
 from hpcolor.generate import GenSpec, generate
 from hpcolor.verification import (
     LengthMismatchError,
     TooLargeError,
+    _sector_directions,
+    _sort_rays,
     arrangement_samples,
     depth,
     hyperedges,
@@ -85,6 +87,20 @@ def test_verify_concurrent_boundaries():
     assert verify(inst, [BLUE, BLUE, RED, BLUE]) is None
 
 
+def test_sector_directions_follow_angular_sort():
+    # verify's per-vertex sector order against the comparison sort
+    rng = random.Random(5)
+    for _ in range(300):
+        slopes = rng.sample(range(-30, 31), rng.randint(2, 8))
+        scale, denom = rng.choice([1, 7, 10**40]), rng.choice([1, 3, 10**40])
+        lines = [(-a * scale, denom, 0) for a in slopes]  # concurrent, none parallel
+        rays = _sort_rays([r for p, q, _r in lines for r in ((q, -p), (-q, p))])
+        expected = [
+            (r1[0] + r2[0], r1[1] + r2[1]) for r1, r2 in zip(rays, rays[1:] + rays[:1])
+        ]
+        assert _sector_directions(lines) == expected
+
+
 def test_violation_json(i3):
     violation = verify(i3, [RED, RED, RED])
     data = violation.to_json_dict()
@@ -117,9 +133,20 @@ def test_oracle_too_large():
         oracle(inst, 3)
 
 
+def _affine_image(inst, u, s, c, e):
+    """Image under (x, y) -> (u*x + c, s*y + e), u, s > 0.
+
+    Incidences, parallels and sides survive, so the planted degeneracies
+    do too; only the coefficients change.
+    """
+    return Instance(
+        [HalfPlane(s * h.a / u, s * h.b - s * h.a * c / u + e, h.side) for h in inst]
+    )
+
+
 def test_verify_matches_brute_force():
     rng = random.Random(77)
-    checked_violations = 0
+    cases = []
     for t in range(120):
         n = rng.randint(1, 8)
         mode = ["random", "covered", "uncovered", "degenerate"][t % 4]
@@ -128,6 +155,35 @@ def test_verify_matches_brute_force():
         inst = generate(GenSpec(n=n, mode=mode, seed=t, bound=rng.choice([2, 10])))
         colors = [rng.choice([BLUE, RED]) for _ in range(n)]
         k = rng.choice([2, 3])
+        cases.append((t, inst, colors, k))
+    # larger arrangements: bound 2 packs many lines through one vertex;
+    # fractional affine images; slopes scaled by 10**40, which puts
+    # 10**40 into the vertex denominators and the integer crossing key
+    for t in range(120, 144):
+        n = rng.randint(12, 24)
+        mode = ["degenerate", "random", "covered", "degenerate", "uncovered", "random"][t % 6]
+        inst = generate(GenSpec(n=n, mode=mode, seed=t, bound=rng.choice([2, 3, 10])))
+        frac = lambda: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        variant = t % 3
+        if variant == 1:
+            inst = _affine_image(inst, frac(), frac(), frac() - 1, frac() - 1)
+        elif variant == 2:
+            inst = _affine_image(inst, frac() / 10**40, frac(), 0, frac())
+        colors = [BLUE if rng.random() < rng.choice([0.2, 0.5]) else RED for _ in range(n)]
+        cases.append((t, inst, colors, rng.choice([2, 3, 4])))
+    # pencils: a single vertex, whose sector samples are the only face
+    # samples of the arrangement
+    for t in range(144, 168):
+        x0, y0 = Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-9, 9), 5)
+        slopes = rng.sample(range(-12, 13), rng.randint(3, 8))
+        inst = Instance(
+            [HalfPlane(Fraction(a, 3), y0 - Fraction(a, 3) * x0, rng.choice([UPPER, LOWER])) for a in slopes]
+        )
+        colors = [rng.choice([BLUE, RED]) for _ in slopes]
+        cases.append((t, inst, colors, rng.choice([2, 3])))
+
+    checked_violations = 0
+    for t, inst, colors, k in cases:
         fast = verify(inst, colors, k)
         slow = verify_brute(inst, colors, k)
         assert (fast is None) == (slow is None), (t, inst.to_json_dict(), colors, k)
