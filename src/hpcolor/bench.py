@@ -11,7 +11,6 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from . import kernels
 from .engine import solve_detailed
 from .generate import GenSpec, generate
 
@@ -22,7 +21,6 @@ class BenchRecord:
     seconds: float
     case_path: str
     attempts: int
-    kernel: str
 
     def csv_row(self) -> str:
         return f"{self.n},{self.seconds:.6f},{self.case_path}"
@@ -32,27 +30,19 @@ def run_bench(
     sizes,
     seed: int = 0,
     repeats: int = 1,
-    kernel: str = "auto",
     mode: str = "covered",
 ) -> list[BenchRecord]:
-    previous = kernels.ACTIVE
-    active = kernels.select(kernel)
+    if repeats < 1:
+        raise ValueError(f"repeats must be a positive integer, got {repeats}")
     records = []
-    try:
-        for n in sizes:
-            bound = max(64, 4 * n)
-            inst = generate(GenSpec(n=n, mode=mode, seed=seed, bound=bound))
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                result = solve_detailed(inst, check=False)
-                dt = time.perf_counter() - t0
-                records.append(
-                    BenchRecord(
-                        n, dt, "/".join(result.case_path), result.attempts, active
-                    )
-                )
-    finally:
-        kernels.select(previous)
+    for n in sizes:
+        bound = max(64, 4 * n)
+        inst = generate(GenSpec(n=n, mode=mode, seed=seed, bound=bound))
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result = solve_detailed(inst, check=False)
+            dt = time.perf_counter() - t0
+            records.append(BenchRecord(n, dt, "/".join(result.case_path), result.attempts))
     return records
 
 

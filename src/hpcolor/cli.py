@@ -118,7 +118,10 @@ def _oracle_all(inst: Instance, k: int) -> list:
 def cmd_gen(args) -> int:
     if args.mode not in MODES:
         return _fail(f"unknown mode {args.mode!r}")
-    inst = generate(GenSpec(n=args.n, mode=args.mode, seed=args.seed, bound=args.bound))
+    try:
+        inst = generate(GenSpec(n=args.n, mode=args.mode, seed=args.seed, bound=args.bound))
+    except ValueError as exc:
+        return _fail(str(exc))
     text = inst.to_json()
     if args.out:
         Path(args.out).write_text(text)
@@ -158,7 +161,10 @@ def cmd_bench(args) -> int:
         return _fail("sizes must be a comma-separated integer list")
     if sizes != sorted(sizes):
         return _fail("sizes must be ascending")
-    records = run_bench(sizes, seed=args.seed, repeats=args.repeats, kernel=args.kernel)
+    try:
+        records = run_bench(sizes, seed=args.seed, repeats=args.repeats)
+    except ValueError as exc:
+        return _fail(str(exc))
     rows = ["n,seconds,case_path"] + [r.csv_row() for r in records]
     text = "\n".join(rows) + "\n"
     if args.csv:
@@ -220,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write records here instead of stdout")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--kernel", default="auto", choices=["auto", "c", "python"])
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("validate", help="report general-position violations")

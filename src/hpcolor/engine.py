@@ -45,7 +45,6 @@ from .model import (
     cheap_position_ok,
     dualize,
     perturb,
-    pull_back,
 )
 from .rationals import as_fraction
 from .uncovered import uncovered_solve, uncovered_witness
@@ -1045,7 +1044,6 @@ def solve_detailed(
                     colors[src] = cmap[tip]
                 for tip, src in zip(final_scene.tips_l, final_scene.src_l):
                     colors[src] = cmap[tip]
-                colors = pull_back(colors, final_scene.log)
             else:
                 witness = uncovered_witness(pert, cov.separator)
                 colors = uncovered_solve(pert, witness)

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import LOWER, UPPER, HalfPlane, Instance, dualize, validate
+from .model import LOWER, UPPER, HalfPlane, Instance, dualize
 from .engine import coverage
 from .rationals import normalize
 
@@ -27,6 +27,8 @@ def generate(spec: GenSpec) -> Instance:
         raise ValueError(f"unknown mode {spec.mode!r}")
     if spec.n < 0:
         raise ValueError("n must be nonnegative")
+    if spec.bound < 0:
+        raise ValueError("bound must be nonnegative")
     rng = random.Random((spec.seed, spec.mode, spec.n, spec.bound).__repr__())
     if spec.mode == "random":
         return _random_instance(spec.n, rng, spec.bound)
@@ -93,7 +95,11 @@ def _uncovered_instance(n: int, rng: random.Random, bound: int) -> Instance:
 
 
 def _degenerate_instance(n: int, rng: random.Random, bound: int) -> Instance:
-    """Random base with planted duplicates, parallels, and concurrences."""
+    """Random base with planted duplicates, parallels, and concurrences.
+
+    A pair is planted from n >= 2 and a concurrent triple from n >= 3;
+    smaller instances come out as plain random ones.
+    """
     hps = [_rand_halfplane(rng, bound) for _ in range(n)]
     if n >= 2:
         i, j = rng.sample(range(n), 2)
@@ -101,7 +107,7 @@ def _degenerate_instance(n: int, rng: random.Random, bound: int) -> Instance:
         if kind == "dup":
             hps[j] = hps[i]
         else:
-            hps[j] = HalfPlane(hps[i].a, hps[i].b + rng.randint(1, bound) , hps[j].side)
+            hps[j] = HalfPlane(hps[i].a, hps[i].b + rng.randint(1, max(1, bound)), hps[j].side)
     if n >= 3:
         i, j, k = rng.sample(range(n), 3)
         ai, bi = Fraction(hps[i].a), Fraction(hps[i].b)
@@ -113,15 +119,4 @@ def _degenerate_instance(n: int, rng: random.Random, bound: int) -> Instance:
             if ak == ai or ak == aj:
                 ak = ak + 1
             hps[k] = HalfPlane(normalize(ak), normalize(y - ak * x), hps[k].side)
-    inst = Instance(hps)
-    if validate(inst).ok:
-        # tiny n corner: force at least a duplicate
-        inst = Instance(hps + [hps[0]]) if n == 0 else Instance([hps[0]] + hps[1:])
-    return inst
-
-
-def generate_scene_tips(n_u: int, n_l: int, rng: random.Random, bound: int):
-    """Random dual tips with distinct x, handy for engine-level fuzzing."""
-    xs = rng.sample(range(-(4 * (n_u + n_l) + bound), 4 * (n_u + n_l) + bound + 1), n_u + n_l)
-    pts = [(x, rng.randint(-bound, bound)) for x in xs]
-    return sorted(pts[:n_u]), sorted(pts[n_u:])
+    return Instance(hps)

@@ -1,4 +1,4 @@
-"""Exact 2D primitives: orientation, hull chains, hull layers, tangents.
+"""Exact 2D primitives: orientation, hull chains, hull layers, slope order.
 
 Points are ``(x, y)`` tuples of exact rationals (int or Fraction).  Every
 predicate is decided by integer/rational sign computations; there is no
@@ -42,10 +42,6 @@ class OutOfSpanError(GeometryError):
     """chain_eval was queried outside the chain's x-span."""
 
 
-class DegenerateTangentError(GeometryError):
-    """Tangent requested from a point inside the chain's region."""
-
-
 class DegenerateTriangleError(GeometryError):
     """Triangle test with collinear corners."""
 
@@ -72,17 +68,6 @@ class Line:
 
     def y_at(self, x: Scalar) -> Scalar:
         return normalize(as_fraction(self.slope) * x + self.intercept)
-
-
-def side_of_line(pt: Point, ln: Line) -> int:
-    """ABOVE / ON / BELOW comparison of pt.y against the line at pt.x, exact."""
-    lhs = pt[1]
-    rhs = as_fraction(ln.slope) * pt[0] + ln.intercept
-    if lhs > rhs:
-        return ABOVE
-    if lhs < rhs:
-        return BELOW
-    return ON
 
 
 def point_above_line(pt: Point, a: Point, b: Point) -> int:
@@ -233,9 +218,6 @@ class HullLayers:
     layers: list  # of HullChain
     assignment: dict  # Point -> layer index
 
-    def layer_of(self, pt: Point) -> int:
-        return self.assignment[pt]
-
 
 def hull_layers(points: Iterable[Point], side: str) -> HullLayers:
     """Peel hulls until no point remains; layers partition the input."""
@@ -293,77 +275,6 @@ def _slope_cmp(q: Point, u: Point, v: Point) -> int:
     if (u[0] > q[0]) != (v[0] > q[0]):
         raise GeometryError("slope comparison across q")
     return orientation(q, v, u)
-
-
-def tangent_from_point(q: Point, chain: HullChain) -> tuple[Line, list]:
-    """Tangent line from q with the whole chain weakly on its region side.
-
-    Returns the line and the touched vertices (one vertex in general
-    position, two if q is collinear with a chain edge).  For q inside the
-    x-span (outside the region), the left-side tangent is returned.
-    Raises DegenerateTangentError when q lies in the chain's region.
-    """
-    if region_contains(chain, q):
-        raise DegenerateTangentError("query point inside the chain region")
-    verts = chain.vertices
-    if q[0] == verts[0][0] or q[0] == verts[-1][0]:
-        # q shares x with a span endpoint but is outside the region: the
-        # tangent would be vertical only if q sits on the ray; never here
-        # under distinct-x general position.
-        raise DuplicateXError("query shares x with a chain endpoint")
-
-    upper = chain.side == UPPER
-
-    if q[0] < verts[0][0]:
-        idx = _tangent_scan(q, verts, want_min=not upper)
-    elif q[0] > verts[-1][0]:
-        idx = _tangent_scan(q, verts, want_min=upper)
-    else:
-        # inside span, outside region: feasible slopes form an interval;
-        # the left touch is the extreme slope among vertices left of q.
-        split = bisect.bisect_left(chain._xs, q[0])
-        left = list(range(split))
-        best = left[0]
-        for i in left[1:]:
-            c = _slope_cmp(q, verts[i], verts[best])
-            if (c > 0) if not upper else (c < 0):
-                best = i
-        idx = best
-    touch = [verts[idx]]
-    ln = Line.through(q, verts[idx])
-    # a second touched vertex shows up as a neighbour on the line
-    for j in (idx - 1, idx + 1):
-        if 0 <= j < len(verts) and orientation(q, verts[idx], verts[j]) == 0:
-            touch.append(verts[j])
-    return ln, touch
-
-
-def _tangent_scan(q: Point, verts: Sequence[Point], want_min: bool) -> int:
-    """Index of the extreme-slope vertex as seen from q.
-
-    With q strictly outside the chain's x-span, slope(q -> verts[i]) is
-    strictly unimodal in i, so the extreme sits where the consecutive
-    slope difference first changes sign; binary search on that monotone
-    predicate.
-    """
-    m = len(verts)
-    if m == 1:
-        return 0
-
-    def pred(i: int) -> bool:
-        c = _slope_cmp(q, verts[i + 1], verts[i])
-        return c > 0 if want_min else c < 0
-
-    ans = m - 1
-    a, b = 0, m - 2
-    while a <= b:
-        mid = (a + b) // 2
-        if pred(mid):
-            ans = mid
-            b = mid - 1
-        else:
-            a = mid + 1
-    return ans
 
 
 def point_in_triangle_interior(pt: Point, a: Point, b: Point, c: Point) -> bool:

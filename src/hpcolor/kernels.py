@@ -1,47 +1,18 @@
-"""Kernel selection: compiled predicates when available, else pure Python.
+"""The hot exact predicate, in plain Python.
 
-Set ``HPCOLOR_KERNEL=python`` (or call :func:`select`) to force the
-fallback; ``hpcolor bench`` uses this to compare the two implementations.
+``orient`` is exact on ints and Fractions alike; every hull scan and
+case test reaches it through ``geometry.orientation``.
 """
 
-from __future__ import annotations
-
-import os
-
-from . import _kernels_py
-
-try:
-    from . import _kernels as _compiled  # type: ignore[attr-defined]
-except ImportError:
-    _compiled = None
-
+# Read by the benchmark header; there is no other implementation.
 ACTIVE = "python"
-orient = _kernels_py.orient
 
 
-def available() -> list[str]:
-    names = ["python"]
-    if _compiled is not None:
-        names.insert(0, "c")
-    return names
-
-
-def select(name: str = "auto") -> str:
-    """Pick the kernel implementation; returns the name actually selected."""
-    global ACTIVE, orient
-    if name == "auto":
-        name = "c" if _compiled is not None else "python"
-    if name == "c":
-        if _compiled is None:
-            raise RuntimeError("compiled kernels are not built")
-        orient = _compiled.orient
-        ACTIVE = "c"
-    elif name == "python":
-        orient = _kernels_py.orient
-        ACTIVE = "python"
-    else:
-        raise ValueError(f"unknown kernel {name!r}")
-    return ACTIVE
-
-
-select(os.environ.get("HPCOLOR_KERNEL", "auto"))
+def orient(ax, ay, bx, by, cx, cy):
+    """Sign of the cross product (b - a) x (c - a): +1 left, -1 right, 0 on."""
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if det > 0:
+        return 1
+    if det < 0:
+        return -1
+    return 0

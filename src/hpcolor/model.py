@@ -33,7 +33,6 @@ RED = "red"
 
 XFLIP = "xflip"
 YFLIP = "yflip"
-COLOR_SWAP = "colorswap"
 
 
 class ModelError(Exception):
@@ -59,9 +58,6 @@ class HalfPlane:
             raise InstanceFormatError(f"bad side {self.side!r}")
         object.__setattr__(self, "a", normalize(self.a))
         object.__setattr__(self, "b", normalize(self.b))
-
-    def boundary_y(self, x: Scalar) -> Scalar:
-        return normalize(as_fraction(self.a) * x + self.b)
 
     def contains(self, pt) -> bool:
         """Closed containment of (x, y)."""
@@ -341,15 +337,3 @@ def dual_line_meets_ray(pt, hp: HalfPlane) -> bool:
     tip_y = as_fraction(hp.b)
     value = as_fraction(c) * tip_x + d
     return value <= tip_y if hp.side == UPPER else value >= tip_y
-
-
-def pull_back(colors: list, log: list) -> list:
-    """Re-express a coloring produced after the logged transforms.
-
-    Geometric flips are color-neutral; each COLOR_SWAP inverts every
-    entry.
-    """
-    swaps = sum(1 for entry in log if entry == COLOR_SWAP)
-    if swaps % 2 == 0:
-        return list(colors)
-    return [RED if c == BLUE else BLUE for c in colors]

@@ -119,6 +119,17 @@ def test_gen_modes(tmp_path):
     degen = tmp_path / "deg.json"
     assert run_cli("gen", "--n", "8", "--mode", "degenerate", "--seed", "2", "--out", str(degen)) == 0
     assert not validate(Instance.from_json(degen.read_text())).ok
+    assert run_cli("gen", "--n", "6", "--mode", "degenerate", "--bound", "0", "--out", str(degen)) == 0
+    assert not validate(Instance.from_json(degen.read_text())).ok
+    assert run_cli("gen", "--n", "0", "--mode", "degenerate", "--out", str(degen)) == 0
+    assert len(Instance.from_json(degen.read_text())) == 0
+
+
+def test_gen_rejects_bad_sizes(capsys):
+    for args in (("--n", "-3"), ("--n", "1", "--mode", "covered"), ("--n", "5", "--bound", "-2")):
+        assert run_cli("gen", *args) == 3, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, args
 
 
 def test_gen_deterministic(tmp_path):
@@ -176,8 +187,21 @@ def test_bench_csv(tmp_path, capsys):
     assert rows[1].startswith("64,") and rows[2].startswith("128,")
 
 
-def test_bench_rejects_unsorted():
-    assert run_cli("bench", "--sizes", "128,64") == 3
+def test_bench_rejects_unsorted(monkeypatch, capsys):
+    bad = [
+        ("--sizes", "128,64"),
+        ("--sizes=-4",),
+        ("--sizes", "0,1"),
+        ("--sizes", "64", "--repeats", "0"),
+        ("--sizes", "64", "--repeats", "-2"),
+    ]
+    for args in bad:
+        assert run_cli("bench", *args) == 3, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, args
+    monkeypatch.setenv("HPCOLOR_MAX_ATTEMPTS", "abc")
+    assert run_cli("bench", "--sizes", "64") == 3
+    assert "HPCOLOR_MAX_ATTEMPTS" in capsys.readouterr().err
 
 
 def test_bench_case_path_deterministic(tmp_path):

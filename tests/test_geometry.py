@@ -42,14 +42,6 @@ def test_orientation_translation_invariant(p, q, r, dx, dy):
     assert g.orientation(p, q, r) == g.orientation(shift(p), shift(q), shift(r))
 
 
-def test_side_of_line_examples():
-    diag = g.Line(1, 0)  # y = x
-    assert g.side_of_line((0, 5), diag) == g.ABOVE
-    assert g.side_of_line((3, 3), diag) == g.ON
-    # value of y = -x + 2 at x=1 is 1 > -2
-    assert g.side_of_line((1, -2), g.Line(-1, 2)) == g.BELOW
-
-
 def test_line_through_rejects_vertical():
     with pytest.raises(g.VerticalLineError):
         g.Line.through((1, 0), (1, 5))
@@ -130,58 +122,6 @@ def test_region_contains_examples():
     single = g.HullChain(g.LOWER, [(0, 0)])
     assert g.region_contains(single, (0, 5))  # on the upward ray
     assert not g.region_contains(single, (1, 5))  # outside x-span
-
-
-def tangent_oracle(q, chain):
-    """Brute force: the vertex whose q-line keeps all vertices region-side."""
-    hits = []
-    for v in chain.vertices:
-        if v[0] == q[0]:
-            continue
-        ok = True
-        for w in chain.vertices:
-            s = g.point_above_line(w, q, v) if w != v else 0
-            if chain.side == g.LOWER and s < 0:
-                ok = False
-            if chain.side == g.UPPER and s > 0:
-                ok = False
-        if ok:
-            hits.append(v)
-    return hits
-
-
-def test_tangent_examples():
-    # from (-2, 0) the line keeping [(0,1),(2,1)] weakly above must touch
-    # the far vertex: through (0,1) the slope-1/2 line leaves (2,1) below
-    chain = g.HullChain(g.LOWER, [(0, 1), (2, 1)])
-    ln, touch = g.tangent_from_point((-2, 0), chain)
-    assert touch == [(2, 1)]
-    assert ln.slope == Fraction(1, 4)
-    assert g.side_of_line((0, 1), ln) == g.ABOVE
-    single = g.HullChain(g.LOWER, [(0, 0)])
-    ln, touch = g.tangent_from_point((-1, -1), single)
-    assert touch == [(0, 0)] and ln.slope == 1
-    with pytest.raises(g.DegenerateTangentError):
-        g.tangent_from_point((1, 100), chain)
-
-
-@given(point_sets, points)
-def test_tangent_property_against_scan(pts, q):
-    for side in (g.UPPER, g.LOWER):
-        chain = g.upper_hull(pts) if side == g.UPPER else g.lower_hull(pts)
-        if g.region_contains(chain, q):
-            continue
-        if any(v[0] == q[0] for v in (chain.vertices[0], chain.vertices[-1])):
-            continue
-        ln, touch = g.tangent_from_point(q, chain)
-        expected = tangent_oracle(q, chain)
-        assert expected, "oracle must find a tangent vertex"
-        assert touch[0] in expected
-        # every chain vertex weakly on the region side of the line
-        for w in chain.vertices:
-            s = g.side_of_line(w, ln)
-            assert s >= 0 if side == g.LOWER else s <= 0
-        assert g.side_of_line(touch[0], ln) == g.ON
 
 
 def test_point_in_triangle_examples():

@@ -5,11 +5,9 @@ import pytest
 
 from hpcolor.model import (
     BLUE,
-    COLOR_SWAP,
     LOWER,
     RED,
     UPPER,
-    XFLIP,
     GeneralPositionViolation,
     HalfPlane,
     Instance,
@@ -20,7 +18,6 @@ from hpcolor.model import (
     dual_line_meets_ray,
     dualize,
     perturb,
-    pull_back,
     validate,
 )
 
@@ -128,13 +125,6 @@ def test_flips(i3):
     # order relation reverses under x_flip
     xf = scene.x_flip()
     assert xf.tips_u == [(-1, 2), (1, 0)]
-
-
-def test_pull_back():
-    assert pull_back([BLUE, RED, RED], []) == [BLUE, RED, RED]
-    assert pull_back([BLUE, RED, RED], [COLOR_SWAP]) == [RED, BLUE, BLUE]
-    assert pull_back([BLUE, RED], [XFLIP, COLOR_SWAP, XFLIP]) == [RED, BLUE]
-    assert pull_back([BLUE], [COLOR_SWAP, COLOR_SWAP]) == [BLUE]
 
 
 def test_json_round_trip(i3):
