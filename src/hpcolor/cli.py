@@ -116,8 +116,6 @@ def _oracle_all(inst: Instance, k: int) -> list:
 
 
 def cmd_gen(args) -> int:
-    if args.mode not in MODES:
-        return _fail(f"unknown mode {args.mode!r}")
     try:
         inst = generate(GenSpec(n=args.n, mode=args.mode, seed=args.seed, bound=args.bound))
     except ValueError as exc:

@@ -20,7 +20,6 @@ from .rationals import Scalar, as_fraction, normalize
 Point = tuple  # (x, y) with exact rational entries
 
 LEFT, COLLINEAR, RIGHT = 1, 0, -1
-ABOVE, ON, BELOW = 1, 0, -1
 
 UPPER = "upper"
 LOWER = "lower"
@@ -71,7 +70,7 @@ class Line:
 
 
 def point_above_line(pt: Point, a: Point, b: Point) -> int:
-    """ABOVE/ON/BELOW of pt w.r.t. the non-vertical line through a and b.
+    """+1 above, 0 on, -1 below: pt against the non-vertical line through a, b.
 
     Pure orientation arithmetic; avoids building Fractions.
     """
