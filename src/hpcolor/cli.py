@@ -43,6 +43,18 @@ def _fail(message: str) -> int:
     return EXIT_BAD_INPUT
 
 
+def _emit(text: str, path) -> int:
+    """Write text to path, or to stdout without one; unwritable is exit 3."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
+    return EXIT_OK
+
+
 def cmd_color(args) -> int:
     inst = _read_instance(args.instance)
     try:
@@ -54,12 +66,7 @@ def cmd_color(args) -> int:
     except InternalError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    out = coloring_to_json(result.colors)
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+    return _emit(coloring_to_json(result.colors), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -120,12 +127,7 @@ def cmd_gen(args) -> int:
         inst = generate(GenSpec(n=args.n, mode=args.mode, seed=args.seed, bound=args.bound))
     except ValueError as exc:
         return _fail(str(exc))
-    text = inst.to_json()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(inst.to_json(), args.out)
 
 
 def cmd_render(args) -> int:
@@ -145,11 +147,7 @@ def cmd_render(args) -> int:
         svg = render_svg(inst, colors, window)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.out:
-        Path(args.out).write_text(svg)
-    else:
-        sys.stdout.write(svg)
-    return EXIT_OK
+    return _emit(svg, args.out)
 
 
 def cmd_bench(args) -> int:
@@ -164,12 +162,7 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     rows = ["n,seconds,case_path"] + [r.csv_row() for r in records]
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit("\n".join(rows) + "\n", args.csv)
 
 
 def cmd_validate(args) -> int:

@@ -37,8 +37,6 @@ from .geometry import (
 from .model import (
     BLUE,
     RED,
-    XFLIP,
-    YFLIP,
     DualScene,
     GeneralPositionViolation,
     Instance,
@@ -140,8 +138,9 @@ class Pivot:
 @dataclass
 class Coverage:
     kind: str  # "covered" | "separated"
-    witness: Optional[tuple] = None
     separator: Optional[Line] = None
+    view: Optional[View] = None  # covered: the scene's hulls
+    hit: Optional[tuple] = None  # covered: (side, vertex) of _sweep_qualifying
 
 
 def _sweep_qualifying(view: View):
@@ -189,7 +188,7 @@ def _chain_slopes_at(chain: HullChain, x):
 
 
 def coverage(scene: DualScene) -> Coverage:
-    """Do the two ray-hull regions intersect?  Witness or separating line.
+    """Do the two ray-hull regions intersect?  Qualifying vertex or separator.
 
     The sweep compares the chains at every hull-vertex abscissa in the
     span overlap.  A separating line is strictly above every upper-family
@@ -212,12 +211,7 @@ def coverage(scene: DualScene) -> Coverage:
 
     hit = _sweep_qualifying(view)
     if hit is not None:
-        _side, v = hit
-        x = v[0]
-        yu = geo.chain_eval(cu, x)
-        yl = geo.chain_eval(cl, x)
-        witness = (x, Fraction(yu + yl, 2))
-        return Coverage("covered", witness=witness)
+        return Coverage("covered", view=view, hit=hit)
 
     lo = max(cu.x_min, cl.x_min)
     hi = min(cu.x_max, cl.x_max)
@@ -301,17 +295,23 @@ def _check_separator(scene: DualScene, sep: Line) -> Line:
     return sep
 
 
-def build_pivot(scene: DualScene, pivot) -> tuple[DualScene, Pivot]:
+def _pivot_frame(scene: DualScene, pivot) -> tuple:
+    """The frame for a pivot: the left-right mirror when the pivot is the
+    leftmost upper point (so the hull predecessor exists whenever the
+    family has more than one point), else the scene itself."""
+    if len(scene.tips_u) > 1 and pivot == scene.tips_u[0]:
+        return scene.x_flip(), (-pivot[0], pivot[1], pivot[2])
+    return scene, pivot
+
+
+def build_pivot(view: View, pivot) -> Pivot:
     """Assemble the case-machine configuration around a qualifying pivot.
 
-    Applies the left-right mirror first when the pivot is the leftmost
-    upper point (so the hull predecessor exists whenever the family has
-    more than one point).
+    A new View is built only when `_pivot_frame` mirrors the scene.
     """
-    if len(scene.tips_u) > 1 and pivot == scene.tips_u[0]:
-        scene = scene.x_flip()
-        pivot = (-pivot[0], pivot[1])
-    view = View.of(scene)
+    scene, pivot = _pivot_frame(view.scene, pivot)
+    if scene is not view.scene:
+        view = View.of(scene)
     cu, cl = view.u.chain, view.l.chain
     iu = cu.vertex_index(pivot)
     if iu is None:
@@ -329,23 +329,22 @@ def build_pivot(scene: DualScene, pivot) -> tuple[DualScene, Pivot]:
     r_Lp = cl.vertices[j + 1] if j + 1 < len(cl.vertices) else None
     if not region_contains(cl, pivot):
         raise InternalError("pivot escaped the lower hull region")
-    return scene, Pivot(view, pivot, l_U, r_U, l_L, r_L, l_Lp, r_Lp)
+    return Pivot(view, pivot, l_U, r_U, l_L, r_L, l_Lp, r_Lp)
 
 
-def find_pivot(scene: DualScene) -> tuple[DualScene, Pivot]:
-    """Locate a hull vertex of one family inside the other family's region.
+def find_pivot(cov: Coverage) -> Pivot:
+    """The pivot at the hull vertex that `coverage` found inside the other
+    family's region.
 
-    If the vertex belongs to the lower family, the up-down mirror makes
+    If the vertex belongs to the lower family, the up-down mirror (with
+    `_pivot_frame` applied at once, so the new frame gets one View) makes
     it play the upper role.
     """
-    hit = _sweep_qualifying(View.of(scene))
-    if hit is None:
-        raise InternalError("covered scene without a qualifying hull vertex")
-    side, v = hit
+    view, (side, v) = cov.view, cov.hit
     if side == "l":
-        scene = scene.y_flip()
-        v = (v[0], -v[1])
-    return build_pivot(scene, v)
+        scene, v = _pivot_frame(view.scene.y_flip(), (v[0], -v[1], v[2]))
+        view = View.of(scene)
+    return build_pivot(view, v)
 
 
 def classify(pv: Pivot) -> str:
@@ -366,40 +365,42 @@ def classify(pv: Pivot) -> str:
 
 
 # ---------------------------------------------------------------------------
-# color-dict helpers
+# color-dict helpers: a coloring maps a tip's half-plane index to a color,
+# so it holds unchanged in every mirrored frame
 
 
 def _fill_rest(view: View, colors: dict, default: str) -> dict:
     for pt in view.u.pts:
-        colors.setdefault(pt, default)
+        colors.setdefault(pt[2], default)
     for pt in view.l.pts:
-        colors.setdefault(pt, default)
+        colors.setdefault(pt[2], default)
     return colors
 
 
 def _paint(colors: dict, pts, color: str) -> None:
     for pt in pts:
-        colors[pt] = color
+        colors[pt[2]] = color
 
 
 def _merge(colors: dict, sub: dict, fixed=()) -> None:
-    """Adopt an observation's colors; context anchors keep their colors."""
-    for pt, c in sub.items():
-        if pt in fixed:
+    """Adopt an observation's colors; context anchors (indices in `fixed`)
+    keep their colors."""
+    for i, c in sub.items():
+        if i in fixed:
             continue
-        if pt in colors and colors[pt] != c:
+        if i in colors and colors[i] != c:
             raise ExhaustivenessViolation(
-                f"inconsistent colors for {pt}: {colors[pt]} vs {c}"
+                f"inconsistent colors for half-plane {i}: {colors[i]} vs {c}"
             )
-        colors[pt] = c
+        colors[i] = c
 
 
 def _xrot(pts) -> list:
-    return [(-p[0], p[1]) for p in reversed(pts)]
+    return [(-p[0], p[1], p[2]) for p in reversed(pts)]
 
 
 def _rot180(pts) -> list:
-    return [(-p[0], -p[1]) for p in reversed(pts)]
+    return [(-p[0], -p[1], p[2]) for p in reversed(pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ def obs_separated(u_act: list, l_act: list, p, q, path: list, _depth=0) -> dict:
     cross_l = l_u is not None and q_s is not None and _above(q_s, l_u, p)
     cross_lp = l_u is not None and q_s is not None and _below(l_u, q, q_s)
 
-    colors: dict = {p: BLUE, q: RED}
+    colors: dict = {p[2]: BLUE, q[2]: RED}
     if l_u is not None and q_s is not None and not cross_l and not cross_lp:
         path.append("obs2")
         _paint(colors, (u for u in u_act if u != p), RED)
@@ -449,18 +450,15 @@ def obs_separated(u_act: list, l_act: list, p, q, path: list, _depth=0) -> dict:
         for w in l_act:
             if w in (q, q_s):
                 continue
-            colors[w] = BLUE if w[0] < q_s[0] else RED
-        colors[q_s] = _tangent_rule_color(u_act, l_act, p, q, q_s)
+            colors[w[2]] = BLUE if w[0] < q_s[0] else RED
+        colors[q_s[2]] = _tangent_rule_color(u_act, l_act, p, q, q_s)
         return colors
 
     # mirror: q's side plays p's role after a half-turn; colors swap back
     path.append("obs3x")
-    sub = obs_separated(
-        _rot180(l_act), _rot180(u_act), (-q[0], -q[1]), (-p[0], -p[1]), path, _depth + 1
-    )
-    return {
-        (-pt[0], -pt[1]): (RED if c == BLUE else BLUE) for pt, c in sub.items()
-    }
+    q_rot, p_rot = (-q[0], -q[1], q[2]), (-p[0], -p[1], p[2])
+    sub = obs_separated(_rot180(l_act), _rot180(u_act), q_rot, p_rot, path, _depth + 1)
+    return {i: (RED if c == BLUE else BLUE) for i, c in sub.items()}
 
 
 def _tangent_rule_color(u_act, l_act, p, q, q_s) -> str:
@@ -498,7 +496,7 @@ def case_a(pv: Pivot, path: list) -> dict:
     path.append("A")
     if segments_intersect((pv.l_U, pv.p), (pv.l_L, pv.r_L)):
         raise ExhaustivenessViolation("case A with crossing segments")
-    colors = {pv.p: BLUE, pv.r_L: BLUE, pv.l_L: BLUE}
+    colors = {pv.p[2]: BLUE, pv.r_L[2]: BLUE, pv.l_L[2]: BLUE}
     return _fill_rest(pv.view, colors, RED)
 
 
@@ -513,11 +511,8 @@ def case_b(pv: Pivot, path: list, depth: int = 0, walk: int = 0) -> dict:
         path.append("B^")
         if walk > 2 * len(view.u.pts) + 4:
             raise InternalError("pivot walk exceeded its budget")
-        base_log = len(view.scene.log)
-        scene2, pv2 = build_pivot(view.scene, l_U)
-        sub = _dispatch(pv2, path, depth, walk + 1)
-        return _unmap_by_log(sub, scene2.log[base_log:])
-    colors = {p: BLUE, r_L: BLUE, l_U: RED, l_L: RED}
+        return _dispatch(build_pivot(view, l_U), path, depth, walk + 1)
+    colors = {p[2]: BLUE, r_L[2]: BLUE, l_U[2]: RED, l_L[2]: RED}
     _paint(colors, view.u.left_of(l_U[0]), RED)
     _paint(colors, view.l.right_of(r_L[0]), RED)
     _paint(colors, view.u.right_of(p[0]), BLUE)
@@ -551,8 +546,8 @@ def case_b(pv: Pivot, path: list, depth: int = 0, walk: int = 0) -> dict:
     for w in window:
         if w == pj:
             continue
-        colors[w] = BLUE if w[0] < pj[0] else RED
-    colors[pj] = _case_b_prime_color(window, l_L, r_L, pj)
+        colors[w[2]] = BLUE if w[0] < pj[0] else RED
+    colors[pj[2]] = _case_b_prime_color(window, l_L, r_L, pj)
     return colors
 
 
@@ -615,14 +610,14 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
     # else l_L takes the pivot role and the first case applies
     if _below(l_U, l_L, r_L):
         path.append("D>A")
-        colors = {l_L: BLUE, l_U: BLUE, p: BLUE}
+        colors = {l_L[2]: BLUE, l_U[2]: BLUE, p[2]: BLUE}
         return _fill_rest(view, colors, RED)
 
     no_right = not view.u.right_of(p[0])
     no_left = not view.l.left_of(l_L[0])
     if no_right and no_left:
         path.append("D1")
-        colors = {p: BLUE, r_L: BLUE, l_U: RED, l_L: RED}
+        colors = {p[2]: BLUE, r_L[2]: BLUE, l_U[2]: RED, l_L[2]: RED}
         _paint(colors, (w for w in view.u.left_of(p[0]) if w != l_U), RED)
         _paint(colors, (w for w in view.l.right_of(r_L[0]) if w != r_L), RED)
         _paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
@@ -631,26 +626,24 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
     # D2: a blue triangle of rays pierces everything
     if r_U is not None and r_U[0] > r_L[0] and _below(r_L, p, r_U):
         path.append("D2r")
-        colors = {r_U: BLUE, p: BLUE, r_L: BLUE}
+        colors = {r_U[2]: BLUE, p[2]: BLUE, r_L[2]: BLUE}
         return _fill_rest(view, colors, RED)
     if l_Lp is not None and l_Lp[0] < l_U[0] and _above(l_U, l_Lp, l_L):
         path.append("D2l")
-        colors = {l_Lp: RED, l_L: RED, l_U: RED}
+        colors = {l_Lp[2]: RED, l_L[2]: RED, l_U[2]: RED}
         return _fill_rest(view, colors, BLUE)
 
     # neither wing matches: re-dispatch through a mirrored frame
-    base_log = len(view.scene.log)
     for label, frame_scene, frame_pivot in _d_frames(pv):
+        scene, pivot = _pivot_frame(frame_scene, frame_pivot)
         try:
-            scene2, pv2 = build_pivot(frame_scene, frame_pivot)
+            pv2 = build_pivot(View.of(scene), pivot)
         except (InternalError, GeneralPositionViolation):
             continue
-        tag = classify(pv2)
-        if tag == "D":
+        if classify(pv2) == "D":
             continue
         path.append(f"D~{label}")
-        sub = _dispatch(pv2, path, depth + 1, allow_d=False)
-        return _unmap_by_log(sub, scene2.log[base_log:])
+        return _dispatch(pv2, path, depth + 1, allow_d=False)
     raise ExhaustivenessViolation("case D reductions exhausted")
 
 
@@ -659,25 +652,14 @@ def _d_frames(pv: Pivot):
     view = pv.view
     out = []
     if pv.r_U is not None:
-        out.append(("x", view.scene.x_flip(), (-pv.p[0], pv.p[1])))
+        out.append(("x", view.scene.x_flip(), (-pv.p[0], pv.p[1], pv.p[2])))
     if view.u.chain is not None:
         if region_contains(view.u.chain, pv.l_L):
-            out.append(("y", view.scene.y_flip(), (pv.l_L[0], -pv.l_L[1])))
+            out.append(("y", view.scene.y_flip(), (pv.l_L[0], -pv.l_L[1], pv.l_L[2])))
         if region_contains(view.u.chain, pv.r_L):
             sc = view.scene.y_flip().x_flip()
-            out.append(("xy", sc, (-pv.r_L[0], -pv.r_L[1])))
+            out.append(("xy", sc, (-pv.r_L[0], -pv.r_L[1], pv.r_L[2])))
     return out
-
-
-def _unmap_by_log(colors: dict, log_suffix) -> dict:
-    """Invert the coordinate effect of the flips appended since a base frame."""
-    nx = sum(1 for e in log_suffix if e == XFLIP) % 2
-    ny = sum(1 for e in log_suffix if e == YFLIP) % 2
-    if not nx and not ny:
-        return colors
-    return {
-        ((-x if nx else x), (-y if ny else y)): c for (x, y), c in colors.items()
-    }
 
 
 def case_c(pv: Pivot, path: list, depth: int) -> dict:
@@ -693,8 +675,8 @@ def case_c(pv: Pivot, path: list, depth: int) -> dict:
     # the hull successor inside the lower region upgrades to an A-pivot
     if r_U is not None and region_contains(view.l.chain, r_U):
         path.append("C>A")
-        scene2, pv2 = build_pivot(view.scene, r_U)
-        if scene2 is not view.scene:
+        pv2 = build_pivot(view, r_U)
+        if pv2.view is not view:
             raise InternalError("A-upgrade pivot flipped unexpectedly")
         if not _above(pv2.r_L, pv2.l_U, pv2.p):
             raise ExhaustivenessViolation("A-upgrade guard failed")
@@ -702,12 +684,12 @@ def case_c(pv: Pivot, path: list, depth: int) -> dict:
 
     if r_U is not None and _c1_holds(view, r_L, r_U, l_L, exempt_u=r_U):
         path.append("c1r")
-        colors = {p: BLUE, r_U: BLUE, r_L: BLUE}
+        colors = {p[2]: BLUE, r_U[2]: BLUE, r_L[2]: BLUE}
         return _fill_rest(view, colors, RED)
     if _c1_holds(view, l_L, l_U, r_L, exempt_u=l_U):
         # mirror of the previous wedge; the mirror keeps the rest red
         path.append("c1l")
-        colors = {p: BLUE, l_U: BLUE, l_L: BLUE}
+        colors = {p[2]: BLUE, l_U[2]: BLUE, l_L[2]: BLUE}
         return _fill_rest(view, colors, RED)
 
     if r_Lp is not None and _triangle_free(view.l.pts, l_L, r_L, r_Lp):
@@ -754,9 +736,9 @@ def _case_c2(pv: Pivot, path: list, mirrored: bool) -> dict:
 
     if not mirrored:
         path.append("c2r")
-        colors = {p: BLUE, l_L: BLUE, r_Lp: BLUE, r_L: RED}
+        colors = {p[2]: BLUE, l_L[2]: BLUE, r_Lp[2]: BLUE, r_L[2]: RED}
         if r_U is not None:
-            colors[r_U] = RED
+            colors[r_U[2]] = RED
         _paint(
             colors,
             (w for w in view.l.between(l_L[0], r_Lp[0]) if w != r_L),
@@ -767,7 +749,7 @@ def _case_c2(pv: Pivot, path: list, mirrored: bool) -> dict:
         u_act = [u for u in view.u.pts if u[0] <= p[0]]
         l_act = [r_L, r_Lp] + view.l.right_of(r_Lp[0])
         sub = obs_separated(u_act, l_act, p, r_L, path)
-        if sub.get(r_Lp) != BLUE:
+        if sub.get(r_Lp[2]) != BLUE:
             raise ExhaustivenessViolation("masked window q-successor not blue")
         _merge(colors, sub)
         # a blue wedge l_L..l_U..p defeats the plan; recolor globally (the
@@ -775,18 +757,18 @@ def _case_c2(pv: Pivot, path: list, mirrored: bool) -> dict:
         # all three of l_L, l_U, r_L', and one missing them hits only p)
         if (
             l_U is not None
-            and colors.get(l_U) == BLUE
+            and colors.get(l_U[2]) == BLUE
             and _is_low_tangent(view, l_U, l_L, exempt_u=(p, l_U))
         ):
             path.append("c2r!")
-            override = {l_L: BLUE, l_U: BLUE, r_Lp: BLUE}
+            override = {l_L[2]: BLUE, l_U[2]: BLUE, r_Lp[2]: BLUE}
             return _fill_rest(view, override, RED)
         return colors
 
     path.append("c2l")
-    colors = {p: BLUE, r_L: BLUE, l_Lp: BLUE, l_L: RED}
+    colors = {p[2]: BLUE, r_L[2]: BLUE, l_Lp[2]: BLUE, l_L[2]: RED}
     if l_U is not None:
-        colors[l_U] = RED
+        colors[l_U[2]] = RED
     _paint(
         colors,
         (w for w in view.l.between(l_Lp[0], r_L[0]) if w != l_L),
@@ -796,18 +778,19 @@ def _case_c2(pv: Pivot, path: list, mirrored: bool) -> dict:
     _paint(colors, view.u.left_of(p[0]), RED)
     u_act = [p] + view.u.right_of(p[0])
     l_act = view.l.left_of(l_Lp[0]) + [l_Lp, l_L]
-    sub = obs_separated(_xrot(u_act), _xrot(l_act), (-p[0], p[1]), (-l_L[0], l_L[1]), path)
-    sub = {(-x, y): c for (x, y), c in sub.items()}
-    if sub.get(l_Lp) != BLUE:
+    sub = obs_separated(
+        _xrot(u_act), _xrot(l_act), (-p[0], p[1], p[2]), (-l_L[0], l_L[1], l_L[2]), path
+    )
+    if sub.get(l_Lp[2]) != BLUE:
         raise ExhaustivenessViolation("masked window q-successor not blue")
     _merge(colors, sub)
     if (
         r_U is not None
-        and colors.get(r_U) == BLUE
+        and colors.get(r_U[2]) == BLUE
         and _is_low_tangent(view, r_U, r_L, exempt_u=(p, r_U))
     ):
         path.append("c2l!")
-        override = {r_L: BLUE, r_U: BLUE, l_Lp: BLUE}
+        override = {r_L[2]: BLUE, r_U[2]: BLUE, l_Lp[2]: BLUE}
         return _fill_rest(view, override, RED)
     return colors
 
@@ -832,24 +815,20 @@ def _case_c3(pv: Pivot, path: list) -> dict:
     path.append("c3")
     view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
     l_L, r_L = pv.l_L, pv.r_L
-    colors = {p: BLUE, l_U: RED, r_U: RED, r_L: RED, l_L: RED}
+    colors = {p[2]: BLUE, l_U[2]: RED, r_U[2]: RED, r_L[2]: RED, l_L[2]: RED}
     _paint(colors, (u for u in view.u.between(l_U[0], r_U[0]) if u != p), BLUE)
     _paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
     # l_U / r_U stay in the observation scenes as already-colored hull
     # anchors: the hull structure (and the tangent rule) must see them
     u_act1 = view.u.left_of(l_U[0]) + [l_U, p]
     l_act1 = [r_L] + view.l.right_of(r_L[0])
-    _merge(colors, obs_separated(u_act1, l_act1, p, r_L, path), fixed=(l_U,))
+    _merge(colors, obs_separated(u_act1, l_act1, p, r_L, path), fixed=(l_U[2],))
     u_act2 = [p, r_U] + view.u.right_of(r_U[0])
     l_act2 = view.l.left_of(l_L[0]) + [l_L]
     sub = obs_separated(
-        _xrot(u_act2), _xrot(l_act2), (-p[0], p[1]), (-l_L[0], l_L[1]), path
+        _xrot(u_act2), _xrot(l_act2), (-p[0], p[1], p[2]), (-l_L[0], l_L[1], l_L[2]), path
     )
-    _merge(
-        colors,
-        {(-x, y): c for (x, y), c in sub.items()},
-        fixed=(r_U,),
-    )
+    _merge(colors, sub, fixed=(r_U[2],))
     return colors
 
 
@@ -858,16 +837,16 @@ def _case_c4(pv: Pivot, path: list, singleton: bool = False) -> dict:
     view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
     l_L, r_L, l_Lp, r_Lp = pv.l_L, pv.r_L, pv.l_Lp, pv.r_Lp
 
-    colors = {p: BLUE, r_L: RED, l_L: RED}
+    colors = {p[2]: BLUE, r_L[2]: RED, l_L[2]: RED}
     u_act1 = [u for u in view.u.pts if u[0] <= p[0]]
     l_act1 = [r_L] + view.l.right_of(r_L[0])
     _merge(colors, obs_separated(u_act1, l_act1, p, r_L, path))
     u_act2 = [p] + view.u.right_of(p[0])
     l_act2 = view.l.left_of(l_L[0]) + [l_L]
     sub = obs_separated(
-        _xrot(u_act2), _xrot(l_act2), (-p[0], p[1]), (-l_L[0], l_L[1]), path
+        _xrot(u_act2), _xrot(l_act2), (-p[0], p[1], p[2]), (-l_L[0], l_L[1], l_L[2]), path
     )
-    _merge(colors, {(-x, y): c for (x, y), c in sub.items()})
+    _merge(colors, sub)
     _paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
 
     if singleton:
@@ -878,28 +857,28 @@ def _case_c4(pv: Pivot, path: list, singleton: bool = False) -> dict:
     if (
         l_Lp is not None
         and l_U is not None
-        and colors.get(l_Lp) == BLUE
-        and colors.get(l_U) == BLUE
+        and colors.get(l_Lp[2]) == BLUE
+        and colors.get(l_U[2]) == BLUE
         and (
             _is_low_tangent(view, l_U, l_Lp, exempt_u=(l_U, p))
             or _passes_above_uppers(view, l_Lp, l_L, exempt=(l_U, p))
         )
     ):
         path.append("c4!l")
-        override = {l_Lp: BLUE, l_L: BLUE, l_U: BLUE, r_L: BLUE}
+        override = {l_Lp[2]: BLUE, l_L[2]: BLUE, l_U[2]: BLUE, r_L[2]: BLUE}
         return _fill_rest(view, override, RED)
     if (
         r_Lp is not None
         and r_U is not None
-        and colors.get(r_Lp) == BLUE
-        and colors.get(r_U) == BLUE
+        and colors.get(r_Lp[2]) == BLUE
+        and colors.get(r_U[2]) == BLUE
         and (
             _is_low_tangent(view, r_U, r_Lp, exempt_u=(r_U, p))
             or _passes_above_uppers(view, r_Lp, r_L, exempt=(r_U, p))
         )
     ):
         path.append("c4!r")
-        override = {r_Lp: BLUE, r_L: BLUE, r_U: BLUE, l_L: BLUE}
+        override = {r_Lp[2]: BLUE, r_L[2]: BLUE, r_U[2]: BLUE, l_L[2]: BLUE}
         return _fill_rest(view, override, RED)
     return colors
 
@@ -922,24 +901,22 @@ def _case_c_below(pv: Pivot, path: list, depth: int) -> dict:
     if _above(l_L, p, r_U):
         # line p..r_U cuts the window segment: A after a left-right mirror
         path.append("cB>A")
-        colors = {p: BLUE, l_L: BLUE, r_L: BLUE}
+        colors = {p[2]: BLUE, l_L[2]: BLUE, r_L[2]: BLUE}
         return _fill_rest(view, colors, RED)
     if _below(r_U, l_L, r_L):
         # window edge-line cuts segment p..r_U: A after an up-down mirror
         path.append("cB>A'")
-        colors = {p: BLUE, r_U: BLUE, r_L: BLUE}
+        colors = {p[2]: BLUE, r_U[2]: BLUE, r_L[2]: BLUE}
         return _fill_rest(view, colors, RED)
     if r_U[0] < r_L[0]:
         # the second case's machinery applies with the x-axis reversed
         path.append("cB>B")
-        base_log = len(view.scene.log)
-        scene2, pv2 = build_pivot(view.scene.x_flip(), (-p[0], p[1]))
+        pv2 = build_pivot(View.of(view.scene.x_flip()), (-p[0], p[1], p[2]))
         if classify(pv2) != "B":
             raise ExhaustivenessViolation("mirrored cB scene not in case B")
-        sub = case_b(pv2, path, depth + 1)
-        return _unmap_by_log(sub, scene2.log[base_log:])
+        return case_b(pv2, path, depth + 1)
 
-    colors = {p: BLUE, l_L: BLUE, r_L: RED, r_U: RED}
+    colors = {p[2]: BLUE, l_L[2]: BLUE, r_L[2]: RED, r_U[2]: RED}
     _paint(colors, view.u.right_of(r_U[0]), BLUE)
     _paint(colors, (w for w in view.l.left_of(r_L[0]) if w != l_L), BLUE)
     _paint(colors, (u for u in view.u.between(p[0], r_U[0])), RED)
@@ -979,15 +956,15 @@ def _dispatch(
     return case_d(pv, path, depth)
 
 
-def color_covered(scene: DualScene) -> tuple[DualScene, dict, list]:
-    """Color a covered scene; returns the final frame, colors, and path."""
-    scene, pv = find_pivot(scene)
+def color_covered(cov: Coverage) -> tuple[dict, list]:
+    """Color a covered scene; returns colors by half-plane index, and the path."""
     path: list = []
-    colors = _dispatch(pv, path)
-    missing = [pt for pt in scene.points() if pt not in colors]
+    colors = _dispatch(find_pivot(cov), path)
+    scene = cov.view.scene
+    missing = [pt for pt in scene.tips_u + scene.tips_l if pt[2] not in colors]
     if missing:
         raise InternalError(f"uncolored tips: {missing[:3]}")
-    return scene, colors, path
+    return colors, path
 
 
 # ---------------------------------------------------------------------------
@@ -1038,12 +1015,8 @@ def solve_detailed(
             scene = dualize(pert)
             cov = coverage(scene)
             if cov.kind == "covered":
-                final_scene, cmap, path = color_covered(scene)
-                colors: list = [None] * n
-                for tip, src in zip(final_scene.tips_u, final_scene.src_u):
-                    colors[src] = cmap[tip]
-                for tip, src in zip(final_scene.tips_l, final_scene.src_l):
-                    colors[src] = cmap[tip]
+                cmap, path = color_covered(cov)
+                colors = [cmap[i] for i in range(n)]
             else:
                 witness = uncovered_witness(pert, cov.separator)
                 colors = uncovered_solve(pert, witness)

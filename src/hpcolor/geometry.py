@@ -1,10 +1,11 @@
 """Exact 2D primitives: orientation, hull chains, hull layers, slope order.
 
-Points are ``(x, y)`` tuples of exact rationals (int or Fraction).  Every
-predicate is decided by integer/rational sign computations; there is no
-epsilon anywhere.  Lines are never vertical: the whole model forbids
-vertical boundaries, and every constructed line joins points with
-distinct x.
+Points are ``(x, y)`` tuples of exact rationals (int or Fraction); dual
+tips carry a third entry, their half-plane index, which the predicates
+ignore but point equality sees.  Every predicate is decided by
+integer/rational sign computations; there is no epsilon anywhere.
+Lines are never vertical: the whole model forbids vertical boundaries,
+and every constructed line joins points with distinct x.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from . import kernels
 from .rationals import Scalar, as_fraction, normalize
 
-Point = tuple  # (x, y) with exact rational entries
+Point = tuple  # (x, y), or a dual tip (x, y, i), with exact rational x and y
 
 LEFT, COLLINEAR, RIGHT = 1, 0, -1
 
@@ -56,14 +57,6 @@ class Line:
 
     slope: Scalar
     intercept: Scalar
-
-    @classmethod
-    def through(cls, p: Point, q: Point) -> "Line":
-        if p[0] == q[0]:
-            raise VerticalLineError(f"points share x={p[0]}")
-        slope = Fraction(q[1] - p[1], 1) / Fraction(q[0] - p[0], 1)
-        intercept = p[1] - slope * p[0]
-        return cls(normalize(slope), normalize(intercept))
 
     def y_at(self, x: Scalar) -> Scalar:
         return normalize(as_fraction(self.slope) * x + self.intercept)

@@ -6,7 +6,9 @@ the boundary y = a*x + b maps to the tip (-a, b); upper half-planes carry
 downward vertical rays, lower ones upward rays, and the primal point
 (c, d) maps to the line y = c*x + d.  With this convention a point lies
 in a half-plane exactly when its dual line meets the half-plane's ray,
-and "above" in the primal is "below" in the dual.
+and "above" in the primal is "below" in the dual.  A tip carries the
+index of its half-plane as a third entry, (-a, b, i), through every
+mirrored frame, so colorings of tips are keyed by half-plane index.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .rationals import (
     Scalar,
@@ -30,9 +32,6 @@ LOWER = "lower"
 
 BLUE = "blue"
 RED = "red"
-
-XFLIP = "xflip"
-YFLIP = "yflip"
 
 
 class ModelError(Exception):
@@ -264,47 +263,36 @@ def perturb(inst: Instance, attempt: int = 0) -> Instance:
 class DualScene:
     """Tips of the dual rays, one family per side, x-sorted.
 
-    tips_u carry downward rays (upper half-planes), tips_l upward rays.
-    src_* map tip positions back to half-plane indices.
+    A tip is ``(x, y, i)``: the ray's apex and the index of its half-plane
+    in the instance.  tips_u carry downward rays (upper half-planes),
+    tips_l upward rays.  The flips mirror coordinates and keep indices, so
+    a coloring keyed by index holds in every frame.
     """
 
     tips_u: list
-    src_u: list
     tips_l: list
-    src_l: list
-    log: list = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return len(self.tips_u) + len(self.tips_l)
 
-    def points(self) -> Iterable:
-        yield from self.tips_u
-        yield from self.tips_l
-
     def x_flip(self) -> "DualScene":
         """Mirror left-right; families keep their roles; involution."""
         return DualScene(
-            [(-x, y) for x, y in reversed(self.tips_u)],
-            list(reversed(self.src_u)),
-            [(-x, y) for x, y in reversed(self.tips_l)],
-            list(reversed(self.src_l)),
-            self.log + [XFLIP],
+            [(-x, y, i) for x, y, i in reversed(self.tips_u)],
+            [(-x, y, i) for x, y, i in reversed(self.tips_l)],
         )
 
     def y_flip(self) -> "DualScene":
         """Mirror up-down and swap the families' roles; involution."""
         return DualScene(
-            [(x, -y) for x, y in self.tips_l],
-            list(self.src_l),
-            [(x, -y) for x, y in self.tips_u],
-            list(self.src_u),
-            self.log + [YFLIP],
+            [(x, -y, i) for x, y, i in self.tips_l],
+            [(x, -y, i) for x, y, i in self.tips_u],
         )
 
 
 def dualize(inst: Instance) -> DualScene:
-    """Map each half-plane with boundary y = a*x + b to the tip (-a, b).
+    """Map half-plane i with boundary y = a*x + b to the tip (-a, b, i).
 
     Requires pairwise distinct tip x-coordinates (equivalently, no two
     boundaries parallel); collinearity degeneracies are left to callers'
@@ -312,22 +300,16 @@ def dualize(inst: Instance) -> DualScene:
     """
     tagged = []
     for i, h in enumerate(inst):
-        tagged.append(((normalize(-as_fraction(h.a)), h.b), h.side, i))
+        tagged.append(((normalize(-as_fraction(h.a)), h.b, i), h.side))
     tagged.sort(key=lambda t: as_fraction(t[0][0]))
-    for (p1, _, i1), (p2, _, i2) in zip(tagged, tagged[1:]):
+    for (p1, _), (p2, _) in zip(tagged, tagged[1:]):
         if p1[0] == p2[0]:
             raise GeneralPositionViolation(
-                f"half-planes {i1} and {i2} have parallel boundaries"
+                f"half-planes {p1[2]} and {p2[2]} have parallel boundaries"
             )
-    tips_u, src_u, tips_l, src_l = [], [], [], []
-    for tip, side, i in tagged:
-        if side == UPPER:
-            tips_u.append(tip)
-            src_u.append(i)
-        else:
-            tips_l.append(tip)
-            src_l.append(i)
-    return DualScene(tips_u, src_u, tips_l, src_l, [])
+    tips_u = [tip for tip, side in tagged if side == UPPER]
+    tips_l = [tip for tip, side in tagged if side != UPPER]
+    return DualScene(tips_u, tips_l)
 
 
 def dual_line_meets_ray(pt, hp: HalfPlane) -> bool:

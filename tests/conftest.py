@@ -14,10 +14,12 @@ def instance_from_tips(upper_tips, lower_tips) -> Instance:
     """Instance whose dual tips are exactly the given points.
 
     A tip (x, y) with a downward ray comes from the upper half-plane
-    y' <= -x*x' + y; an upward ray from the lower one.
+    y' <= -x*x' + y; an upward ray from the lower one.  Tips may carry a
+    third entry (their index); it is ignored, and half-plane i is the
+    i-th tip of upper_tips + lower_tips.
     """
-    hps = [HalfPlane(-x, y, UPPER) for x, y in upper_tips]
-    hps += [HalfPlane(-x, y, LOWER) for x, y in lower_tips]
+    hps = [HalfPlane(-t[0], t[1], UPPER) for t in upper_tips]
+    hps += [HalfPlane(-t[0], t[1], LOWER) for t in lower_tips]
     return Instance(hps)
 
 

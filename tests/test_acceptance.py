@@ -9,24 +9,16 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from hpcolor import engine
 from hpcolor.bench import doubling_ratios, run_bench
 from hpcolor.engine import coverage, find_pivot
 from hpcolor.generate import GenSpec, generate
 from hpcolor.geometry import region_contains
-from hpcolor.model import (
-    BLUE,
-    RED,
-    HalfPlane,
-    Instance,
-    dual_line_meets_ray,
-    dualize,
-)
+from hpcolor.model import BLUE, HalfPlane, dual_line_meets_ray, dualize
 from hpcolor.verification import arrangement_samples, depth, oracle, verify
 
-from conftest import instance_from_tips, make_instance
+from conftest import instance_from_tips
 
 MODES = ("covered", "uncovered", "degenerate", "random")
 
@@ -115,35 +107,35 @@ def test_criterion_6_observation_suites():
 
     ok = True
     # non-crossing branch
-    u_act, l_act = [(-2, 1), (0, 0)], [(1, -5), (3, -4)]
-    colors = obs_separated(u_act, l_act, (0, 0), (1, -5), [])
+    u_act, l_act = [(-2, 1, 0), (0, 0, 1)], [(1, -5, 2), (3, -4, 3)]
+    colors = obs_separated(u_act, l_act, (0, 0, 1), (1, -5, 2), [])
     inst = instance_from_tips(u_act, l_act)
-    ordered = [colors[t] for t in u_act + l_act]
+    ordered = [colors[t[2]] for t in u_act + l_act]
     ok &= verify(inst, ordered, 3) is None
 
     # missing-hull-neighbour branch with the tangent rule
-    u_act, l_act = [(0, 0)], [(1, -5), (2, -1), (5, -5)]
+    u_act, l_act = [(0, 0, 0)], [(1, -5, 1), (2, -1, 2), (5, -5, 3)]
     path = []
-    colors = obs_separated(u_act, l_act, (0, 0), (1, -5), path)
+    colors = obs_separated(u_act, l_act, (0, 0, 0), (1, -5, 1), path)
     inst = instance_from_tips(u_act, l_act)
-    ordered = [colors[t] for t in u_act + l_act]
+    ordered = [colors[t[2]] for t in u_act + l_act]
     ok &= path[0] == "obs3" and verify(inst, ordered, 3) is None
 
     # empty second layer leaves the successor blue
-    u_act, l_act = [(0, 0)], [(1, -5), (3, -4)]
-    colors = obs_separated(u_act, l_act, (0, 0), (1, -5), [])
-    ok &= colors[(3, -4)] == BLUE
+    u_act, l_act = [(0, 0, 0)], [(1, -5, 1), (3, -4, 2)]
+    colors = obs_separated(u_act, l_act, (0, 0, 0), (1, -5, 1), [])
+    ok &= colors[2] == BLUE  # the tip (3, -4)
 
     # pivot sweep on 10^4 fuzzed covered scenes
     rng = random.Random(66)
     found = 0
     for t in range(10_000):
         inst = generate(GenSpec(n=rng.randint(3, 12), mode="covered", seed=20_000 + t, bound=25))
-        scene = dualize(inst)
-        if coverage(scene).kind != "covered":
+        cov = coverage(dualize(inst))
+        if cov.kind != "covered":
             continue
-        scene, pv = find_pivot(scene)
-        view = View.of(scene)
+        pv = find_pivot(cov)
+        view = View.of(pv.view.scene)
         if view.u.chain.vertex_index(pv.p) is None or not region_contains(view.l.chain, pv.p):
             ok = False
             break

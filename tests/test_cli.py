@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -202,6 +201,21 @@ def test_bench_rejects_unsorted(monkeypatch, capsys):
     monkeypatch.setenv("HPCOLOR_MAX_ATTEMPTS", "abc")
     assert run_cli("bench", "--sizes", "64") == 3
     assert "HPCOLOR_MAX_ATTEMPTS" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_3(tmp_path, i3_file, capsys):
+    target = str(tmp_path / "missing" / "out")
+    commands = [
+        ("color", str(i3_file), "--out", target),
+        ("gen", "--n", "5", "--mode", "covered", "--out", target),
+        ("render", str(i3_file), "--out", target),
+        ("bench", "--sizes", "8", "--csv", target),
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not (tmp_path / "missing").exists()
 
 
 def test_bench_case_path_deterministic(tmp_path):

@@ -1,12 +1,7 @@
 import random
-from fractions import Fraction
-
-import pytest
 
 from hpcolor import engine as E
 from hpcolor.engine import (
-    InternalError,
-    Pivot,
     View,
     build_pivot,
     classify,
@@ -30,7 +25,7 @@ def scene_of(upper_tips, lower_tips):
 def test_coverage_i3(i3):
     cov = coverage(dualize(i3))
     assert cov.kind == "covered"
-    assert cov.witness == (0, Fraction(1, 2))
+    assert cov.hit == ("l", (0, 0, 2))
 
 
 def test_coverage_separated_overlapping_spans():
@@ -52,17 +47,17 @@ def test_coverage_disjoint_spans():
 
 
 def test_find_pivot_i3(i3):
-    scene, pv = find_pivot(dualize(i3))
-    # the lower vertex (0, 0) qualifies; after the flip it leads the uppers
-    assert "yflip" in scene.log
-    assert pv.p == (0, 0)
+    pv = find_pivot(coverage(dualize(i3)))
+    # the lower vertex (0, 0) of half-plane 2 qualifies; after the flip it
+    # leads the uppers
+    assert pv.p == (0, 0, 2)
     assert pv.l_L is not None and pv.r_L is not None
 
 
 def test_find_pivot_singleton_above():
-    scene, pv = find_pivot(scene_of([(0, 10)], [(-1, 0), (1, 0)]))
-    assert pv.p == (0, 10)
-    assert pv.l_L == (-1, 0) and pv.r_L == (1, 0)
+    pv = find_pivot(coverage(scene_of([(0, 10)], [(-1, 0), (1, 0)])))
+    assert pv.p == (0, 10, 0)
+    assert pv.l_L == (-1, 0, 1) and pv.r_L == (1, 0, 2)
     assert pv.l_U is None and pv.r_U is None
 
 
@@ -73,11 +68,11 @@ def test_find_pivot_postcondition_fuzz():
     hits = 0
     for t in range(300):
         inst = generate(GenSpec(n=rng.randint(3, 16), mode="covered", seed=t, bound=30))
-        scene = dualize(inst)
-        if coverage(scene).kind != "covered":
+        cov = coverage(dualize(inst))
+        if cov.kind != "covered":
             continue
-        scene, pv = find_pivot(scene)
-        view = View.of(scene)
+        pv = find_pivot(cov)
+        view = View.of(pv.view.scene)
         assert view.u.chain.vertex_index(pv.p) is not None
         assert region_contains(view.l.chain, pv.p)
         assert pv.l_L[0] < pv.p[0] < pv.r_L[0]
@@ -85,30 +80,34 @@ def test_find_pivot_postcondition_fuzz():
     assert hits > 250
 
 
+def pivot_of(upper_tips, lower_tips, pivot):
+    return build_pivot(View.of(scene_of(upper_tips, lower_tips)), pivot)
+
+
 def classify_of(upper_tips, lower_tips, pivot):
-    scene, pv = build_pivot(scene_of(upper_tips, lower_tips), pivot)
+    pv = pivot_of(upper_tips, lower_tips, pivot)
     return classify(pv), pv
 
 
 def test_classify_case_a():
-    tag, _ = classify_of([(-4, 9), (0, 10)], [(-1, 0), (1, 11)], (0, 10))
+    tag, _ = classify_of([(-4, 9), (0, 10)], [(-1, 0), (1, 11)], (0, 10, 1))
     assert tag == "A"
 
 
 def test_classify_case_b():
-    tag, _ = classify_of([(-4, 9), (0, 10)], [(-5, 0), (1, -1)], (0, 10))
+    tag, _ = classify_of([(-4, 9), (0, 10)], [(-5, 0), (1, -1)], (0, 10, 1))
     assert tag == "B"
 
 
 def test_classify_case_c():
     # the window segment crosses l_U..p inside both segments
-    tag, _ = classify_of([(-4, 9), (0, 10)], [(-3, 12), (3, -20)], (0, 10))
+    tag, _ = classify_of([(-4, 9), (0, 10)], [(-3, 12), (3, -20)], (0, 10, 1))
     assert tag == "C"
 
 
 def test_classify_case_d():
     # same shape as B but with the window-left vertex right of l_U
-    tag, _ = classify_of([(-4, 9), (0, 10)], [(-2, 8), (3, -20)], (0, 10))
+    tag, _ = classify_of([(-4, 9), (0, 10)], [(-2, 8), (3, -20)], (0, 10, 1))
     assert tag == "D"
 
 
@@ -121,22 +120,23 @@ def solve_and_check(inst, expect_path=None):
 
 
 def test_case_a_coloring_rule():
-    scene, pv = build_pivot(scene_of([(-4, 9), (0, 10)], [(-1, 0), (1, 11)]), (0, 10))
+    pv = pivot_of([(-4, 9), (0, 10)], [(-1, 0), (1, 11)], (0, 10, 1))
     assert classify(pv) == "A"
     path = []
     colors = E.case_a(pv, path)
-    assert colors == {(0, 10): BLUE, (-1, 0): BLUE, (1, 11): BLUE, (-4, 9): RED}
+    # keys are half-plane indices: tips (-4, 9), (0, 10), (-1, 0), (1, 11)
+    assert colors == {1: BLUE, 2: BLUE, 3: BLUE, 0: RED}
     inst = instance_from_tips([(-4, 9), (0, 10)], [(-1, 0), (1, 11)])
-    ordered = [colors[t] for t in ((-4, 9), (0, 10), (-1, 0), (1, 11))]
+    ordered = [colors[i] for i in range(4)]
     assert verify(inst, ordered, 3) is None
 
 
 def test_case_a_extra_point_red():
     tips_l = [(-1, 0), (1, 11), (4, 30)]
-    scene, pv = build_pivot(scene_of([(-4, 9), (0, 10)], tips_l), (0, 10))
+    pv = pivot_of([(-4, 9), (0, 10)], tips_l, (0, 10, 1))
     assert classify(pv) == "A"
     colors = E.case_a(pv, [])
-    assert colors[(4, 30)] == RED
+    assert colors[4] == RED  # the tip (4, 30)
     assert sum(1 for c in colors.values() if c == BLUE) == 3
 
 
@@ -176,32 +176,32 @@ def test_determinism(i3):
 
 def test_obs2_example():
     # guards and standing assumptions hold; the non-crossing branch fires
-    u_act = [(-2, 1), (0, 0)]
-    l_act = [(1, -5), (3, -4)]
+    u_act = [(-2, 1, 0), (0, 0, 1)]
+    l_act = [(1, -5, 2), (3, -4, 3)]
     path = []
-    colors = obs_separated(u_act, l_act, (0, 0), (1, -5), path)
+    colors = obs_separated(u_act, l_act, (0, 0, 1), (1, -5, 2), path)
     assert path == ["obs2"]
-    assert colors == {(0, 0): BLUE, (1, -5): RED, (-2, 1): RED, (3, -4): BLUE}
+    assert colors == {1: BLUE, 2: RED, 0: RED, 3: BLUE}
     inst = instance_from_tips(u_act, l_act)
-    full = [colors[t] for t in ((-2, 1), (0, 0), (1, -5), (3, -4))]
+    full = [colors[i] for i in range(4)]
     assert verify(inst, full, 3) is None
 
 
 def test_obs3_missing_l_u():
     path = []
-    colors = obs_separated([(0, 0)], [(1, -5), (3, -4)], (0, 0), (1, -5), path)
+    colors = obs_separated([(0, 0, 0)], [(1, -5, 1), (3, -4, 2)], (0, 0, 0), (1, -5, 1), path)
     assert path == ["obs3"]
-    assert colors[(0, 0)] == BLUE and colors[(1, -5)] == RED
+    assert colors[0] == BLUE and colors[1] == RED
 
 
 def test_obs3_tangent_rule_empty_second_layer():
     # q's successor keeps blue when no second-layer point exists
     path = []
     colors = obs_separated(
-        [(-3, 2), (0, 0)], [(1, -6), (2, -1), (5, -5)], (0, 0), (1, -6), path
+        [(-3, 2, 0), (0, 0, 1)], [(1, -6, 2), (2, -1, 3), (5, -5, 4)], (0, 0, 1), (1, -6, 2), path
     )
     if path == ["obs3"]:
-        assert colors[(2, -1)] in (BLUE, RED)
+        assert colors[3] in (BLUE, RED)  # the tip (2, -1)
 
 
 def test_singleton_u(i3):

@@ -42,11 +42,6 @@ def test_orientation_translation_invariant(p, q, r, dx, dy):
     assert g.orientation(p, q, r) == g.orientation(shift(p), shift(q), shift(r))
 
 
-def test_line_through_rejects_vertical():
-    with pytest.raises(g.VerticalLineError):
-        g.Line.through((1, 0), (1, 5))
-
-
 def test_segments_intersect_examples():
     assert g.segments_intersect(((0, 0), (2, 2)), ((0, 2), (2, 0)))
     assert not g.segments_intersect(((0, 0), (1, 0)), ((2, 0), (3, 0)))

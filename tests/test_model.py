@@ -65,10 +65,9 @@ def test_perturb_attempts_differ_combinatorially():
 
 def test_dualize_i3(i3):
     scene = dualize(i3)
-    assert scene.tips_u == [(-1, 0), (1, 2)]
-    assert scene.src_u == [0, 1]
-    assert scene.tips_l == [(0, 0)]
-    assert scene.src_l == [2]
+    # tips are (x, y, half-plane index)
+    assert scene.tips_u == [(-1, 0, 0), (1, 2, 1)]
+    assert scene.tips_l == [(0, 0, 2)]
 
 
 def test_dualize_rejects_parallel():
@@ -119,12 +118,12 @@ def test_flips(i3):
     double = scene.x_flip().x_flip()
     assert double.tips_u == scene.tips_u and double.tips_l == scene.tips_l
     flipped = scene.y_flip()
-    assert flipped.tips_u == [(0, 0)]
-    assert sorted(flipped.tips_l) == [(-1, 0), (1, -2)]
-    assert flipped.src_u == [2]
+    # flips mirror coordinates and keep each tip's index
+    assert flipped.tips_u == [(0, 0, 2)]
+    assert sorted(flipped.tips_l) == [(-1, 0, 0), (1, -2, 1)]
     # order relation reverses under x_flip
     xf = scene.x_flip()
-    assert xf.tips_u == [(-1, 2), (1, 0)]
+    assert xf.tips_u == [(-1, 2, 1), (1, 0, 0)]
 
 
 def test_json_round_trip(i3):

@@ -5,7 +5,7 @@ import pytest
 
 from hpcolor.engine import coverage
 from hpcolor.generate import GenSpec, generate
-from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance, dualize
+from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, dualize
 from hpcolor.nae import solve_nae
 from hpcolor.uncovered import (
     NotActuallyUncovered,
