@@ -34,8 +34,15 @@ EXIT_NO_COLORING = 4
 def _read_instance(path: str) -> Instance:
     try:
         return Instance.from_json(Path(path).read_text())
-    except (OSError, InstanceFormatError) as exc:
+    except (OSError, UnicodeDecodeError, InstanceFormatError) as exc:
         raise SystemExit(_fail(f"cannot read instance: {exc}"))
+
+
+def _read_coloring(path: str) -> list:
+    try:
+        return coloring_from_json(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, InstanceFormatError) as exc:
+        raise SystemExit(_fail(f"cannot read coloring: {exc}"))
 
 
 def _fail(message: str) -> int:
@@ -71,10 +78,7 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
-    try:
-        colors = coloring_from_json(Path(args.coloring).read_text())
-    except (OSError, InstanceFormatError) as exc:
-        return _fail(f"cannot read coloring: {exc}")
+    colors = _read_coloring(args.coloring)
     if len(colors) != len(inst):
         return _fail(f"{len(colors)} colors for {len(inst)} half-planes")
     violation = verify(inst, colors, args.threshold)
@@ -134,10 +138,7 @@ def cmd_render(args) -> int:
     inst = _read_instance(args.instance)
     colors = None
     if args.coloring:
-        try:
-            colors = coloring_from_json(Path(args.coloring).read_text())
-        except (OSError, InstanceFormatError) as exc:
-            return _fail(f"cannot read coloring: {exc}")
+        colors = _read_coloring(args.coloring)
         if len(colors) != len(inst):
             return _fail("coloring length mismatch")
     try:

@@ -99,6 +99,15 @@ class _Fam:
     def right_of(self, x) -> list:
         return self.pts[bisect.bisect_right(self.xs, x) :]
 
+    def x_flip(self) -> "_Fam":
+        """This family in the left-right mirror; the hull is flipped with
+        the points, not rebuilt."""
+        pts = _xrot(self.pts)
+        chain = self.chain
+        if chain is not None:
+            chain = HullChain(chain.side, _xrot(chain.vertices))
+        return _Fam(pts, [p[0] for p in pts], chain)
+
 
 @dataclass
 class View:
@@ -113,6 +122,11 @@ class View:
             _Fam.build(scene.tips_u, UPPER),
             _Fam.build(scene.tips_l, LOWER),
         )
+
+    def x_flip(self) -> "View":
+        """The left-right mirror frame, with no hull rebuilt."""
+        u, l = self.u.x_flip(), self.l.x_flip()
+        return View(DualScene(u.pts, l.pts), u, l)
 
 
 @dataclass
@@ -295,30 +309,41 @@ def _check_separator(scene: DualScene, sep: Line) -> Line:
     return sep
 
 
-def _pivot_frame(scene: DualScene, pivot) -> tuple:
-    """The frame for a pivot: the left-right mirror when the pivot is the
-    leftmost upper point (so the hull predecessor exists whenever the
-    family has more than one point), else the scene itself."""
-    if len(scene.tips_u) > 1 and pivot == scene.tips_u[0]:
-        return scene.x_flip(), (-pivot[0], pivot[1], pivot[2])
-    return scene, pivot
+def _mirror(pv: Pivot) -> Pivot:
+    """The same configuration in the left-right mirror frame: each left
+    neighbour becomes a right one and vice versa."""
+
+    def m(t):
+        return None if t is None else (-t[0], t[1], t[2])
+
+    return Pivot(
+        pv.view.x_flip(),
+        m(pv.p),
+        m(pv.r_U),
+        m(pv.l_U),
+        m(pv.r_L),
+        m(pv.l_L),
+        m(pv.r_Lp),
+        m(pv.l_Lp),
+    )
 
 
 def build_pivot(view: View, pivot) -> Pivot:
     """Assemble the case-machine configuration around a qualifying pivot.
 
-    A new View is built only when `_pivot_frame` mirrors the scene.
+    When the pivot is the leftmost of several upper points, the frame
+    flips left-right, so the hull predecessor l_U always exists unless
+    the upper family is a single point.
     """
-    scene, pivot = _pivot_frame(view.scene, pivot)
-    if scene is not view.scene:
-        view = View.of(scene)
+    if len(view.u.pts) > 1 and pivot == view.u.pts[0]:
+        view, pivot = view.x_flip(), (-pivot[0], pivot[1], pivot[2])
     cu, cl = view.u.chain, view.l.chain
     iu = cu.vertex_index(pivot)
     if iu is None:
         raise InternalError("pivot is not an upper hull vertex")
     l_U = cu.vertices[iu - 1] if iu > 0 else None
     r_U = cu.vertices[iu + 1] if iu + 1 < len(cu.vertices) else None
-    if l_U is None and len(scene.tips_u) > 1:
+    if l_U is None and len(view.u.pts) > 1:
         raise InternalError("pivot left-normalization failed")
     j = bisect.bisect_right(cl._xs, pivot[0])
     if not 0 < j < len(cl.vertices):
@@ -336,14 +361,12 @@ def find_pivot(cov: Coverage) -> Pivot:
     """The pivot at the hull vertex that `coverage` found inside the other
     family's region.
 
-    If the vertex belongs to the lower family, the up-down mirror (with
-    `_pivot_frame` applied at once, so the new frame gets one View) makes
-    it play the upper role.
+    If the vertex belongs to the lower family, the up-down mirror makes it
+    play the upper role.
     """
     view, (side, v) = cov.view, cov.hit
     if side == "l":
-        scene, v = _pivot_frame(view.scene.y_flip(), (v[0], -v[1], v[2]))
-        view = View.of(scene)
+        view, v = View.of(view.scene.y_flip()), (v[0], -v[1], v[2])
     return build_pivot(view, v)
 
 
@@ -366,7 +389,7 @@ def classify(pv: Pivot) -> str:
 
 # ---------------------------------------------------------------------------
 # color-dict helpers: a coloring maps a tip's half-plane index to a color,
-# so it holds unchanged in every mirrored frame
+# so it holds unchanged in every mirror frame
 
 
 def _fill_rest(view: View, colors: dict, default: str) -> dict:
@@ -556,7 +579,7 @@ def _case_b_prime_color(window, l_L, r_L, pj) -> str:
     window point right of it passes above l_L and the split point and
     below every other window point."""
     if _case_b_wedge(window, r_L, l_L, pj, right_side=True):
-        # the mirrored wedge through l_L cannot coexist: two distinct
+        # the mirror wedge through l_L cannot coexist: two distinct
         # lines would share more than one point
         if _case_b_wedge(window, l_L, r_L, pj, right_side=False):
             raise ExhaustivenessViolation("both split-point wedges present")
@@ -591,13 +614,9 @@ def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
 
 
 def _min_x_gap(view: View) -> Fraction:
-    xs = sorted(as_fraction(x) for x in (view.u.xs + view.l.xs))
-    best = None
-    for a, b in zip(xs, xs[1:]):
-        gap = b - a
-        if best is None or gap < best:
-            best = gap
-    return best if best is not None else Fraction(1)
+    # ints and Fractions compare natively; Fraction() keeps eps = gap / 2 exact
+    xs = sorted(view.u.xs + view.l.xs)
+    return Fraction(min((b - a for a, b in zip(xs, xs[1:])), default=1))
 
 
 def case_d(pv: Pivot, path: list, depth: int) -> dict:
@@ -633,11 +652,10 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
         colors = {l_Lp[2]: RED, l_L[2]: RED, l_U[2]: RED}
         return _fill_rest(view, colors, BLUE)
 
-    # neither wing matches: re-dispatch through a mirrored frame
-    for label, frame_scene, frame_pivot in _d_frames(pv):
-        scene, pivot = _pivot_frame(frame_scene, frame_pivot)
+    # neither wing matches: re-dispatch through a mirror frame
+    for label, frame_view, frame_pivot in _d_frames(pv):
         try:
-            pv2 = build_pivot(View.of(scene), pivot)
+            pv2 = build_pivot(frame_view, frame_pivot)
         except (InternalError, GeneralPositionViolation):
             continue
         if classify(pv2) == "D":
@@ -648,27 +666,26 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
 
 
 def _d_frames(pv: Pivot):
-    """Candidate mirrored pivot configurations for the leftover D branch."""
+    """Candidate mirror frames (label, view, pivot) for the leftover D
+    branch, each View built only when its frame is tried."""
     view = pv.view
-    out = []
     if pv.r_U is not None:
-        out.append(("x", view.scene.x_flip(), (-pv.p[0], pv.p[1], pv.p[2])))
+        mv = _mirror(pv)
+        yield "x", mv.view, mv.p
     if view.u.chain is not None:
         if region_contains(view.u.chain, pv.l_L):
-            out.append(("y", view.scene.y_flip(), (pv.l_L[0], -pv.l_L[1], pv.l_L[2])))
+            yield "y", View.of(view.scene.y_flip()), (pv.l_L[0], -pv.l_L[1], pv.l_L[2])
         if region_contains(view.u.chain, pv.r_L):
             sc = view.scene.y_flip().x_flip()
-            out.append(("xy", sc, (-pv.r_L[0], -pv.r_L[1], pv.r_L[2])))
-    return out
+            yield "xy", View.of(sc), (-pv.r_L[0], -pv.r_L[1], pv.r_L[2])
 
 
 def case_c(pv: Pivot, path: list, depth: int) -> dict:
     path.append("C")
     _check_depth(path, depth)
     view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
-    l_L, r_L, l_Lp, r_Lp = pv.l_L, pv.r_L, pv.l_Lp, pv.r_Lp
 
-    c_above = r_U is None or _above(r_L, p, r_U)
+    c_above = r_U is None or _above(pv.r_L, p, r_U)
     if not c_above:
         return _case_c_below(pv, path, depth)
 
@@ -682,39 +699,35 @@ def case_c(pv: Pivot, path: list, depth: int) -> dict:
             raise ExhaustivenessViolation("A-upgrade guard failed")
         return case_a(pv2, path)
 
-    if r_U is not None and _c1_holds(view, r_L, r_U, l_L, exempt_u=r_U):
-        path.append("c1r")
-        colors = {p[2]: BLUE, r_U[2]: BLUE, r_L[2]: BLUE}
-        return _fill_rest(view, colors, RED)
-    if _c1_holds(view, l_L, l_U, r_L, exempt_u=l_U):
-        # mirror of the previous wedge; the mirror keeps the rest red
-        path.append("c1l")
-        colors = {p[2]: BLUE, l_U[2]: BLUE, l_L[2]: BLUE}
-        return _fill_rest(view, colors, RED)
+    # each left-hand subcase is its right-hand twin in the mirror frame
+    mv = _mirror(pv)
+    for side, q in (("r", pv), ("l", mv)):
+        if q.r_U is not None and _c1_holds(q):
+            path.append(f"c1{side}")
+            colors = {q.p[2]: BLUE, q.r_U[2]: BLUE, q.r_L[2]: BLUE}
+            return _fill_rest(q.view, colors, RED)
 
-    if r_Lp is not None and _triangle_free(view.l.pts, l_L, r_L, r_Lp):
-        return _case_c2(pv, path, mirrored=False)
-    if l_Lp is not None and _triangle_free(view.l.pts, r_L, l_L, l_Lp):
-        return _case_c2(pv, path, mirrored=True)
+    colors = _case_c2_ladder(pv, mv, path)
+    if colors is not None:
+        return colors
 
     if r_U is not None and _triangle_free(view.u.pts, l_U, p, r_U):
-        return _case_c3(pv, path)
+        return _case_c3(pv, mv, path)
 
-    return _case_c4(pv, path)
+    return _case_c4(pv, mv, path)
 
 
-def _c1_holds(view, anchor_l, anchor_u, other_window, exempt_u) -> bool:
-    """Line through a window vertex and a hull neighbour of p that passes
-    below all lower points (except the window pair) and above all upper
-    points (except its own anchor)."""
-    a, b = anchor_l, anchor_u
-    for w in view.l.pts:
-        if w in (anchor_l, other_window):
+def _c1_holds(pv: Pivot) -> bool:
+    """Line through r_L and r_U that passes below all lower points (except
+    the window pair) and above all upper points (except r_U)."""
+    a, b = pv.r_L, pv.r_U
+    for w in pv.view.l.pts:
+        if w in (pv.r_L, pv.l_L):
             continue
         if not _above(w, a, b):
             return False
-    for u in view.u.pts:
-        if u == exempt_u:
+    for u in pv.view.u.pts:
+        if u == b:
             continue
         if not _below(u, a, b):
             return False
@@ -730,156 +743,109 @@ def _triangle_free(pts, a, b, c) -> bool:
     return True
 
 
-def _case_c2(pv: Pivot, path: list, mirrored: bool) -> dict:
+def _case_c2_ladder(pv: Pivot, mv: Pivot, path: list) -> Optional[dict]:
+    """Subcase c2 on the right when the triangle l_L, r_L, r_L' is empty,
+    else on the left (in the mirror frame `mv`); None when neither is."""
+    for side, q in (("r", pv), ("l", mv)):
+        if q.r_Lp is not None and _triangle_free(q.view.l.pts, q.l_L, q.r_L, q.r_Lp):
+            return _case_c2(q, path, side)
+    return None
+
+
+def _case_c2(pv: Pivot, path: list, side: str) -> dict:
     view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
-    l_L, r_L, l_Lp, r_Lp = pv.l_L, pv.r_L, pv.l_Lp, pv.r_Lp
+    l_L, r_L, r_Lp = pv.l_L, pv.r_L, pv.r_Lp
 
-    if not mirrored:
-        path.append("c2r")
-        colors = {p[2]: BLUE, l_L[2]: BLUE, r_Lp[2]: BLUE, r_L[2]: RED}
-        if r_U is not None:
-            colors[r_U[2]] = RED
-        _paint(
-            colors,
-            (w for w in view.l.between(l_L[0], r_Lp[0]) if w != r_L),
-            RED,
-        )
-        _paint(colors, view.l.left_of(l_L[0]), RED)
-        _paint(colors, (u for u in view.u.right_of(p[0])), RED)
-        u_act = [u for u in view.u.pts if u[0] <= p[0]]
-        l_act = [r_L, r_Lp] + view.l.right_of(r_Lp[0])
-        sub = obs_separated(u_act, l_act, p, r_L, path)
-        if sub.get(r_Lp[2]) != BLUE:
-            raise ExhaustivenessViolation("masked window q-successor not blue")
-        _merge(colors, sub)
-        # a blue wedge l_L..l_U..p defeats the plan; recolor globally (the
-        # third survivor is the vertex past the window: no line can meet
-        # all three of l_L, l_U, r_L', and one missing them hits only p)
-        if (
-            l_U is not None
-            and colors.get(l_U[2]) == BLUE
-            and _is_low_tangent(view, l_U, l_L, exempt_u=(p, l_U))
-        ):
-            path.append("c2r!")
-            override = {l_L[2]: BLUE, l_U[2]: BLUE, r_Lp[2]: BLUE}
-            return _fill_rest(view, override, RED)
-        return colors
-
-    path.append("c2l")
-    colors = {p[2]: BLUE, r_L[2]: BLUE, l_Lp[2]: BLUE, l_L[2]: RED}
-    if l_U is not None:
-        colors[l_U[2]] = RED
+    path.append(f"c2{side}")
+    colors = {p[2]: BLUE, l_L[2]: BLUE, r_Lp[2]: BLUE, r_L[2]: RED}
+    if r_U is not None:
+        colors[r_U[2]] = RED
     _paint(
         colors,
-        (w for w in view.l.between(l_Lp[0], r_L[0]) if w != l_L),
+        (w for w in view.l.between(l_L[0], r_Lp[0]) if w != r_L),
         RED,
     )
-    _paint(colors, view.l.right_of(r_L[0]), RED)
-    _paint(colors, view.u.left_of(p[0]), RED)
-    u_act = [p] + view.u.right_of(p[0])
-    l_act = view.l.left_of(l_Lp[0]) + [l_Lp, l_L]
-    sub = obs_separated(
-        _xrot(u_act), _xrot(l_act), (-p[0], p[1], p[2]), (-l_L[0], l_L[1], l_L[2]), path
-    )
-    if sub.get(l_Lp[2]) != BLUE:
+    _paint(colors, view.l.left_of(l_L[0]), RED)
+    _paint(colors, (u for u in view.u.right_of(p[0])), RED)
+    u_act = [u for u in view.u.pts if u[0] <= p[0]]
+    l_act = [r_L, r_Lp] + view.l.right_of(r_Lp[0])
+    sub = obs_separated(u_act, l_act, p, r_L, path)
+    if sub.get(r_Lp[2]) != BLUE:
         raise ExhaustivenessViolation("masked window q-successor not blue")
     _merge(colors, sub)
-    if (
-        r_U is not None
-        and colors.get(r_U[2]) == BLUE
-        and _is_low_tangent(view, r_U, r_L, exempt_u=(p, r_U))
-    ):
-        path.append("c2l!")
-        override = {r_L[2]: BLUE, r_U[2]: BLUE, l_Lp[2]: BLUE}
+    # a blue wedge l_L..l_U..p defeats the plan; recolor globally (the
+    # third survivor is the vertex past the window: no line can meet
+    # all three of l_L, l_U, r_L', and one missing them hits only p)
+    if l_U is not None and colors.get(l_U[2]) == BLUE and _is_low_tangent(pv, l_L):
+        path.append(f"c2{side}!")
+        override = {l_L[2]: BLUE, l_U[2]: BLUE, r_Lp[2]: BLUE}
         return _fill_rest(view, override, RED)
     return colors
 
 
-def _is_low_tangent(view, from_u, through_l, exempt_u) -> bool:
-    """Is line(from_u, through_l) tangent to the lower family from below
-    while passing above every upper point except the exemptions?"""
-    for w in view.l.pts:
+def _is_low_tangent(pv: Pivot, through_l) -> bool:
+    """Is line(l_U, through_l) tangent to the lower family from below
+    while passing above every upper point except p and l_U?"""
+    from_u = pv.l_U
+    for w in pv.view.l.pts:
         if w == through_l:
             continue
         if not _above(w, from_u, through_l):
             return False
-    for u in view.u.pts:
-        if u in exempt_u:
+    for u in pv.view.u.pts:
+        if u in (pv.p, from_u):
             continue
         if not _below(u, from_u, through_l):
             return False
     return True
 
 
-def _case_c3(pv: Pivot, path: list) -> dict:
+def _case_c3(pv: Pivot, mv: Pivot, path: list) -> dict:
     path.append("c3")
     view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
     l_L, r_L = pv.l_L, pv.r_L
     colors = {p[2]: BLUE, l_U[2]: RED, r_U[2]: RED, r_L[2]: RED, l_L[2]: RED}
     _paint(colors, (u for u in view.u.between(l_U[0], r_U[0]) if u != p), BLUE)
     _paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
-    # l_U / r_U stay in the observation scenes as already-colored hull
-    # anchors: the hull structure (and the tangent rule) must see them
-    u_act1 = view.u.left_of(l_U[0]) + [l_U, p]
-    l_act1 = [r_L] + view.l.right_of(r_L[0])
-    _merge(colors, obs_separated(u_act1, l_act1, p, r_L, path), fixed=(l_U[2],))
-    u_act2 = [p, r_U] + view.u.right_of(r_U[0])
-    l_act2 = view.l.left_of(l_L[0]) + [l_L]
-    sub = obs_separated(
-        _xrot(u_act2), _xrot(l_act2), (-p[0], p[1], p[2]), (-l_L[0], l_L[1], l_L[2]), path
-    )
-    _merge(colors, sub, fixed=(r_U[2],))
+    # l_U (r_U in the mirror) stays in the observation scene as an
+    # already-colored hull anchor: the hull structure (and the tangent
+    # rule) must see it
+    for q in (pv, mv):
+        u_act = q.view.u.left_of(q.l_U[0]) + [q.l_U, q.p]
+        l_act = [q.r_L] + q.view.l.right_of(q.r_L[0])
+        _merge(colors, obs_separated(u_act, l_act, q.p, q.r_L, path), fixed=(q.l_U[2],))
     return colors
 
 
-def _case_c4(pv: Pivot, path: list, singleton: bool = False) -> dict:
+def _case_c4(pv: Pivot, mv: Pivot, path: list, singleton: bool = False) -> dict:
     path.append("c4" if not singleton else "c4s")
-    view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
-    l_L, r_L, l_Lp, r_Lp = pv.l_L, pv.r_L, pv.l_Lp, pv.r_Lp
-
-    colors = {p[2]: BLUE, r_L[2]: RED, l_L[2]: RED}
-    u_act1 = [u for u in view.u.pts if u[0] <= p[0]]
-    l_act1 = [r_L] + view.l.right_of(r_L[0])
-    _merge(colors, obs_separated(u_act1, l_act1, p, r_L, path))
-    u_act2 = [p] + view.u.right_of(p[0])
-    l_act2 = view.l.left_of(l_L[0]) + [l_L]
-    sub = obs_separated(
-        _xrot(u_act2), _xrot(l_act2), (-p[0], p[1], p[2]), (-l_L[0], l_L[1], l_L[2]), path
-    )
-    _merge(colors, sub)
-    _paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
+    colors = {pv.p[2]: BLUE, pv.r_L[2]: RED, pv.l_L[2]: RED}
+    for q in (pv, mv):
+        u_act = [u for u in q.view.u.pts if u[0] <= q.p[0]]
+        l_act = [q.r_L] + q.view.l.right_of(q.r_L[0])
+        _merge(colors, obs_separated(u_act, l_act, q.p, q.r_L, path))
+    _paint(colors, pv.view.l.between(pv.l_L[0], pv.r_L[0]), BLUE)
 
     if singleton:
         return colors
 
     # a wedge past the window may have come out all blue; only then the
     # global recolor applies (its safety leans on that very construction)
-    if (
-        l_Lp is not None
-        and l_U is not None
-        and colors.get(l_Lp[2]) == BLUE
-        and colors.get(l_U[2]) == BLUE
-        and (
-            _is_low_tangent(view, l_U, l_Lp, exempt_u=(l_U, p))
-            or _passes_above_uppers(view, l_Lp, l_L, exempt=(l_U, p))
-        )
-    ):
-        path.append("c4!l")
-        override = {l_Lp[2]: BLUE, l_L[2]: BLUE, l_U[2]: BLUE, r_L[2]: BLUE}
-        return _fill_rest(view, override, RED)
-    if (
-        r_Lp is not None
-        and r_U is not None
-        and colors.get(r_Lp[2]) == BLUE
-        and colors.get(r_U[2]) == BLUE
-        and (
-            _is_low_tangent(view, r_U, r_Lp, exempt_u=(r_U, p))
-            or _passes_above_uppers(view, r_Lp, r_L, exempt=(r_U, p))
-        )
-    ):
-        path.append("c4!r")
-        override = {r_Lp[2]: BLUE, r_L[2]: BLUE, r_U[2]: BLUE, l_L[2]: BLUE}
-        return _fill_rest(view, override, RED)
+    for side, q in (("l", pv), ("r", mv)):
+        l_U, l_L, l_Lp = q.l_U, q.l_L, q.l_Lp
+        if (
+            l_Lp is not None
+            and l_U is not None
+            and colors.get(l_Lp[2]) == BLUE
+            and colors.get(l_U[2]) == BLUE
+            and (
+                _is_low_tangent(q, l_Lp)
+                or _passes_above_uppers(q.view, l_Lp, l_L, exempt=(l_U, q.p))
+            )
+        ):
+            path.append(f"c4!{side}")
+            override = {l_Lp[2]: BLUE, l_L[2]: BLUE, l_U[2]: BLUE, q.r_L[2]: BLUE}
+            return _fill_rest(q.view, override, RED)
     return colors
 
 
@@ -911,9 +877,9 @@ def _case_c_below(pv: Pivot, path: list, depth: int) -> dict:
     if r_U[0] < r_L[0]:
         # the second case's machinery applies with the x-axis reversed
         path.append("cB>B")
-        pv2 = build_pivot(View.of(view.scene.x_flip()), (-p[0], p[1], p[2]))
+        pv2 = _mirror(pv)
         if classify(pv2) != "B":
-            raise ExhaustivenessViolation("mirrored cB scene not in case B")
+            raise ExhaustivenessViolation("cB scene in the mirror frame not in case B")
         return case_b(pv2, path, depth + 1)
 
     colors = {p[2]: BLUE, l_L[2]: BLUE, r_L[2]: RED, r_U[2]: RED}
@@ -940,11 +906,11 @@ def _dispatch(
         path.append("singleton")
         # the lone-upper-point case runs the crossing-case ladder with the
         # hull-neighbour subcases skipped; c4's safety needs c2 excluded
-        if pv.r_Lp is not None and _triangle_free(pv.view.l.pts, pv.l_L, pv.r_L, pv.r_Lp):
-            return _case_c2(pv, path, mirrored=False)
-        if pv.l_Lp is not None and _triangle_free(pv.view.l.pts, pv.r_L, pv.l_L, pv.l_Lp):
-            return _case_c2(pv, path, mirrored=True)
-        return _case_c4(pv, path, singleton=True)
+        mv = _mirror(pv)
+        colors = _case_c2_ladder(pv, mv, path)
+        if colors is not None:
+            return colors
+        return _case_c4(pv, mv, path, singleton=True)
     if tag == "A":
         return case_a(pv, path)
     if tag == "B":
@@ -952,7 +918,7 @@ def _dispatch(
     if tag == "C":
         return case_c(pv, path, depth)
     if not allow_d:
-        raise ExhaustivenessViolation("mirrored frame fell back to case D")
+        raise ExhaustivenessViolation("mirror frame fell back to case D")
     return case_d(pv, path, depth)
 
 
@@ -996,9 +962,11 @@ def solve_detailed(
 ) -> SolveResult:
     """Compute a coloring certified good at depth 3 on the original input.
 
-    Each attempt perturbs (identity first), dualizes, and runs the
-    covered or uncovered path; the exact verifier judges the result on
-    the unperturbed instance and failures retry with a finer step.  With
+    Each attempt perturbs, dualizes, and runs the covered or uncovered
+    path; the exact verifier judges the result on the unperturbed instance
+    and failures retry with a finer step.  Attempt 0 runs on the instance
+    itself when the cheap screen passes (no parallel boundaries); a
+    perturbed instance that still has parallels fails in `dualize`.  With
     ``check=False`` the first constructed coloring is returned unjudged
     (the benchmark path).
     """
@@ -1008,9 +976,7 @@ def solve_detailed(
     attempts = max_attempts if max_attempts is not None else max_attempts_default()
     last_error: Optional[Exception] = None
     for attempt in range(attempts):
-        pert = perturb(inst, attempt)
-        if not cheap_position_ok(pert):
-            continue
+        pert = inst if attempt == 0 and cheap_position_ok(inst) else perturb(inst, attempt)
         try:
             scene = dualize(pert)
             cov = coverage(scene)

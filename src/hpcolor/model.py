@@ -234,16 +234,13 @@ def perturbation_step(inst: Instance) -> Fraction:
 def perturb(inst: Instance, attempt: int = 0) -> Instance:
     """Index-keyed deterministic perturbation: (a, b) += delta*kappa*(k, k^2).
 
-    attempt 0 returns the instance unchanged when the cheap screen passes;
-    larger attempts shrink the step by 2**-attempt.  Distinct index keys
+    Each attempt shrinks the step by 2**-attempt.  Distinct index keys
     mean no two half-planes shift in parallel, so some attempt always
     reaches general position.  The keys are cyclically shifted and the
     sign flipped per attempt: retries then split degeneracies in
     combinatorially different ways, which matters when a coloring valid
     for the perturbed instance fails on the degenerate original.
     """
-    if attempt == 0 and cheap_position_ok(inst):
-        return inst
     n = max(len(inst), 1)
     delta = perturbation_step(inst) * Fraction((-1) ** attempt, 2**attempt)
     out = []

@@ -7,8 +7,9 @@ half-plane's polar point.  Lines missing the origin therefore cut the
 polar point set along closed half-planes, so a 2-coloring of the polar
 points with no monochromatic half-plane cut of size three and up settles
 the original instance.  The search is exact over an O(n^2) constraint
-family: every directional top-3 prefix (tie-broken both ways around each
-critical direction) plus every closed pair-cut, deduplicated.
+family: every directional top-3 prefix, tie-broken both ways around each
+critical direction and deduplicated (a cut of size three and up contains
+the top-3 prefix of its own direction).
 """
 
 from __future__ import annotations

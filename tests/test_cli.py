@@ -38,6 +38,10 @@ def test_color_malformed_input(tmp_path, capsys):
     bad.write_text("{nope")
     assert run_cli("color", str(bad)) == 3
     assert "error" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfe")
+    assert run_cli("color", str(bad)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_color_max_attempts_env(tmp_path, i3_file, monkeypatch, capsys):
@@ -77,10 +81,20 @@ def test_verify_threshold_2_tri2(tmp_path, tri2_file, capsys):
         assert run_cli("verify", str(tri2_file), str(any_colors), "--threshold", "2") == 2
 
 
-def test_verify_shape_errors(tmp_path, i3_file):
+def test_verify_shape_errors(tmp_path, i3_file, capsys):
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"colors": [BLUE]}))
     assert run_cli("verify", str(i3_file), str(short)) == 3
+    capsys.readouterr()
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for argv in (
+        ("verify", str(i3_file), str(binary)),
+        ("render", str(i3_file), "--coloring", str(binary)),
+    ):
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_oracle_exit_codes(tmp_path, i3_file, tri2_file, capsys):

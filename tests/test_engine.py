@@ -1,7 +1,9 @@
 import random
+from dataclasses import fields
 
 from hpcolor import engine as E
 from hpcolor.engine import (
+    Pivot,
     View,
     build_pivot,
     classify,
@@ -78,6 +80,35 @@ def test_find_pivot_postcondition_fuzz():
         assert pv.l_L[0] < pv.p[0] < pv.r_L[0]
         hits += 1
     assert hits > 250
+
+
+def test_mirror_frame_fuzz():
+    """A mirrored View equals the View rebuilt on the mirrored scene, and
+    mirroring a pivot twice gives it back."""
+    rng = random.Random(5)
+    pivots = compared = 0
+    for t in range(2000):
+        n, bound = rng.randint(3, 24), rng.choice([5, 30])
+        scene = dualize(generate(GenSpec(n=n, mode="covered", seed=t, bound=bound)))
+        flipped, rebuilt = View.of(scene).x_flip(), View.of(scene.x_flip())
+        for fam in ("u", "l"):
+            got, want = getattr(flipped, fam), getattr(rebuilt, fam)
+            assert got.pts == want.pts and got.xs == want.xs
+            assert got.chain.vertices == want.chain.vertices
+        cov = coverage(scene)
+        if cov.kind != "covered":
+            continue
+        pv = find_pivot(cov)
+        mv = E._mirror(pv)
+        twice = E._mirror(mv)
+        for f in fields(Pivot):
+            assert getattr(twice, f.name) == getattr(pv, f.name), f.name
+        if pv.r_U is not None:
+            # the mirror is the configuration a rebuilt mirror frame gives
+            assert mv == build_pivot(View.of(pv.view.scene.x_flip()), mv.p)
+            compared += 1
+        pivots += 1
+    assert pivots > 1900 and compared > 300
 
 
 def pivot_of(upper_tips, lower_tips, pivot):

@@ -39,8 +39,18 @@ def test_validate_duplicates():
     assert rep.duplicates == [(0, 1)] and not rep.parallels
 
 
-def test_perturb_identity_on_clean(i3):
-    assert perturb(i3, 0) is i3
+def test_perturb_identity_on_clean(i3, monkeypatch):
+    from hpcolor import engine
+
+    seen = []
+
+    def recording_dualize(inst):
+        seen.append(inst)
+        return dualize(inst)
+
+    monkeypatch.setattr(engine, "dualize", recording_dualize)
+    engine.solve_detailed(i3)
+    assert seen and seen[0] is i3
 
 
 def test_perturb_splits_parallels():

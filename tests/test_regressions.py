@@ -1,7 +1,9 @@
-"""Frozen instances that once defeated the engine, one per repaired branch.
+"""Frozen instances that once defeated the engine, one per repaired branch,
+plus instances that pin branches no corpus reaches.
 
-Each was found by fuzzing against the exact verifier; the comment names
-the branch it exercises.  All must solve to a certified coloring.
+Each was found by fuzzing against the exact verifier or by a seeded
+search; the comment names the branch it exercises.  All must solve to a
+certified coloring.
 """
 
 import pytest
@@ -115,7 +117,45 @@ CASES = {
             {"a": -25, "b": -7, "side": "lower"},
         ]
     },
+    # the empty-window-triangle recolor fires (`hpcolor gen --n 9 --mode
+    # covered --seed 109370 --bound 6`); in the mirror frame the same
+    # body serves its left-hand twin
+    "c2_recolor_fires": {
+        "halfplanes": [
+            {"a": 40, "b": -1, "side": "upper"},
+            {"a": 10, "b": 5, "side": "lower"},
+            {"a": -35, "b": 4, "side": "upper"},
+            {"a": 13, "b": 2, "side": "lower"},
+            {"a": 35, "b": -6, "side": "upper"},
+            {"a": 26, "b": -2, "side": "upper"},
+            {"a": -38, "b": -4, "side": "upper"},
+            {"a": -24, "b": -1, "side": "lower"},
+            {"a": -6, "b": -3, "side": "upper"},
+        ]
+    },
+    # the catch-all's left recolor fires (`hpcolor gen --n 12 --mode random
+    # --seed 106264 --bound 3`); in the mirror frame the same body serves
+    # the right-hand one
+    "c4_recolor_fires": {
+        "halfplanes": [
+            {"a": 3, "b": -3, "side": "upper"},
+            {"a": 0, "b": 3, "side": "lower"},
+            {"a": 2, "b": 0, "side": "lower"},
+            {"a": 1, "b": 0, "side": "lower"},
+            {"a": 3, "b": 1, "side": "lower"},
+            {"a": -3, "b": -2, "side": "lower"},
+            {"a": 2, "b": -3, "side": "upper"},
+            {"a": -3, "b": 3, "side": "lower"},
+            {"a": 1, "b": 2, "side": "lower"},
+            {"a": -2, "b": 1, "side": "upper"},
+            {"a": -2, "b": 0, "side": "lower"},
+            {"a": 2, "b": -2, "side": "lower"},
+        ]
+    },
 }
+
+# the case-path label each of these instances must reach
+LABELS = {"c2_recolor_fires": "c2r!", "c4_recolor_fires": "c4!l"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -123,5 +163,7 @@ def test_regression(name):
     inst = Instance.from_json_dict(CASES[name])
     result = solve_detailed(inst)
     assert verify(inst, result.colors, 3) is None, result.case_path
+    if name in LABELS:
+        assert LABELS[name] in result.case_path, result.case_path
     if len(inst) <= 10:
         assert oracle(inst, 3) is not None
