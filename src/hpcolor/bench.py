@@ -2,7 +2,9 @@
 
 Timing covers the coloring computation only; verification is excluded
 (the uncovered path's constraint search carries no n log n guarantee, so
-the benchmark sticks to covered instances, where sorting dominates).
+the benchmark sticks to covered instances).  A covered solve is one sort
+plus linear scans: the screen, dualize, the two hull scans in coverage
+and the case machine each take a comparable share of the time.
 """
 
 from __future__ import annotations

@@ -68,8 +68,12 @@ def _above(pt, a, b) -> bool:
     """pt strictly above line(a, b); collinear tips violate general position."""
     s = point_above_line(pt, a, b)
     if s == 0:
-        raise GeneralPositionViolation(f"collinear tips {a}, {b}, {pt}")
+        raise _collinear(a, b, pt)
     return s > 0
+
+
+def _collinear(a, b, pt) -> GeneralPositionViolation:
+    return GeneralPositionViolation(f"collinear tips {a}, {b}, {pt}")
 
 
 def _below(pt, a, b) -> bool:
@@ -108,6 +112,18 @@ class _Fam:
             chain = HullChain(chain.side, _xrot(chain.vertices))
         return _Fam(pts, [p[0] for p in pts], chain)
 
+    def y_flip(self) -> "_Fam":
+        """This family in the up-down mirror, where it plays the other
+        side's role: negating y turns a lower chain into the upper chain of
+        the mirrored points (the scan makes the same pops), so the hull is
+        flipped with the points, not rebuilt."""
+        pts = [(x, -y, i) for x, y, i in self.pts]
+        chain = self.chain
+        if chain is not None:
+            side = UPPER if chain.side == LOWER else LOWER
+            chain = HullChain(side, [(x, -y, i) for x, y, i in chain.vertices], chain._xs)
+        return _Fam(pts, self.xs, chain)
+
 
 @dataclass
 class View:
@@ -126,6 +142,12 @@ class View:
     def x_flip(self) -> "View":
         """The left-right mirror frame, with no hull rebuilt."""
         u, l = self.u.x_flip(), self.l.x_flip()
+        return View(DualScene(u.pts, l.pts), u, l)
+
+    def y_flip(self) -> "View":
+        """The up-down mirror frame (the families swap roles), with no hull
+        rebuilt."""
+        u, l = self.l.y_flip(), self.u.y_flip()
         return View(DualScene(u.pts, l.pts), u, l)
 
 
@@ -172,7 +194,7 @@ def _sweep_qualifying(view: View):
         return None
     cands = [("u", v) for v in cu.vertices if lo <= v[0] <= hi]
     cands += [("l", v) for v in cl.vertices if lo <= v[0] <= hi]
-    cands.sort(key=lambda t: as_fraction(t[1][0]))
+    cands.sort(key=lambda t: t[1][0])
     for side, v in cands:
         other = cl if side == "u" else cu
         if region_contains(other, v):
@@ -212,10 +234,9 @@ def coverage(scene: DualScene) -> Coverage:
     view = View.of(scene)
     cu, cl = view.u.chain, view.l.chain
 
+    # callers pass n >= 3, so at least one family has a chain
     if cu is None or cl is None:
-        if cu is None and cl is None:
-            sep = Line(0, 0)
-        elif cl is None:
+        if cl is None:
             top = max(v[1] for v in scene.tips_u)
             sep = Line(0, top + 1)
         else:
@@ -366,7 +387,7 @@ def find_pivot(cov: Coverage) -> Pivot:
     """
     view, (side, v) = cov.view, cov.hit
     if side == "l":
-        view, v = View.of(view.scene.y_flip()), (v[0], -v[1], v[2])
+        view, v = view.y_flip(), (v[0], -v[1], v[2])
     return build_pivot(view, v)
 
 
@@ -393,10 +414,9 @@ def classify(pv: Pivot) -> str:
 
 
 def _fill_rest(view: View, colors: dict, default: str) -> dict:
-    for pt in view.u.pts:
-        colors.setdefault(pt[2], default)
-    for pt in view.l.pts:
-        colors.setdefault(pt[2], default)
+    # a frame holds every tip, and `dualize` indexes them 0..n-1
+    for i in range(len(view.u.pts) + len(view.l.pts)):
+        colors.setdefault(i, default)
     return colors
 
 
@@ -419,7 +439,7 @@ def _merge(colors: dict, sub: dict, fixed=()) -> None:
 
 
 def _xrot(pts) -> list:
-    return [(-p[0], p[1], p[2]) for p in reversed(pts)]
+    return [(-x, y, i) for x, y, i in reversed(pts)]
 
 
 def _rot180(pts) -> list:
@@ -430,25 +450,42 @@ def _rot180(pts) -> list:
 # observations (the separated-hull subroutines)
 
 
-def obs_separated(u_act: list, l_act: list, p, q, path: list, _depth=0) -> dict:
+def _observe(pv: Pivot, u_act: list, l_act: list, path: list) -> dict:
+    """obs_separated on a sub-scene of pv's frame with p rightmost above
+    and r_L leftmost below.
+
+    u_act keeps every upper hull vertex up to p and l_act every lower hull
+    vertex from r_L on (the points left out lie inside the hulls), so the
+    sub-hulls are the prefix of the frame's upper chain ending at p and the
+    suffix of its lower chain starting at r_L.
+    """
+    cu, cl = pv.view.u.chain, pv.view.l.chain
+    u_hull = cu.vertices[: cu.vertex_index(pv.p) + 1]
+    l_hull = cl.vertices[cl.vertex_index(pv.r_L) :]
+    return obs_separated(u_act, l_act, u_hull, l_hull, pv.p, pv.r_L, path)
+
+
+def obs_separated(
+    u_act: list, l_act: list, u_hull: list, l_hull: list, p, q, path: list, _depth=0
+) -> dict:
     """Color an active sub-scene with p rightmost above, q leftmost below.
 
-    Implements both observations: the non-crossing case colors left of p
-    red and right of q blue; the crossing / missing-neighbour case colors
-    the window after q blue, the rest red, and decides q's hull successor
-    by the exact tangent rule against the second hull layer.  The mirror
-    variant runs through a half-turn.
+    u_hull and l_hull are the vertices of the upper hull of u_act and of
+    the lower hull of l_act.  Implements both observations: the
+    non-crossing case colors left of p red and right of q blue; the
+    crossing / missing-neighbour case colors the window after q blue, the
+    rest red, and decides q's hull successor by the exact tangent rule
+    against the second hull layer.  The mirror variant runs through a
+    half-turn.
     """
     if _depth > 1:
         raise InternalError("observation mirror recursed")
     if u_act[-1] != p or l_act[0] != q:
         raise InternalError("observation scene not separated around (p, q)")
-    cu = hull_from_sorted(u_act, UPPER)
-    cl = hull_from_sorted(l_act, LOWER)
-    if cu.vertices[-1] != p or cl.vertices[0] != q:
+    if u_hull[-1] != p or l_hull[0] != q:
         raise InternalError("p / q not extreme hull vertices")
-    l_u = cu.vertices[-2] if len(cu.vertices) > 1 else None
-    q_s = cl.vertices[1] if len(cl.vertices) > 1 else None
+    l_u = u_hull[-2] if len(u_hull) > 1 else None
+    q_s = l_hull[1] if len(l_hull) > 1 else None
     # standing assumptions of the observations
     if l_u is not None and not _below(q, l_u, p):
         raise ExhaustivenessViolation("line l_U..p fails to pass above q")
@@ -461,54 +498,89 @@ def obs_separated(u_act: list, l_act: list, p, q, path: list, _depth=0) -> dict:
     colors: dict = {p[2]: BLUE, q[2]: RED}
     if l_u is not None and q_s is not None and not cross_l and not cross_lp:
         path.append("obs2")
-        _paint(colors, (u for u in u_act if u != p), RED)
-        _paint(colors, (w for w in l_act if w != q), BLUE)
+        _paint(colors, u_act[:-1], RED)
+        _paint(colors, l_act[1:], BLUE)
         return colors
 
     if l_u is None or cross_lp:
         path.append("obs3")
-        _paint(colors, (u for u in u_act if u != p), RED)
+        _paint(colors, u_act[:-1], RED)
         if q_s is None:
             return colors
-        for w in l_act:
-            if w in (q, q_s):
-                continue
-            colors[w[2]] = BLUE if w[0] < q_s[0] else RED
-        colors[q_s[2]] = _tangent_rule_color(u_act, l_act, p, q, q_s)
+        j = l_act.index(q_s)
+        _paint(colors, l_act[1:j], BLUE)
+        _paint(colors, l_act[j + 1 :], RED)
+        colors[q_s[2]] = _tangent_rule_color(u_act, l_act, l_hull, p, q, q_s)
         return colors
 
     # mirror: q's side plays p's role after a half-turn; colors swap back
     path.append("obs3x")
     q_rot, p_rot = (-q[0], -q[1], q[2]), (-p[0], -p[1], p[2])
-    sub = obs_separated(_rot180(l_act), _rot180(u_act), q_rot, p_rot, path, _depth + 1)
+    sub = obs_separated(
+        _rot180(l_act), _rot180(u_act), _rot180(l_hull), _rot180(u_hull),
+        q_rot, p_rot, path, _depth + 1,
+    )
     return {i: (RED if c == BLUE else BLUE) for i, c in sub.items()}
 
 
-def _tangent_rule_color(u_act, l_act, p, q, q_s) -> str:
+def _tangent_rule_color(u_act, l_act, l_hull, p, q, q_s) -> str:
     """Red iff the tangent from q to the second lower layer touches inside
     the (q, q_succ) window, stays below every other lower point except
-    q_succ, and above every upper point except p."""
-    layer1 = second_layer(l_act, LOWER)
-    if not layer1:
+    q_succ, and above every upper point except p.
+
+    The two checks scan l_act, then u_act, in list order: they return BLUE
+    at the first point strictly on the wrong side and raise
+    GeneralPositionViolation at the first collinear one, so the scan order
+    is behaviour.
+    """
+    touch = _tangent_touch(l_act, l_hull, q)
+    if touch is None or not touch[0] < q_s[0]:
         return BLUE
-    touch = layer1[0]
-    for w in layer1[1:]:
-        # want the touch of the tangent from q: minimal slope as q sits left
-        if geo._slope_cmp(q, w, touch) < 0:
-            touch = w
-    if not q[0] < touch[0] < q_s[0]:
-        return BLUE
+    qx, qy = q[0], q[1]
+    dx, dy = touch[0] - qx, touch[1] - qy
+    tx, sx = touch[0], q_s[0]
     for w in l_act:
-        if w in (q_s, touch, q):
+        wx, wy = w[0], w[1]
+        if wx == sx or wx == tx or wx == qx:
             continue
-        if not _above(w, q, touch):
+        s = dx * (wy - qy) - dy * (wx - qx)  # > 0: w above line(q, touch)
+        if s == 0:
+            raise _collinear(q, touch, w)
+        if s < 0:
             return BLUE
+    px = p[0]
     for u in u_act:
-        if u == p:
+        ux, uy = u[0], u[1]
+        if ux == px:
             continue
-        if not _below(u, q, touch):
+        s = dx * (uy - qy) - dy * (ux - qx)
+        if s == 0:
+            raise _collinear(q, touch, u)
+        if s > 0:
             return BLUE
     return RED
+
+
+def _tangent_touch(l_act, l_hull, q):
+    """Where the tangent from q touches the second lower layer, or None.
+
+    q is leftmost, so the touch is the minimum-slope point from q among
+    the points of l_act off its first layer `l_hull`; on a tie it is the
+    leftmost one, which is still a second-layer vertex.
+    """
+    qx, qy = q[0], q[1]
+    hull_xs = iter([v[0] for v in l_hull] + [None])
+    next_x = next(hull_xs)
+    touch = None
+    for w in l_act:
+        wx = w[0]
+        if wx == next_x:  # a first-layer vertex; tip x values are distinct
+            next_x = next(hull_xs)
+            continue
+        # cross(touch - q, w - q) < 0: w has the smaller slope from q
+        if touch is None or dx * (w[1] - qy) - dy * (wx - qx) < 0:
+            touch, dx, dy = w, wx - qx, w[1] - qy
+    return touch
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +617,15 @@ def case_b(pv: Pivot, path: list, depth: int = 0, walk: int = 0) -> dict:
     window = view.l.between(l_L[0], r_L[0])
     if not window:
         return colors
-    layer1 = second_layer(view.l.pts, LOWER)
+    layer1 = second_layer(view.l.pts, view.l.chain)
     primes = [w for w in layer1 if l_L[0] < w[0] < r_L[0]]
     if not primes:
         _paint(colors, window, BLUE)
         return colors
 
-    eps = _min_x_gap(view) / 2
     succ = next((w for w in layer1 if w[0] > primes[-1][0]), None)
     if succ is None:
+        eps = _min_x_gap(view) / 2
         succ = (primes[-1][0] + eps, primes[-1][1] - eps * eps)
     seq = primes + [succ]
     j = None
@@ -632,9 +704,8 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
         colors = {l_L[2]: BLUE, l_U[2]: BLUE, p[2]: BLUE}
         return _fill_rest(view, colors, RED)
 
-    no_right = not view.u.right_of(p[0])
-    no_left = not view.l.left_of(l_L[0])
-    if no_right and no_left:
+    # nothing of the upper family right of p, nothing lower left of l_L
+    if p == view.u.pts[-1] and l_L == view.l.pts[0]:
         path.append("D1")
         colors = {p[2]: BLUE, r_L[2]: BLUE, l_U[2]: RED, l_L[2]: RED}
         _paint(colors, (w for w in view.u.left_of(p[0]) if w != l_U), RED)
@@ -674,10 +745,9 @@ def _d_frames(pv: Pivot):
         yield "x", mv.view, mv.p
     if view.u.chain is not None:
         if region_contains(view.u.chain, pv.l_L):
-            yield "y", View.of(view.scene.y_flip()), (pv.l_L[0], -pv.l_L[1], pv.l_L[2])
+            yield "y", view.y_flip(), (pv.l_L[0], -pv.l_L[1], pv.l_L[2])
         if region_contains(view.u.chain, pv.r_L):
-            sc = view.scene.y_flip().x_flip()
-            yield "xy", View.of(sc), (-pv.r_L[0], -pv.r_L[1], pv.r_L[2])
+            yield "xy", view.y_flip().x_flip(), (-pv.r_L[0], -pv.r_L[1], pv.r_L[2])
 
 
 def case_c(pv: Pivot, path: list, depth: int) -> dict:
@@ -719,7 +789,13 @@ def case_c(pv: Pivot, path: list, depth: int) -> dict:
 
 def _c1_holds(pv: Pivot) -> bool:
     """Line through r_L and r_U that passes below all lower points (except
-    the window pair) and above all upper points (except r_U)."""
+    the window pair) and above all upper points (except r_U).
+
+    Scans the lower points, then the upper ones, in x order: returns False
+    at the first point strictly on the wrong side and raises
+    GeneralPositionViolation at the first collinear one, so the scan order
+    is behaviour.
+    """
     a, b = pv.r_L, pv.r_U
     for w in pv.view.l.pts:
         if w in (pv.r_L, pv.l_L):
@@ -767,9 +843,9 @@ def _case_c2(pv: Pivot, path: list, side: str) -> dict:
     )
     _paint(colors, view.l.left_of(l_L[0]), RED)
     _paint(colors, (u for u in view.u.right_of(p[0])), RED)
-    u_act = [u for u in view.u.pts if u[0] <= p[0]]
+    u_act = view.u.left_of(p[0]) + [p]
     l_act = [r_L, r_Lp] + view.l.right_of(r_Lp[0])
-    sub = obs_separated(u_act, l_act, p, r_L, path)
+    sub = _observe(pv, u_act, l_act, path)
     if sub.get(r_Lp[2]) != BLUE:
         raise ExhaustivenessViolation("masked window q-successor not blue")
     _merge(colors, sub)
@@ -785,7 +861,13 @@ def _case_c2(pv: Pivot, path: list, side: str) -> dict:
 
 def _is_low_tangent(pv: Pivot, through_l) -> bool:
     """Is line(l_U, through_l) tangent to the lower family from below
-    while passing above every upper point except p and l_U?"""
+    while passing above every upper point except p and l_U?
+
+    Scans the lower points, then the upper ones, in x order: returns False
+    at the first point strictly on the wrong side and raises
+    GeneralPositionViolation at the first collinear one, so the scan order
+    is behaviour.
+    """
     from_u = pv.l_U
     for w in pv.view.l.pts:
         if w == through_l:
@@ -813,7 +895,7 @@ def _case_c3(pv: Pivot, mv: Pivot, path: list) -> dict:
     for q in (pv, mv):
         u_act = q.view.u.left_of(q.l_U[0]) + [q.l_U, q.p]
         l_act = [q.r_L] + q.view.l.right_of(q.r_L[0])
-        _merge(colors, obs_separated(u_act, l_act, q.p, q.r_L, path), fixed=(q.l_U[2],))
+        _merge(colors, _observe(q, u_act, l_act, path), fixed=(q.l_U[2],))
     return colors
 
 
@@ -821,9 +903,9 @@ def _case_c4(pv: Pivot, mv: Pivot, path: list, singleton: bool = False) -> dict:
     path.append("c4" if not singleton else "c4s")
     colors = {pv.p[2]: BLUE, pv.r_L[2]: RED, pv.l_L[2]: RED}
     for q in (pv, mv):
-        u_act = [u for u in q.view.u.pts if u[0] <= q.p[0]]
+        u_act = q.view.u.left_of(q.p[0]) + [q.p]
         l_act = [q.r_L] + q.view.l.right_of(q.r_L[0])
-        _merge(colors, obs_separated(u_act, l_act, q.p, q.r_L, path))
+        _merge(colors, _observe(q, u_act, l_act, path))
     _paint(colors, pv.view.l.between(pv.l_L[0], pv.r_L[0]), BLUE)
 
     if singleton:
@@ -850,6 +932,12 @@ def _case_c4(pv: Pivot, mv: Pivot, path: list, singleton: bool = False) -> dict:
 
 
 def _passes_above_uppers(view, a, b, exempt) -> bool:
+    """Does line(a, b) pass above every upper point not in `exempt`?
+
+    Scans in x order: returns False at the first point strictly below the
+    line and raises GeneralPositionViolation at the first collinear one,
+    so the scan order is behaviour.
+    """
     for u in view.u.pts:
         if u in exempt:
             continue
@@ -886,9 +974,9 @@ def _case_c_below(pv: Pivot, path: list, depth: int) -> dict:
     _paint(colors, view.u.right_of(r_U[0]), BLUE)
     _paint(colors, (w for w in view.l.left_of(r_L[0]) if w != l_L), BLUE)
     _paint(colors, (u for u in view.u.between(p[0], r_U[0])), RED)
-    u_act = [u for u in view.u.pts if u[0] <= p[0]]
+    u_act = view.u.left_of(p[0]) + [p]
     l_act = [r_L] + view.l.right_of(r_L[0])
-    _merge(colors, obs_separated(u_act, l_act, p, r_L, path))
+    _merge(colors, _observe(pv, u_act, l_act, path))
     return colors
 
 
@@ -927,8 +1015,8 @@ def color_covered(cov: Coverage) -> tuple[dict, list]:
     path: list = []
     colors = _dispatch(find_pivot(cov), path)
     scene = cov.view.scene
-    missing = [pt for pt in scene.tips_u + scene.tips_l if pt[2] not in colors]
-    if missing:
+    if len(colors) != scene.size:
+        missing = [pt for pt in scene.tips_u + scene.tips_l if pt[2] not in colors]
         raise InternalError(f"uncolored tips: {missing[:3]}")
     return colors, path
 

@@ -228,14 +228,14 @@ def hull_layers(points: Iterable[Point], side: str) -> HullLayers:
     return HullLayers(side, layers, assignment)
 
 
-def second_layer(sorted_points: Sequence[Point], side: str) -> list:
-    """Vertices of the hull of the points not on the first hull (may be [])."""
-    first = hull_from_sorted(sorted_points, side)
+def second_layer(sorted_points: Sequence[Point], first: HullChain) -> list:
+    """Vertices of the hull of the points not on `first`, the hull of
+    `sorted_points` (may be [])."""
     on_first = set(first.vertices)
     rest = [p for p in sorted_points if p not in on_first]
     if not rest:
         return []
-    return hull_from_sorted(rest, side).vertices
+    return hull_from_sorted(rest, first.side).vertices
 
 
 def chain_eval(chain: HullChain, x: Scalar) -> Scalar:

@@ -130,22 +130,24 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"invalid JSON: {exc}")
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_load_json(text))
 
 
 def coloring_to_json(colors: list) -> str:
     return json.dumps({"colors": list(colors)}, indent=2) + "\n"
 
 
-def coloring_from_json(text: str) -> list:
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}")
+    except RecursionError:
+        raise InstanceFormatError("invalid JSON: nested too deeply")
+
+
+def coloring_from_json(text: str) -> list:
+    data = _load_json(text)
     if not isinstance(data, dict) or "colors" not in data:
         raise InstanceFormatError("missing 'colors' key")
     colors = data["colors"]
@@ -217,7 +219,8 @@ def cheap_position_ok(inst: Instance) -> bool:
     concurrent triple surfaces later as a collinear-tip assertion or a
     verifier rejection, and the retry loop perturbs.
     """
-    slopes = sorted(as_fraction(h.a) for h in inst)
+    # ints and Fractions compare natively and exactly
+    slopes = sorted(h.a for h in inst)
     return all(u != v for u, v in zip(slopes, slopes[1:]))
 
 
@@ -295,10 +298,9 @@ def dualize(inst: Instance) -> DualScene:
     boundaries parallel); collinearity degeneracies are left to callers'
     assertions and the solve retry loop.
     """
-    tagged = []
-    for i, h in enumerate(inst):
-        tagged.append(((normalize(-as_fraction(h.a)), h.b, i), h.side))
-    tagged.sort(key=lambda t: as_fraction(t[0][0]))
+    # h.a is normalized, and ints and Fractions compare natively
+    tagged = [((-h.a, h.b, i), h.side) for i, h in enumerate(inst)]
+    tagged.sort(key=lambda t: t[0][0])
     for (p1, _), (p2, _) in zip(tagged, tagged[1:]):
         if p1[0] == p2[0]:
             raise GeneralPositionViolation(

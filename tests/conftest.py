@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from hpcolor.engine import obs_separated
+from hpcolor.geometry import hull_from_sorted
 from hpcolor.model import LOWER, UPPER, HalfPlane, Instance
 from hpcolor.verification import arrangement_samples, depth
 
@@ -21,6 +23,13 @@ def instance_from_tips(upper_tips, lower_tips) -> Instance:
     hps = [HalfPlane(-t[0], t[1], UPPER) for t in upper_tips]
     hps += [HalfPlane(-t[0], t[1], LOWER) for t in lower_tips]
     return Instance(hps)
+
+
+def observe(u_act, l_act, p, q, path) -> dict:
+    """obs_separated with its sub-hulls built by a hull scan."""
+    u_hull = hull_from_sorted(u_act, UPPER).vertices
+    l_hull = hull_from_sorted(l_act, LOWER).vertices
+    return obs_separated(u_act, l_act, u_hull, l_hull, p, q, path)
 
 
 def verify_brute(inst, colors, k=3):

@@ -18,7 +18,7 @@ from hpcolor.geometry import region_contains
 from hpcolor.model import BLUE, HalfPlane, dual_line_meets_ray, dualize
 from hpcolor.verification import arrangement_samples, depth, oracle, verify
 
-from conftest import instance_from_tips
+from conftest import instance_from_tips, observe
 
 MODES = ("covered", "uncovered", "degenerate", "random")
 
@@ -103,12 +103,12 @@ def test_criterion_5_duality_incidence():
 
 def test_criterion_6_observation_suites():
     """Observation colorings verify; the pivot sweep always succeeds."""
-    from hpcolor.engine import View, obs_separated
+    from hpcolor.engine import View
 
     ok = True
     # non-crossing branch
     u_act, l_act = [(-2, 1, 0), (0, 0, 1)], [(1, -5, 2), (3, -4, 3)]
-    colors = obs_separated(u_act, l_act, (0, 0, 1), (1, -5, 2), [])
+    colors = observe(u_act, l_act, (0, 0, 1), (1, -5, 2), [])
     inst = instance_from_tips(u_act, l_act)
     ordered = [colors[t[2]] for t in u_act + l_act]
     ok &= verify(inst, ordered, 3) is None
@@ -116,14 +116,14 @@ def test_criterion_6_observation_suites():
     # missing-hull-neighbour branch with the tangent rule
     u_act, l_act = [(0, 0, 0)], [(1, -5, 1), (2, -1, 2), (5, -5, 3)]
     path = []
-    colors = obs_separated(u_act, l_act, (0, 0, 0), (1, -5, 1), path)
+    colors = observe(u_act, l_act, (0, 0, 0), (1, -5, 1), path)
     inst = instance_from_tips(u_act, l_act)
     ordered = [colors[t[2]] for t in u_act + l_act]
     ok &= path[0] == "obs3" and verify(inst, ordered, 3) is None
 
     # empty second layer leaves the successor blue
     u_act, l_act = [(0, 0, 0)], [(1, -5, 1), (3, -4, 2)]
-    colors = obs_separated(u_act, l_act, (0, 0, 0), (1, -5, 1), [])
+    colors = observe(u_act, l_act, (0, 0, 0), (1, -5, 1), [])
     ok &= colors[2] == BLUE  # the tip (3, -4)
 
     # pivot sweep on 10^4 fuzzed covered scenes

@@ -38,10 +38,11 @@ def test_color_malformed_input(tmp_path, capsys):
     bad.write_text("{nope")
     assert run_cli("color", str(bad)) == 3
     assert "error" in capsys.readouterr().err
-    bad.write_bytes(b"\xff\xfe")
-    assert run_cli("color", str(bad)) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    for junk in (b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(junk)
+        assert run_cli("color", str(bad)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_color_max_attempts_env(tmp_path, i3_file, monkeypatch, capsys):
@@ -88,9 +89,15 @@ def test_verify_shape_errors(tmp_path, i3_file, capsys):
     capsys.readouterr()
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
     for argv in (
         ("verify", str(i3_file), str(binary)),
         ("render", str(i3_file), "--coloring", str(binary)),
+        ("verify", str(i3_file), str(nested)),
+        ("verify", str(nested), str(short)),
+        ("render", str(i3_file), "--coloring", str(nested)),
+        ("render", str(nested)),
     ):
         assert run_cli(*argv) == 3
         err = capsys.readouterr().err

@@ -9,15 +9,15 @@ from hpcolor.engine import (
     classify,
     coverage,
     find_pivot,
-    obs_separated,
     solve,
     solve_detailed,
 )
 from hpcolor.generate import GenSpec, generate
-from hpcolor.model import BLUE, RED, Instance, dualize
+from hpcolor.geometry import LOWER, UPPER, _slope_cmp, hull_from_sorted, second_layer
+from hpcolor.model import BLUE, RED, GeneralPositionViolation, Instance, dualize
 from hpcolor.verification import oracle, verify
 
-from conftest import instance_from_tips, make_instance
+from conftest import instance_from_tips, make_instance, observe
 
 
 def scene_of(upper_tips, lower_tips):
@@ -82,19 +82,38 @@ def test_find_pivot_postcondition_fuzz():
     assert hits > 250
 
 
-def test_mirror_frame_fuzz():
-    """A mirrored View equals the View rebuilt on the mirrored scene, and
-    mirroring a pivot twice gives it back."""
+def test_mirror_frame_fuzz(monkeypatch):
+    """A mirrored View equals the View rebuilt on the mirrored scene,
+    mirroring a pivot twice gives it back, and every sub-hull and tangent
+    touch a case takes from the frame's chains equals a rebuilt one."""
+    observed = touched = 0
+    raw_obs = E.obs_separated
+
+    def checked_obs(u_act, l_act, u_hull, l_hull, p, q, path, _depth=0):
+        nonlocal observed, touched
+        assert u_hull == hull_from_sorted(u_act, UPPER).vertices
+        assert l_hull == hull_from_sorted(l_act, LOWER).vertices
+        touch = E._tangent_touch(l_act, l_hull, q)
+        assert touch == touch_by_second_layer(l_act, q)
+        observed += 1
+        touched += touch is not None
+        return raw_obs(u_act, l_act, u_hull, l_hull, p, q, path, _depth)
+
+    monkeypatch.setattr(E, "obs_separated", checked_obs)
     rng = random.Random(5)
     pivots = compared = 0
     for t in range(2000):
         n, bound = rng.randint(3, 24), rng.choice([5, 30])
         scene = dualize(generate(GenSpec(n=n, mode="covered", seed=t, bound=bound)))
-        flipped, rebuilt = View.of(scene).x_flip(), View.of(scene.x_flip())
-        for fam in ("u", "l"):
-            got, want = getattr(flipped, fam), getattr(rebuilt, fam)
-            assert got.pts == want.pts and got.xs == want.xs
-            assert got.chain.vertices == want.chain.vertices
+        view = View.of(scene)
+        for flipped, rebuilt in (
+            (view.x_flip(), View.of(scene.x_flip())),
+            (view.y_flip(), View.of(scene.y_flip())),
+        ):
+            for fam in ("u", "l"):
+                got, want = getattr(flipped, fam), getattr(rebuilt, fam)
+                assert got.pts == want.pts and got.xs == want.xs
+                assert got.chain == want.chain
         cov = coverage(scene)
         if cov.kind != "covered":
             continue
@@ -108,7 +127,30 @@ def test_mirror_frame_fuzz():
             assert mv == build_pivot(View.of(pv.view.scene.x_flip()), mv.p)
             compared += 1
         pivots += 1
+        try:
+            E.color_covered(cov)
+        except (GeneralPositionViolation, E.EngineError):
+            pass  # degenerate tips; the solve loop retries them
     assert pivots > 1900 and compared > 300
+    assert observed > 1000 and touched > 250
+
+    # collinear ties: many points on one line through q
+    for t in range(3000):
+        xs = sorted(rng.sample(range(-12, 12), rng.randint(2, 12)))
+        pts = [(x, rng.randint(-3, 3), i) for i, x in enumerate(xs)]
+        hull = hull_from_sorted(pts, LOWER).vertices
+        assert E._tangent_touch(pts, hull, pts[0]) == touch_by_second_layer(pts, pts[0])
+
+
+def touch_by_second_layer(l_act, q):
+    """Reference touch: the second lower layer by two hull scans, then the
+    first vertex of minimum slope from q."""
+    layer = second_layer(l_act, hull_from_sorted(l_act, LOWER))
+    touch = layer[0] if layer else None
+    for w in layer[1:]:
+        if _slope_cmp(q, w, touch) < 0:
+            touch = w
+    return touch
 
 
 def pivot_of(upper_tips, lower_tips, pivot):
@@ -210,7 +252,7 @@ def test_obs2_example():
     u_act = [(-2, 1, 0), (0, 0, 1)]
     l_act = [(1, -5, 2), (3, -4, 3)]
     path = []
-    colors = obs_separated(u_act, l_act, (0, 0, 1), (1, -5, 2), path)
+    colors = observe(u_act, l_act, (0, 0, 1), (1, -5, 2), path)
     assert path == ["obs2"]
     assert colors == {1: BLUE, 2: RED, 0: RED, 3: BLUE}
     inst = instance_from_tips(u_act, l_act)
@@ -220,7 +262,7 @@ def test_obs2_example():
 
 def test_obs3_missing_l_u():
     path = []
-    colors = obs_separated([(0, 0, 0)], [(1, -5, 1), (3, -4, 2)], (0, 0, 0), (1, -5, 1), path)
+    colors = observe([(0, 0, 0)], [(1, -5, 1), (3, -4, 2)], (0, 0, 0), (1, -5, 1), path)
     assert path == ["obs3"]
     assert colors[0] == BLUE and colors[1] == RED
 
@@ -228,7 +270,7 @@ def test_obs3_missing_l_u():
 def test_obs3_tangent_rule_empty_second_layer():
     # q's successor keeps blue when no second-layer point exists
     path = []
-    colors = obs_separated(
+    colors = observe(
         [(-3, 2, 0), (0, 0, 1)], [(1, -6, 2), (2, -1, 3), (5, -5, 4)], (0, 0, 1), (1, -6, 2), path
     )
     if path == ["obs3"]:

@@ -136,4 +136,4 @@ def test_second_layer_matches_hull_layers(pts):
     for side in (g.UPPER, g.LOWER):
         layers = g.hull_layers(spts, side)
         expect = layers.layers[1].vertices if len(layers.layers) > 1 else []
-        assert g.second_layer(spts, side) == expect
+        assert g.second_layer(spts, g.hull_from_sorted(spts, side)) == expect
