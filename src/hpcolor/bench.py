@@ -22,29 +22,23 @@ class BenchRecord:
     n: int
     seconds: float
     case_path: str
-    attempts: int
 
     def csv_row(self) -> str:
         return f"{self.n},{self.seconds:.6f},{self.case_path}"
 
 
-def run_bench(
-    sizes,
-    seed: int = 0,
-    repeats: int = 1,
-    mode: str = "covered",
-) -> list[BenchRecord]:
+def run_bench(sizes, seed: int = 0, repeats: int = 1) -> list[BenchRecord]:
     if repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats}")
     records = []
     for n in sizes:
         bound = max(64, 4 * n)
-        inst = generate(GenSpec(n=n, mode=mode, seed=seed, bound=bound))
+        inst = generate(GenSpec(n=n, mode="covered", seed=seed, bound=bound))
         for _ in range(repeats):
             t0 = time.perf_counter()
             result = solve_detailed(inst, check=False)
             dt = time.perf_counter() - t0
-            records.append(BenchRecord(n, dt, "/".join(result.case_path), result.attempts))
+            records.append(BenchRecord(n, dt, "/".join(result.case_path)))
     return records
 
 

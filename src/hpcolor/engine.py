@@ -185,9 +185,8 @@ def _sweep_qualifying(view: View):
     The difference uphull - lowhull is concave over the span overlap, so
     when the regions meet, some chain vertex in the overlap qualifies.
     """
+    # `coverage` calls this only when both families have a chain
     cu, cl = view.u.chain, view.l.chain
-    if cu is None or cl is None:
-        return None
     lo = max(cu.x_min, cl.x_min)
     hi = min(cu.x_max, cl.x_max)
     if lo > hi:
@@ -306,17 +305,13 @@ def _separator_overlap(cu, cl, lo, hi) -> Line:
     )
     su_minus, su_plus = _chain_slopes_at(cu, x_star)
     sl_minus, sl_plus = _chain_slopes_at(cl, x_star)
-    lower_bounds = [s for s in (su_plus, sl_minus) if s is not None]
-    upper_bounds = [s for s in (su_minus, sl_plus) if s is not None]
-    if lower_bounds and upper_bounds:
-        lb, ub = max(lower_bounds), min(upper_bounds)
-        c = Fraction(lb + ub, 2)
-    elif lower_bounds:
-        c = max(lower_bounds) + 1
-    elif upper_bounds:
-        c = min(upper_bounds) - 1
-    else:
-        c = Fraction(0)
+    # Both bounds exist.  su_plus and sl_minus are both None only when
+    # x_star is cu's last vertex and cl's first, and su_minus and sl_plus
+    # only when it is cu's first and cl's last: either way an upper and a
+    # lower tip would share an x, which `dualize` rejects.
+    lb = max(s for s in (su_plus, sl_minus) if s is not None)
+    ub = min(s for s in (su_minus, sl_plus) if s is not None)
+    c = Fraction(lb + ub, 2)
     return Line(c, y_star - c * x_star)
 
 
@@ -675,8 +670,15 @@ def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
         c = geo._slope_cmp(anchor, w, q_star)
         if (c > 0) if right_side else (c < 0):
             q_star = w
+    # Never true (the _below calls still raise on collinear tips).  Right
+    # call: each candidate is on or above the second layer, whose edge
+    # from pj passes above r_L (a synthetic successor leaves none), so
+    # above line(pj, r_L); and above edge l_L..r_L.  So pj and l_L are
+    # below the tangent R from r_L.  Left call, made only when R is a
+    # wedge line: l_L is below R and q_star above it, so right of q_star
+    # line(l_L, q_star) runs above R, and so above pj and r_L.
     if not _below(other, anchor, q_star) or not _below(pj, anchor, q_star):
-        return False
+        raise ExhaustivenessViolation("split-point wedge line misses its anchors")
     for w in window:
         if w in (q_star, pj):
             continue
@@ -692,9 +694,29 @@ def _min_x_gap(view: View) -> Fraction:
 
 
 def case_d(pv: Pivot, path: list, depth: int) -> dict:
+    """The fourth case.  Invariant: r_U is None (p is the rightmost upper
+    point).  Tip x values are distinct and collinear tips raise.
+
+    Lemma L: here l_L lies strictly below line(l_U, p), so strictly inside
+    the upper region.  Else segment l_L..r_L meets that line, since r_L
+    is below it: at x <= p.x the meeting point is on segment l_U..p
+    (case C), and at x > p.x p lies below edge l_L..r_L (`build_pivot`
+    raises).
+
+    Only two calls lead here; `D~y` below passes ``allow_d=False``.
+    - A pivot from `find_pivot`: unless `build_pivot` x-flipped, l_L is
+      left of p in the span overlap and qualifies by L, so
+      `_sweep_qualifying` would have returned it first (also after the
+      y-flip, which keeps x order).
+    - A `B^` walk to q = l_U keeps the window (l_L, r_L).  Left of q the
+      concave chain puts line(q, p) above line(q's predecessor, q), and
+      `B^` puts l_L above line(q, p): L fails unless `build_pivot`
+      x-flipped.
+    The x-flip makes the pivot the rightmost upper point.
+    """
     path.append("D")
     _check_depth(path, depth)
-    view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
+    view, p, l_U = pv.view, pv.p, pv.l_U
     l_L, r_L, l_Lp = pv.l_L, pv.r_L, pv.l_Lp
 
     # guard: the lower window edge-line must not cut segment l_U..p,
@@ -704,8 +726,8 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
         colors = {l_L[2]: BLUE, l_U[2]: BLUE, p[2]: BLUE}
         return _fill_rest(view, colors, RED)
 
-    # nothing of the upper family right of p, nothing lower left of l_L
-    if p == view.u.pts[-1] and l_L == view.l.pts[0]:
+    # nothing lower left of l_L (and nothing of the upper family right of p)
+    if l_L == view.l.pts[0]:
         path.append("D1")
         colors = {p[2]: BLUE, r_L[2]: BLUE, l_U[2]: RED, l_L[2]: RED}
         _paint(colors, (w for w in view.u.left_of(p[0]) if w != l_U), RED)
@@ -714,40 +736,19 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
         return colors
 
     # D2: a blue triangle of rays pierces everything
-    if r_U is not None and r_U[0] > r_L[0] and _below(r_L, p, r_U):
-        path.append("D2r")
-        colors = {r_U[2]: BLUE, p[2]: BLUE, r_L[2]: BLUE}
-        return _fill_rest(view, colors, RED)
     if l_Lp is not None and l_Lp[0] < l_U[0] and _above(l_U, l_Lp, l_L):
         path.append("D2l")
         colors = {l_Lp[2]: RED, l_L[2]: RED, l_U[2]: RED}
         return _fill_rest(view, colors, BLUE)
 
-    # neither wing matches: re-dispatch through a mirror frame
-    for label, frame_view, frame_pivot in _d_frames(pv):
-        try:
-            pv2 = build_pivot(frame_view, frame_pivot)
-        except (InternalError, GeneralPositionViolation):
-            continue
-        if classify(pv2) == "D":
-            continue
-        path.append(f"D~{label}")
-        return _dispatch(pv2, path, depth + 1, allow_d=False)
-    raise ExhaustivenessViolation("case D reductions exhausted")
-
-
-def _d_frames(pv: Pivot):
-    """Candidate mirror frames (label, view, pivot) for the leftover D
-    branch, each View built only when its frame is tried."""
-    view = pv.view
-    if pv.r_U is not None:
-        mv = _mirror(pv)
-        yield "x", mv.view, mv.p
-    if view.u.chain is not None:
-        if region_contains(view.u.chain, pv.l_L):
-            yield "y", view.y_flip(), (pv.l_L[0], -pv.l_L[1], pv.l_L[2])
-        if region_contains(view.u.chain, pv.r_L):
-            yield "xy", view.y_flip().x_flip(), (-pv.r_L[0], -pv.r_L[1], pv.r_L[2])
+    # Re-dispatch at l_L in the up-down mirror.  D1 failed, so l_Lp
+    # exists and l_L is not leftmost: no x-flip.  l_L lies between the
+    # hull neighbours l_U and p, inside their edge's region by L, so
+    # `build_pivot` succeeds.  By L in that frame, case D there would
+    # need l_Lp.x < l_U.x and l_U above line(l_Lp, l_L): that is D2l.
+    path.append("D~y")
+    pv2 = build_pivot(view.y_flip(), (l_L[0], -l_L[1], l_L[2]))
+    return _dispatch(pv2, path, depth + 1, allow_d=False)
 
 
 def case_c(pv: Pivot, path: list, depth: int) -> dict:
@@ -1016,8 +1017,9 @@ def color_covered(cov: Coverage) -> tuple[dict, list]:
     colors = _dispatch(find_pivot(cov), path)
     scene = cov.view.scene
     if len(colors) != scene.size:
-        missing = [pt for pt in scene.tips_u + scene.tips_l if pt[2] not in colors]
-        raise InternalError(f"uncolored tips: {missing[:3]}")
+        raise InternalError(
+            f"uncolored half-planes: {sorted(range(scene.size) - colors.keys())[:3]}"
+        )
     return colors, path
 
 

@@ -17,6 +17,8 @@ Scalar = Union[int, Fraction]
 
 def normalize(value: Scalar) -> Scalar:
     """Collapse integral Fractions to int; leave everything else alone."""
+    if type(value) is int:  # skips Fraction's ABC isinstance check
+        return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)

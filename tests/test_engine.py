@@ -13,7 +13,14 @@ from hpcolor.engine import (
     solve_detailed,
 )
 from hpcolor.generate import GenSpec, generate
-from hpcolor.geometry import LOWER, UPPER, _slope_cmp, hull_from_sorted, second_layer
+from hpcolor.geometry import (
+    LOWER,
+    UPPER,
+    _slope_cmp,
+    hull_from_sorted,
+    point_above_line,
+    second_layer,
+)
 from hpcolor.model import BLUE, RED, GeneralPositionViolation, Instance, dualize
 from hpcolor.verification import oracle, verify
 
@@ -140,6 +147,30 @@ def test_mirror_frame_fuzz(monkeypatch):
         pts = [(x, rng.randint(-3, 3), i) for i, x in enumerate(xs)]
         hull = hull_from_sorted(pts, LOWER).vertices
         assert E._tangent_touch(pts, hull, pts[0]) == touch_by_second_layer(pts, pts[0])
+
+
+def test_case_d_invariants_fuzz(monkeypatch):
+    """Every case D pivot has no upper hull successor and l_L strictly
+    inside the upper region (Lemma L), the facts that leave case D one
+    wing and one mirror frame."""
+    calls = 0
+    raw_case_d = E.case_d
+
+    def checked_case_d(pv, path, depth):
+        nonlocal calls
+        assert pv.r_U is None
+        assert E.region_contains(pv.view.u.chain, pv.l_L)
+        assert point_above_line(pv.l_L, pv.l_U, pv.p) < 0
+        calls += 1
+        return raw_case_d(pv, path, depth)
+
+    monkeypatch.setattr(E, "case_d", checked_case_d)
+    rng = random.Random(11)
+    for t in range(1000):
+        n, bound = rng.randint(3, 30), rng.choice([3, 5, 25, 400])
+        mode = ("covered", "random")[t % 2]
+        solve_detailed(generate(GenSpec(n=n, mode=mode, seed=t, bound=bound)), check=False)
+    assert calls >= 100
 
 
 def touch_by_second_layer(l_act, q):

@@ -158,6 +158,10 @@ def test_json_rejects_garbage():
     with pytest.raises(InstanceFormatError):
         Instance.from_json('{"halfplanes": [{"a": 1, "b": 0, "side": "left"}]}')
     with pytest.raises(InstanceFormatError):
+        Instance.from_json('{"halfplanes": [{"a": 1, "b": true, "side": "upper"}]}')
+    with pytest.raises(TypeError):
+        HalfPlane(True, 0, UPPER)
+    with pytest.raises(InstanceFormatError):
         coloring_from_json('{"colors": ["green"]}')
 
 

@@ -152,6 +152,43 @@ CASES = {
             {"a": 2, "b": -2, "side": "lower"},
         ]
     },
+    # the low-tangent test meets a lower point below line(l_U, l_L') and
+    # the above-uppers test an upper point above line(l_L', l_L), both in
+    # the catch-all's recolor check (`hpcolor gen --n 8 --mode random
+    # --seed 2689 --bound 25`, path C/c4/obs3x/obs3/obs3)
+    "c4_recolor_check_fails": {
+        "halfplanes": [
+            {"a": -14, "b": 4, "side": "upper"},
+            {"a": 5, "b": 12, "side": "lower"},
+            {"a": -6, "b": 23, "side": "lower"},
+            {"a": 23, "b": 19, "side": "upper"},
+            {"a": 16, "b": -14, "side": "lower"},
+            {"a": -1, "b": 11, "side": "upper"},
+            {"a": 5, "b": 7, "side": "upper"},
+            {"a": -10, "b": 19, "side": "upper"},
+        ]
+    },
+    # the low-tangent test meets a lower point below line(l_U, l_L) in
+    # the empty-window-triangle recolor check (`hpcolor gen --n 14 --mode
+    # covered --seed 4005 --bound 3`, path C/c2r/obs3x/obs3 at attempt 1)
+    "c2_recolor_check_fails": {
+        "halfplanes": [
+            {"a": -15, "b": 1, "side": "upper"},
+            {"a": -17, "b": 2, "side": "upper"},
+            {"a": -29, "b": -1, "side": "upper"},
+            {"a": 51, "b": 2, "side": "upper"},
+            {"a": 56, "b": -1, "side": "upper"},
+            {"a": -37, "b": 2, "side": "upper"},
+            {"a": -59, "b": 2, "side": "lower"},
+            {"a": 44, "b": -3, "side": "upper"},
+            {"a": -53, "b": 1, "side": "lower"},
+            {"a": 6, "b": -1, "side": "upper"},
+            {"a": -23, "b": -1, "side": "upper"},
+            {"a": -11, "b": 3, "side": "lower"},
+            {"a": -22, "b": 0, "side": "upper"},
+            {"a": 30, "b": 3, "side": "upper"},
+        ]
+    },
 }
 
 # the case-path label each of these instances must reach
