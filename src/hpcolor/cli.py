@@ -65,11 +65,11 @@ def _emit(text: str, path) -> int:
 def cmd_color(args) -> int:
     inst = _read_instance(args.instance)
     try:
-        attempts = max_attempts_default()
+        max_attempts_default()  # a bad HPCOLOR_MAX_ATTEMPTS fails before the solve
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        result = solve_detailed(inst, check=not args.no_verify, max_attempts=attempts)
+        result = solve_detailed(inst, check=not args.no_verify)
     except InternalError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

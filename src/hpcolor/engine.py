@@ -44,7 +44,6 @@ from .model import (
     dualize,
     perturb,
 )
-from .rationals import as_fraction
 from .uncovered import uncovered_solve, uncovered_witness
 from .verification import verify
 
@@ -78,6 +77,35 @@ def _collinear(a, b, pt) -> GeneralPositionViolation:
 
 def _below(pt, a, b) -> bool:
     return not _above(pt, a, b)
+
+
+def _clears(a, b, lows, ups, skip) -> bool:
+    """Does line(a, b) pass strictly below every point of `lows` and
+    strictly above every point of `ups`, leaving out the points whose x
+    is in `skip`?
+
+    Scans `lows`, then `ups`, each in list order: returns False at the
+    first point strictly on the wrong side and raises
+    GeneralPositionViolation at the first collinear one, so the scan
+    order is behaviour.  Tips have pairwise distinct x in every frame,
+    so skipping by x skips exactly those points, and a.x != b.x.
+    """
+    ax, ay = a[0], a[1]
+    dx, dy = b[0] - ax, b[1] - ay
+    if dx < 0:  # orient the line left to right: s > 0 means above
+        dx, dy = -dx, -dy
+    for pts in (lows, ups):
+        for w in pts:
+            wx = w[0]
+            if wx in skip:
+                continue
+            s = dx * (w[1] - ay) - dy * (wx - ax)
+            if s <= 0:
+                if s == 0:
+                    raise _collinear(a, b, w)
+                return False
+        dx, dy = -dx, -dy  # the upper points must lie below
+    return True
 
 
 @dataclass
@@ -206,7 +234,7 @@ def _chain_slopes_at(chain: HullChain, x):
     verts = chain.vertices
 
     def slope(a, b) -> Fraction:
-        return Fraction(b[1] - a[1], 1) / Fraction(b[0] - a[0], 1)
+        return Fraction(b[1] - a[1], b[0] - a[0])
 
     s_minus = s_plus = None
     i = bisect.bisect_left(chain._xs, x)
@@ -267,11 +295,11 @@ def _separator_disjoint_spans(scene, cu, cl) -> Line:
     for v in scene.tips_u:
         dx = v[0] - xm
         # need c*dx > v.y
-        (bounds_lt if dx < 0 else bounds_gt).append(Fraction(v[1], 1) / dx)
+        (bounds_lt if dx < 0 else bounds_gt).append(v[1] / dx)
     for v in scene.tips_l:
         dx = v[0] - xm
         # need c*dx < v.y
-        (bounds_lt if dx > 0 else bounds_gt).append(Fraction(v[1], 1) / dx)
+        (bounds_lt if dx > 0 else bounds_gt).append(v[1] / dx)
     if bounds_lt and not bounds_gt:
         c = min(bounds_lt) - 1
     elif bounds_gt and not bounds_lt:
@@ -285,24 +313,20 @@ def _separator_disjoint_spans(scene, cu, cl) -> Line:
 def _separator_overlap(cu, cl, lo, hi) -> Line:
     """Line through the narrowest vertical gap, slope within both chains'
     local slope intervals (exists because the gap is extremal there)."""
+    # lo and hi are chain vertices: each is one chain's span end
     xs = sorted(
-        {as_fraction(v[0]) for v in cu.vertices if lo <= v[0] <= hi}
-        | {as_fraction(v[0]) for v in cl.vertices if lo <= v[0] <= hi}
-        | {as_fraction(lo), as_fraction(hi)}
+        {v[0] for v in cu.vertices if lo <= v[0] <= hi}
+        | {v[0] for v in cl.vertices if lo <= v[0] <= hi}
     )
     best_x = None
     best_f = None
     for x in xs:
-        f = as_fraction(geo.chain_eval(cu, x)) - as_fraction(geo.chain_eval(cl, x))
+        f = geo.chain_eval(cu, x) - geo.chain_eval(cl, x)
         if best_f is None or f > best_f:
             best_f, best_x = f, x
     assert best_f is not None and best_f < 0
     x_star = best_x
-    y_star = Fraction(
-        as_fraction(geo.chain_eval(cu, x_star))
-        + as_fraction(geo.chain_eval(cl, x_star)),
-        2,
-    )
+    y_star = Fraction(geo.chain_eval(cu, x_star) + geo.chain_eval(cl, x_star), 2)
     su_minus, su_plus = _chain_slopes_at(cu, x_star)
     sl_minus, sl_plus = _chain_slopes_at(cl, x_star)
     # Both bounds exist.  su_plus and sl_minus are both None only when
@@ -317,10 +341,10 @@ def _separator_overlap(cu, cl, lo, hi) -> Line:
 
 def _check_separator(scene: DualScene, sep: Line) -> Line:
     for v in scene.tips_u:
-        if not v[1] < sep.slope * as_fraction(v[0]) + sep.intercept:
+        if not v[1] < sep.slope * v[0] + sep.intercept:
             raise InternalError(f"separator not above upper tip {v}")
     for v in scene.tips_l:
-        if not v[1] > sep.slope * as_fraction(v[0]) + sep.intercept:
+        if not v[1] > sep.slope * v[0] + sep.intercept:
             raise InternalError(f"separator not below lower tip {v}")
     return sep
 
@@ -521,39 +545,13 @@ def obs_separated(
 def _tangent_rule_color(u_act, l_act, l_hull, p, q, q_s) -> str:
     """Red iff the tangent from q to the second lower layer touches inside
     the (q, q_succ) window, stays below every other lower point except
-    q_succ, and above every upper point except p.
-
-    The two checks scan l_act, then u_act, in list order: they return BLUE
-    at the first point strictly on the wrong side and raise
-    GeneralPositionViolation at the first collinear one, so the scan order
-    is behaviour.
+    q_succ, and above every upper point except p (scan order: `_clears`).
     """
     touch = _tangent_touch(l_act, l_hull, q)
     if touch is None or not touch[0] < q_s[0]:
         return BLUE
-    qx, qy = q[0], q[1]
-    dx, dy = touch[0] - qx, touch[1] - qy
-    tx, sx = touch[0], q_s[0]
-    for w in l_act:
-        wx, wy = w[0], w[1]
-        if wx == sx or wx == tx or wx == qx:
-            continue
-        s = dx * (wy - qy) - dy * (wx - qx)  # > 0: w above line(q, touch)
-        if s == 0:
-            raise _collinear(q, touch, w)
-        if s < 0:
-            return BLUE
-    px = p[0]
-    for u in u_act:
-        ux, uy = u[0], u[1]
-        if ux == px:
-            continue
-        s = dx * (uy - qy) - dy * (ux - qx)
-        if s == 0:
-            raise _collinear(q, touch, u)
-        if s > 0:
-            return BLUE
-    return RED
+    skip = (q_s[0], touch[0], q[0], p[0])
+    return RED if _clears(q, touch, l_act, u_act, skip) else BLUE
 
 
 def _tangent_touch(l_act, l_hull, q):
@@ -679,12 +677,7 @@ def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
     # line(l_L, q_star) runs above R, and so above pj and r_L.
     if not _below(other, anchor, q_star) or not _below(pj, anchor, q_star):
         raise ExhaustivenessViolation("split-point wedge line misses its anchors")
-    for w in window:
-        if w in (q_star, pj):
-            continue
-        if not _above(w, anchor, q_star):
-            return False
-    return True
+    return _clears(anchor, q_star, window, (), (q_star[0], pj[0]))
 
 
 def _min_x_gap(view: View) -> Fraction:
@@ -790,25 +783,10 @@ def case_c(pv: Pivot, path: list, depth: int) -> dict:
 
 def _c1_holds(pv: Pivot) -> bool:
     """Line through r_L and r_U that passes below all lower points (except
-    the window pair) and above all upper points (except r_U).
-
-    Scans the lower points, then the upper ones, in x order: returns False
-    at the first point strictly on the wrong side and raises
-    GeneralPositionViolation at the first collinear one, so the scan order
-    is behaviour.
-    """
-    a, b = pv.r_L, pv.r_U
-    for w in pv.view.l.pts:
-        if w in (pv.r_L, pv.l_L):
-            continue
-        if not _above(w, a, b):
-            return False
-    for u in pv.view.u.pts:
-        if u == b:
-            continue
-        if not _below(u, a, b):
-            return False
-    return True
+    the window pair) and above all upper points (except r_U); scan order:
+    `_clears`."""
+    skip = (pv.r_L[0], pv.l_L[0], pv.r_U[0])
+    return _clears(pv.r_L, pv.r_U, pv.view.l.pts, pv.view.u.pts, skip)
 
 
 def _triangle_free(pts, a, b, c) -> bool:
@@ -862,25 +840,10 @@ def _case_c2(pv: Pivot, path: list, side: str) -> dict:
 
 def _is_low_tangent(pv: Pivot, through_l) -> bool:
     """Is line(l_U, through_l) tangent to the lower family from below
-    while passing above every upper point except p and l_U?
-
-    Scans the lower points, then the upper ones, in x order: returns False
-    at the first point strictly on the wrong side and raises
-    GeneralPositionViolation at the first collinear one, so the scan order
-    is behaviour.
-    """
-    from_u = pv.l_U
-    for w in pv.view.l.pts:
-        if w == through_l:
-            continue
-        if not _above(w, from_u, through_l):
-            return False
-    for u in pv.view.u.pts:
-        if u in (pv.p, from_u):
-            continue
-        if not _below(u, from_u, through_l):
-            return False
-    return True
+    while passing above every upper point except p and l_U?  Scan order:
+    `_clears`."""
+    skip = (through_l[0], pv.p[0], pv.l_U[0])
+    return _clears(pv.l_U, through_l, pv.view.l.pts, pv.view.u.pts, skip)
 
 
 def _case_c3(pv: Pivot, mv: Pivot, path: list) -> dict:
@@ -923,28 +886,13 @@ def _case_c4(pv: Pivot, mv: Pivot, path: list, singleton: bool = False) -> dict:
             and colors.get(l_U[2]) == BLUE
             and (
                 _is_low_tangent(q, l_Lp)
-                or _passes_above_uppers(q.view, l_Lp, l_L, exempt=(l_U, q.p))
+                or _clears(l_Lp, l_L, (), q.view.u.pts, (l_U[0], q.p[0]))
             )
         ):
             path.append(f"c4!{side}")
             override = {l_Lp[2]: BLUE, l_L[2]: BLUE, l_U[2]: BLUE, q.r_L[2]: BLUE}
             return _fill_rest(q.view, override, RED)
     return colors
-
-
-def _passes_above_uppers(view, a, b, exempt) -> bool:
-    """Does line(a, b) pass above every upper point not in `exempt`?
-
-    Scans in x order: returns False at the first point strictly below the
-    line and raises GeneralPositionViolation at the first collinear one,
-    so the scan order is behaviour.
-    """
-    for u in view.u.pts:
-        if u in exempt:
-            continue
-        if not _below(u, a, b):
-            return False
-    return True
 
 
 def _case_c_below(pv: Pivot, path: list, depth: int) -> dict:
@@ -1047,9 +995,7 @@ def max_attempts_default() -> int:
     return int(value)
 
 
-def solve_detailed(
-    inst: Instance, *, check: bool = True, max_attempts: Optional[int] = None
-) -> SolveResult:
+def solve_detailed(inst: Instance, *, check: bool = True) -> SolveResult:
     """Compute a coloring certified good at depth 3 on the original input.
 
     Each attempt perturbs, dualizes, and runs the covered or uncovered
@@ -1058,12 +1004,12 @@ def solve_detailed(
     itself when the cheap screen passes (no parallel boundaries); a
     perturbed instance that still has parallels fails in `dualize`.  With
     ``check=False`` the first constructed coloring is returned unjudged
-    (the benchmark path).
+    (the benchmark path).  ``HPCOLOR_MAX_ATTEMPTS`` bounds the attempts.
     """
     n = len(inst)
     if n < 3:
         return SolveResult([BLUE] * n, 0, ["trivial"])
-    attempts = max_attempts if max_attempts is not None else max_attempts_default()
+    attempts = max_attempts_default()
     last_error: Optional[Exception] = None
     for attempt in range(attempts):
         pert = inst if attempt == 0 and cheap_position_ok(inst) else perturb(inst, attempt)
@@ -1092,6 +1038,6 @@ def solve_detailed(
     )
 
 
-def solve(inst: Instance, *, check: bool = True, max_attempts: Optional[int] = None) -> list:
+def solve(inst: Instance, *, check: bool = True) -> list:
     """The coloring alone; see solve_detailed."""
-    return solve_detailed(inst, check=check, max_attempts=max_attempts).colors
+    return solve_detailed(inst, check=check).colors

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .geometry import Line
 from .model import BLUE, RED, Instance, ModelError
@@ -39,8 +38,7 @@ class SearchExhausted(UncoveredError):
 @dataclass
 class PolarScene:
     origin: tuple  # the uncovered witness in original coordinates
-    points: list  # polar points, exact rational pairs
-    sources: list  # half-plane index per polar point
+    points: list  # polar points, exact rational pairs; point i is half-plane i
 
 
 def uncovered_witness(inst: Instance, separator: Line) -> tuple:
@@ -61,15 +59,13 @@ def polarize(inst: Instance, origin) -> PolarScene:
     """
     ox, oy = origin
     points = []
-    sources = []
     for i, h in enumerate(inst):
         shift = as_fraction(h.a) * ox + h.b - oy  # boundary intercept at the origin
         if shift == 0:
             raise NotActuallyUncovered(f"boundary {i} passes through the witness")
         u = (-as_fraction(h.a) / shift, Fraction(1, 1) / shift)
         points.append(u)
-        sources.append(i)
-    return PolarScene((ox, oy), points, sources)
+    return PolarScene((ox, oy), points)
 
 
 def halfplane_membership(h, origin, z) -> bool:
@@ -115,11 +111,11 @@ def _hull_indices_weak(pts, subset) -> list:
     return sorted(set(upper) | set(lower))
 
 
-def _first_layers(points, count: int = 3) -> list:
-    """Indices of the points on the first `count` weak convex hull layers."""
+def _first_layers(points) -> list:
+    """Indices of the points on the first three weak convex hull layers."""
     remaining = list(range(len(points)))
     out: list[int] = []
-    for _ in range(count):
+    for _ in range(3):
         if not remaining:
             break
         layer_pos = _hull_indices_weak(points, remaining)
@@ -144,7 +140,7 @@ def enumerate_point_hyperedges(points) -> list:
     n = len(points)
     if n < 3:
         return []
-    cand = _first_layers(points, 3)
+    cand = _first_layers(points)
     hom = _homogeneous(points)
     edges = set()
 
@@ -204,9 +200,4 @@ def uncovered_solve(inst: Instance, witness) -> list:
     n = len(inst)
     if n < 3:
         return [BLUE] * n
-    scene = polarize(inst, witness)
-    point_colors = color_points_vs_halfplanes(scene.points)
-    colors: list[Optional[str]] = [None] * n
-    for color, src in zip(point_colors, scene.sources):
-        colors[src] = color
-    return colors
+    return color_points_vs_halfplanes(polarize(inst, witness).points)

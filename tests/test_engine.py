@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 
 from hpcolor import engine as E
 from hpcolor.engine import (
@@ -22,6 +24,7 @@ from hpcolor.geometry import (
     second_layer,
 )
 from hpcolor.model import BLUE, RED, GeneralPositionViolation, Instance, dualize
+from hpcolor.rationals import normalize
 from hpcolor.verification import oracle, verify
 
 from conftest import instance_from_tips, make_instance, observe
@@ -171,6 +174,64 @@ def test_case_d_invariants_fuzz(monkeypatch):
         mode = ("covered", "random")[t % 2]
         solve_detailed(generate(GenSpec(n=n, mode=mode, seed=t, bound=bound)), check=False)
     assert calls >= 100
+
+
+def clears_reference(a, b, lows, ups, skipped):
+    """`E._clears` one `point_above_line` call per point: lows, then ups,
+    in list order, skipping the points in `skipped`."""
+    for pts, side in ((lows, 1), (ups, -1)):
+        for w in pts:
+            if w in skipped:
+                continue
+            s = point_above_line(w, a, b)
+            if s == 0:
+                raise GeneralPositionViolation(f"collinear tips {a}, {b}, {w}")
+            if s != side:
+                return False
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GeneralPositionViolation as exc:
+        return "raise", str(exc)
+
+
+def test_clears_matches_pointwise_reference():
+    """Tips with distinct x around lines drawn both ways; some points sit
+    on the wrong side of the line and some on it."""
+    rng = random.Random(8)
+    seen = Counter()
+    for t in range(3000):
+        n = rng.randint(0, 12)
+        xs = rng.sample(range(-40, 41), n + 2)
+        a = (xs[0], rng.randint(-20, 20), 0)
+        b = (xs[1], rng.randint(-20, 20), 1)
+        slope = Fraction(b[1] - a[1], b[0] - a[0])
+        lows, ups, skipped = [], [], [a, b]
+        for i, x in enumerate(xs[2:], start=2):
+            low = rng.random() < 0.5
+            offset = rng.choice([Fraction(1, 3), 1, 5]) * (1 if low else -1)
+            r = rng.random()
+            if r < 0.07:
+                offset = 0
+            elif r < 0.14:
+                offset = -offset
+            w = (x, normalize(a[1] + slope * (x - a[0]) + offset), i)
+            (lows if low else ups).append(w)
+            if rng.random() < 0.1:
+                skipped.append(w)
+        # the line's own tips sit in the families, as in the case machine
+        (lows if t % 2 else ups).append(a)
+        (ups if t % 3 else lows).append(b)
+        lows.sort()
+        ups.sort()
+        skip = tuple(w[0] for w in skipped)
+        got = outcome(E._clears, a, b, lows, ups, skip)
+        assert got == outcome(clears_reference, a, b, lows, ups, skipped), (t, a, b)
+        seen[got if isinstance(got, bool) else "raise", a[0] > b[0]] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def touch_by_second_layer(l_act, q):

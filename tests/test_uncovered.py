@@ -186,19 +186,15 @@ def test_soundness_bridge():
         o = uncovered_witness(inst, cov.separator)
         scene = polarize(inst, o)
         edges = enumerate_point_hyperedges(scene.points)
-        by_source = {src: k for k, src in enumerate(scene.sources)}
         for pt in arrangement_samples(inst):
             d, covering = depth(inst, pt)
             if d < 3:
                 continue
-            # the covering set in polar indices is a closed half-plane cut
+            # the covering set (polar point i is half-plane i) is a closed
+            # half-plane cut
             z = (pt[0] - o[0], pt[1] - o[1])
-            cut = {
-                k
-                for k, src in enumerate(scene.sources)
-                if halfplane_membership(inst[src], o, z)
-            }
-            assert cut == {by_source[i] for i in covering}
+            cut = {k for k, h in enumerate(inst) if halfplane_membership(h, o, z)}
+            assert cut == set(covering)
             assert any(set(e) <= cut for e in edges), (t, covering)
             checked += 1
     assert checked > 50
