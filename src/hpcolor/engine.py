@@ -44,7 +44,7 @@ from .model import (
     dualize,
     perturb,
 )
-from .uncovered import uncovered_solve, uncovered_witness
+from .uncovered import UncoveredError, uncovered_solve, uncovered_witness
 from .verification import verify
 
 DEFAULT_MAX_ATTEMPTS = 8
@@ -204,29 +204,8 @@ class Coverage:
     kind: str  # "covered" | "separated"
     separator: Optional[Line] = None
     view: Optional[View] = None  # covered: the scene's hulls
-    hit: Optional[tuple] = None  # covered: (side, vertex) of _sweep_qualifying
-
-
-def _sweep_qualifying(view: View):
-    """First hull vertex (by x) of either family inside the other's region.
-
-    The difference uphull - lowhull is concave over the span overlap, so
-    when the regions meet, some chain vertex in the overlap qualifies.
-    """
-    # `coverage` calls this only when both families have a chain
-    cu, cl = view.u.chain, view.l.chain
-    lo = max(cu.x_min, cl.x_min)
-    hi = min(cu.x_max, cl.x_max)
-    if lo > hi:
-        return None
-    cands = [("u", v) for v in cu.vertices if lo <= v[0] <= hi]
-    cands += [("l", v) for v in cl.vertices if lo <= v[0] <= hi]
-    cands.sort(key=lambda t: t[1][0])
-    for side, v in cands:
-        other = cl if side == "u" else cu
-        if region_contains(other, v):
-            return side, v
-    return None
+    # covered: (side, vertex), the first overlap vertex by x with gap >= 0
+    hit: Optional[tuple] = None
 
 
 def _chain_slopes_at(chain: HullChain, x):
@@ -253,10 +232,15 @@ def _chain_slopes_at(chain: HullChain, x):
 def coverage(scene: DualScene) -> Coverage:
     """Do the two ray-hull regions intersect?  Qualifying vertex or separator.
 
-    The sweep compares the chains at every hull-vertex abscissa in the
-    span overlap.  A separating line is strictly above every upper-family
-    tip and strictly below every lower-family tip; it dualizes back to an
-    uncovered primal point.
+    One pass, in x order, over the hull vertices of both families in the
+    span overlap computes the gap g(x) = uphull(x) - lowhull(x) (a
+    vertex's own chain value is its y).  g is concave there, so the
+    regions meet iff g >= 0 at some vertex: the first such vertex lies
+    inside the other family's region (closed) and is the hit.  Else the
+    separator passes through the first maximum of g.  A separating line
+    is strictly above every upper-family tip and strictly below every
+    lower-family tip; it dualizes back to an uncovered primal point,
+    which `uncovered_witness` checks by substitution.
     """
     view = View.of(scene)
     cu, cl = view.u.chain, view.l.chain
@@ -269,64 +253,50 @@ def coverage(scene: DualScene) -> Coverage:
         else:
             bot = min(v[1] for v in scene.tips_l)
             sep = Line(0, bot - 1)
-        return Coverage("separated", separator=_check_separator(scene, sep))
-
-    hit = _sweep_qualifying(view)
-    if hit is not None:
-        return Coverage("covered", view=view, hit=hit)
+        return Coverage("separated", separator=sep)
 
     lo = max(cu.x_min, cl.x_min)
     hi = min(cu.x_max, cl.x_max)
     if lo > hi:
-        sep = _separator_disjoint_spans(scene, cu, cl)
-    else:
-        sep = _separator_overlap(cu, cl, lo, hi)
-    return Coverage("separated", separator=_check_separator(scene, sep))
+        return Coverage("separated", separator=_separator_disjoint_spans(cu, cl))
+    # tip x values are distinct, so x orders the vertices totally
+    cands = [("u", v) for v in cu.vertices if lo <= v[0] <= hi]
+    cands += [("l", v) for v in cl.vertices if lo <= v[0] <= hi]
+    cands.sort(key=lambda t: t[1][0])
+    best = None  # (g, x, yu + yl) at the first maximum of g
+    for side, v in cands:
+        x = v[0]
+        if side == "u":
+            yu, yl = v[1], geo.chain_eval(cl, x)
+        else:
+            yu, yl = geo.chain_eval(cu, x), v[1]
+        if yu >= yl:
+            return Coverage("covered", view=view, hit=(side, v))
+        if best is None or yu - yl > best[0]:
+            best = (yu - yl, x, yu + yl)
+    # lo and hi are chain vertices, so `best` is set
+    return Coverage("separated", separator=_separator_overlap(cu, cl, *best))
 
 
-def _separator_disjoint_spans(scene, cu, cl) -> Line:
-    """Steep line through the x-gap between the two hull spans."""
-    if cu.x_max < cl.x_min:
-        xm = Fraction(cu.x_max + cl.x_min, 2)
-    else:
-        xm = Fraction(cl.x_max + cu.x_min, 2)
-    bounds_lt = []
-    bounds_gt = []
-    for v in scene.tips_u:
-        dx = v[0] - xm
-        # need c*dx > v.y
-        (bounds_lt if dx < 0 else bounds_gt).append(v[1] / dx)
-    for v in scene.tips_l:
-        dx = v[0] - xm
-        # need c*dx < v.y
-        (bounds_lt if dx > 0 else bounds_gt).append(v[1] / dx)
-    if bounds_lt and not bounds_gt:
-        c = min(bounds_lt) - 1
-    elif bounds_gt and not bounds_lt:
-        c = max(bounds_gt) + 1
-    else:
-        # spans are disjoint, so every constraint lands on one side
-        raise InternalError("inconsistent disjoint-span separator bounds")
+def _separator_disjoint_spans(cu, cl) -> Line:
+    """Steep line through (xm, 0), xm in the x-gap between the two hull
+    spans.  It passes above upper tip v iff c * (v.x - xm) > v.y and below
+    lower tip v iff c * (v.x - xm) < v.y.  Every upper tip sits on one side
+    of xm and every lower tip on the other, so each bound v.y / (v.x - xm)
+    is an upper bound on c when the upper span is left of the gap, else a
+    lower bound; the extreme bound is a hull vertex's."""
+    left = cu.x_max < cl.x_min
+    xm = Fraction(cu.x_max + cl.x_min, 2) if left else Fraction(cl.x_max + cu.x_min, 2)
+    bounds = [v[1] / (v[0] - xm) for v in cu.vertices + cl.vertices]
+    c = min(bounds) - 1 if left else max(bounds) + 1
     return Line(c, -c * xm)
 
 
-def _separator_overlap(cu, cl, lo, hi) -> Line:
-    """Line through the narrowest vertical gap, slope within both chains'
-    local slope intervals (exists because the gap is extremal there)."""
-    # lo and hi are chain vertices: each is one chain's span end
-    xs = sorted(
-        {v[0] for v in cu.vertices if lo <= v[0] <= hi}
-        | {v[0] for v in cl.vertices if lo <= v[0] <= hi}
-    )
-    best_x = None
-    best_f = None
-    for x in xs:
-        f = geo.chain_eval(cu, x) - geo.chain_eval(cl, x)
-        if best_f is None or f > best_f:
-            best_f, best_x = f, x
-    assert best_f is not None and best_f < 0
-    x_star = best_x
-    y_star = Fraction(geo.chain_eval(cu, x_star) + geo.chain_eval(cl, x_star), 2)
+def _separator_overlap(cu, cl, gap, x_star, y_sum) -> Line:
+    """Line through the midpoint of the narrowest vertical gap at x_star,
+    slope within both chains' local slope intervals (exists because the
+    gap is extremal there)."""
+    assert gap < 0
     su_minus, su_plus = _chain_slopes_at(cu, x_star)
     sl_minus, sl_plus = _chain_slopes_at(cl, x_star)
     # Both bounds exist.  su_plus and sl_minus are both None only when
@@ -336,17 +306,7 @@ def _separator_overlap(cu, cl, lo, hi) -> Line:
     lb = max(s for s in (su_plus, sl_minus) if s is not None)
     ub = min(s for s in (su_minus, sl_plus) if s is not None)
     c = Fraction(lb + ub, 2)
-    return Line(c, y_star - c * x_star)
-
-
-def _check_separator(scene: DualScene, sep: Line) -> Line:
-    for v in scene.tips_u:
-        if not v[1] < sep.slope * v[0] + sep.intercept:
-            raise InternalError(f"separator not above upper tip {v}")
-    for v in scene.tips_l:
-        if not v[1] > sep.slope * v[0] + sep.intercept:
-            raise InternalError(f"separator not below lower tip {v}")
-    return sep
+    return Line(c, Fraction(y_sum, 2) - c * x_star)
 
 
 def _mirror(pv: Pivot) -> Pivot:
@@ -698,9 +658,10 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
 
     Only two calls lead here; `D~y` below passes ``allow_d=False``.
     - A pivot from `find_pivot`: unless `build_pivot` x-flipped, l_L is
-      left of p in the span overlap and qualifies by L, so
-      `_sweep_qualifying` would have returned it first (also after the
-      y-flip, which keeps x order).
+      left of p in the span overlap and qualifies by L, so `coverage`,
+      which returns the first overlap vertex by x with gap >= 0, would
+      have returned it first (also after the y-flip, which keeps x
+      order).
     - A `B^` walk to q = l_U keeps the window (l_L, r_L).  Left of q the
       concave chain puts line(q, p) above line(q's predecessor, q), and
       `B^` puts l_L above line(q, p): L fails unless `build_pivot`
@@ -1023,9 +984,12 @@ def solve_detailed(inst: Instance, *, check: bool = True) -> SolveResult:
                 witness = uncovered_witness(pert, cov.separator)
                 colors = uncovered_solve(pert, witness)
                 path = ["uncovered"]
-        except (GeometryError, GeneralPositionViolation, EngineError) as exc:
+        except (
+            GeometryError, GeneralPositionViolation, EngineError, UncoveredError
+        ) as exc:
             # degeneracies that slip the cheap screen surface as assertion
-            # failures anywhere in the machine; a finer perturbation retries
+            # failures anywhere in the machine, or as a separator that fails
+            # `uncovered_witness`'s substitution; a finer perturbation retries
             last_error = exc
             continue
         if not check:

@@ -34,10 +34,6 @@ class VerticalLineError(GeometryError):
     """A line through two points with equal x was requested."""
 
 
-class DuplicateXError(GeometryError):
-    """Two input points share an x-coordinate (general-position violation)."""
-
-
 class OutOfSpanError(GeometryError):
     """chain_eval was queried outside the chain's x-span."""
 
@@ -129,9 +125,6 @@ class HullChain:
         if not self._xs:
             self._xs = [v[0] for v in self.vertices]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     @property
     def x_min(self) -> Scalar:
         return self.vertices[0][0]
@@ -174,29 +167,6 @@ def _scan(points: Sequence[Point], turn: int) -> list:
     return out
 
 
-def _sorted_unique_x(points: Iterable[Point]) -> list:
-    pts = sorted(points)
-    for a, b in zip(pts, pts[1:]):
-        if a[0] == b[0]:
-            raise DuplicateXError(f"x={a[0]} occurs twice")
-    return pts
-
-
-def upper_hull(points: Iterable[Point]) -> HullChain:
-    """Upper convex hull chain; O(n log n) sort + monotone scan."""
-    pts = _sorted_unique_x(points)
-    if not pts:
-        raise GeometryError("empty point set")
-    return HullChain(UPPER, _scan(pts, RIGHT))
-
-
-def lower_hull(points: Iterable[Point]) -> HullChain:
-    pts = _sorted_unique_x(points)
-    if not pts:
-        raise GeometryError("empty point set")
-    return HullChain(LOWER, _scan(pts, LEFT))
-
-
 def hull_from_sorted(points: Sequence[Point], side: str) -> HullChain:
     """Hull of already x-sorted, duplicate-free points (no re-sort)."""
     return HullChain(side, _scan(points, RIGHT if side == UPPER else LEFT))
@@ -212,8 +182,9 @@ class HullLayers:
 
 
 def hull_layers(points: Iterable[Point], side: str) -> HullLayers:
-    """Peel hulls until no point remains; layers partition the input."""
-    remaining = _sorted_unique_x(points)
+    """Peel hulls until no point remains; layers partition the input
+    (points with pairwise distinct x)."""
+    remaining = sorted(points)
     if not remaining:
         raise GeometryError("empty point set")
     layers: list[HullChain] = []

@@ -68,13 +68,6 @@ def polarize(inst: Instance, origin) -> PolarScene:
     return PolarScene((ox, oy), points)
 
 
-def halfplane_membership(h, origin, z) -> bool:
-    """Closed membership of the translated point z via the polar form."""
-    shift = as_fraction(h.a) * origin[0] + h.b - origin[1]
-    u = (-as_fraction(h.a) / shift, Fraction(1, 1) / shift)
-    return u[0] * z[0] + u[1] * z[1] >= 1
-
-
 def _homogeneous(points) -> list:
     """Integer homogeneous coordinates (X, Y, W), W > 0, per point."""
     out = []

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hpcolor.cli import main
+from hpcolor.generate import GenSpec, generate
 from hpcolor.model import BLUE, RED, Instance, coloring_from_json
 
 
@@ -270,3 +271,19 @@ def test_entry_point_subprocess(tmp_path, i3_file):
 def test_no_verify_flag(i3_file, capsys):
     assert run_cli("color", str(i3_file), "--no-verify") == 0
     capsys.readouterr()
+
+
+def test_color_search_failure_exits_2(tmp_path, monkeypatch, capsys):
+    """A constraint search that finds nothing on every attempt ends in exit
+    2 and one line, not a traceback."""
+    import hpcolor.uncovered
+
+    monkeypatch.setattr(hpcolor.uncovered, "solve_nae", lambda n, edges: None)
+    monkeypatch.delenv("HPCOLOR_MAX_ATTEMPTS", raising=False)
+    inst = tmp_path / "unc.json"
+    inst.write_text(generate(GenSpec(n=8, mode="uncovered", seed=1, bound=10)).to_json())
+    assert run_cli("color", str(inst)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verification failed:")

@@ -19,12 +19,15 @@ from hpcolor.geometry import (
     LOWER,
     UPPER,
     _slope_cmp,
+    chain_eval,
     hull_from_sorted,
     point_above_line,
+    region_contains,
     second_layer,
 )
 from hpcolor.model import BLUE, RED, GeneralPositionViolation, Instance, dualize
 from hpcolor.rationals import normalize
+from hpcolor.uncovered import uncovered_witness
 from hpcolor.verification import oracle, verify
 
 from conftest import instance_from_tips, make_instance, observe
@@ -58,6 +61,54 @@ def test_coverage_disjoint_spans():
     assert cov.kind == "separated"
 
 
+def test_coverage_matches_pointwise_reference():
+    """`coverage`'s hit is the first chain vertex, by x, inside the other
+    family's region, tested vertex by vertex with `region_contains`; with
+    none, its separator clears every tip and `uncovered_witness` accepts
+    it."""
+    rng = random.Random(2)
+    seen = Counter()
+    for t in range(3000):
+        n = rng.randint(3, 40)
+        mode = ("covered", "random", "degenerate", "uncovered")[t % 4]
+        bound = rng.choice([3, 5, 25, 50, 400])
+        inst = generate(GenSpec(n=n, mode=mode, seed=t, bound=bound))
+        try:
+            scene = dualize(inst)
+        except GeneralPositionViolation:
+            continue
+        cov = coverage(scene)
+        view = View.of(scene)
+        cu, cl = view.u.chain, view.l.chain
+        cands = [("u", v, cl) for v in (cu.vertices if cu else [])]
+        cands += [("l", v, cu) for v in (cl.vertices if cl else [])]
+        cands.sort(key=lambda c: c[1][0])
+        inside = [
+            (side, v) for side, v, other in cands if other and region_contains(other, v)
+        ]
+        want = inside[0] if inside else None
+        assert cov.hit == want, t
+        if want is not None:
+            assert cov.kind == "covered"
+            side, v = want
+            seen[side] += 1
+            seen["touch"] += chain_eval(cu if side == "l" else cl, v[0]) == v[1]
+            continue
+        assert cov.kind == "separated"
+        sep = cov.separator
+        assert all(v[1] < sep.y_at(v[0]) for v in scene.tips_u), t
+        assert all(v[1] > sep.y_at(v[0]) for v in scene.tips_l), t
+        uncovered_witness(inst, sep)
+        if cu is None or cl is None:
+            seen["one family"] += 1
+        elif max(cu.x_min, cl.x_min) > min(cu.x_max, cl.x_max):
+            seen["disjoint"] += 1
+        else:
+            seen["overlap"] += 1
+    floors = {"u": 400, "l": 380, "touch": 10, "one family": 100, "disjoint": 50, "overlap": 530}
+    assert all(seen[k] >= floor for k, floor in floors.items()), seen
+
+
 def test_find_pivot_i3(i3):
     pv = find_pivot(coverage(dualize(i3)))
     # the lower vertex (0, 0) of half-plane 2 qualifies; after the flip it
@@ -75,8 +126,6 @@ def test_find_pivot_singleton_above():
 
 def test_find_pivot_postcondition_fuzz():
     rng = random.Random(3)
-    from hpcolor.geometry import region_contains
-
     hits = 0
     for t in range(300):
         inst = generate(GenSpec(n=rng.randint(3, 16), mode="covered", seed=t, bound=30))

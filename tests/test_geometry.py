@@ -50,28 +50,24 @@ def test_segments_intersect_examples():
 
 
 def test_hull_examples():
-    assert g.upper_hull([(0, 0)]).vertices == [(0, 0)]
-    up = g.upper_hull([(-1, 0), (0, 10), (1, 0)])
+    assert g.hull_from_sorted([(0, 0)], g.UPPER).vertices == [(0, 0)]
+    up = g.hull_from_sorted([(-1, 0), (0, 10), (1, 0)], g.UPPER)
     assert up.vertices == [(-1, 0), (0, 10), (1, 0)]
-    lo = g.lower_hull([(-1, 0), (0, 10), (1, 0)])
+    lo = g.hull_from_sorted([(-1, 0), (0, 10), (1, 0)], g.LOWER)
     assert lo.vertices == [(-1, 0), (1, 0)]
-
-
-def test_hull_duplicate_x_rejected():
-    with pytest.raises(g.DuplicateXError):
-        g.upper_hull([(0, 0), (0, 1), (2, 2)])
 
 
 @given(point_sets)
 def test_hull_reflection_duality(pts):
-    up = g.upper_hull(pts).vertices
-    lo = g.lower_hull([(x, -y) for x, y in pts]).vertices
+    up = g.hull_from_sorted(sorted(pts), g.UPPER).vertices
+    lo = g.hull_from_sorted(sorted((x, -y) for x, y in pts), g.LOWER).vertices
     assert up == [(x, -y) for x, y in lo]
 
 
 @given(point_sets)
 def test_hulls_dominate_generators(pts):
-    for chain in (g.upper_hull(pts), g.lower_hull(pts)):
+    for side in (g.UPPER, g.LOWER):
+        chain = g.hull_from_sorted(sorted(pts), side)
         for w in pts:
             assert g.region_contains(chain, w)
 
@@ -96,7 +92,7 @@ def test_hull_layers_partition(pts):
     for i in range(len(layers.layers) - 1):
         rest = [p for p in pts if layers.assignment[p] > i]
         if rest:
-            again = g.upper_hull(rest)
+            again = g.hull_from_sorted(sorted(rest), g.UPPER)
             assert again.vertices == layers.layers[i + 1].vertices
 
 

@@ -5,13 +5,12 @@ import pytest
 
 from hpcolor.engine import coverage
 from hpcolor.generate import GenSpec, generate
-from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, dualize
+from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance, dualize
 from hpcolor.nae import solve_nae
 from hpcolor.uncovered import (
     NotActuallyUncovered,
     color_points_vs_halfplanes,
     enumerate_point_hyperedges,
-    halfplane_membership,
     polarize,
     uncovered_solve,
     uncovered_witness,
@@ -67,7 +66,8 @@ def test_membership_transfer():
             continue
         pt = (rng.randint(-20, 20), rng.randint(-20, 20))
         z = (pt[0] - o[0], pt[1] - o[1])
-        assert h.contains(pt) == halfplane_membership(h, o, z)
+        (u,) = polarize(Instance([h]), o).points
+        assert h.contains(pt) == (u[0] * z[0] + u[1] * z[1] >= 1)
         checked += 1
     assert checked > 1000
 
@@ -193,7 +193,7 @@ def test_soundness_bridge():
             # the covering set (polar point i is half-plane i) is a closed
             # half-plane cut
             z = (pt[0] - o[0], pt[1] - o[1])
-            cut = {k for k, h in enumerate(inst) if halfplane_membership(h, o, z)}
+            cut = {k for k, u in enumerate(scene.points) if u[0] * z[0] + u[1] * z[1] >= 1}
             assert cut == set(covering)
             assert any(set(e) <= cut for e in edges), (t, covering)
             checked += 1
