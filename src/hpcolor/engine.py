@@ -28,6 +28,7 @@ from .geometry import (
     Line,
     LOWER,
     UPPER,
+    by_x,
     hull_from_sorted,
     point_above_line,
     region_contains,
@@ -110,73 +111,66 @@ def _clears(a, b, lows, ups, skip) -> bool:
 
 @dataclass
 class _Fam:
-    pts: list
-    xs: list
+    pts: list  # x-sorted tips
     chain: Optional[HullChain]
 
     @classmethod
     def build(cls, pts, side):
-        chain = hull_from_sorted(pts, side) if pts else None
-        return cls(pts, [p[0] for p in pts], chain)
+        return cls(pts, hull_from_sorted(pts, side) if pts else None)
 
     def between(self, x1, x2) -> list:
         """Points with x strictly inside (x1, x2)."""
-        i = bisect.bisect_right(self.xs, x1)
-        j = bisect.bisect_left(self.xs, x2)
+        i = bisect.bisect_right(self.pts, x1, key=by_x)
+        j = bisect.bisect_left(self.pts, x2, key=by_x)
         return self.pts[i:j]
 
     def left_of(self, x) -> list:
-        return self.pts[: bisect.bisect_left(self.xs, x)]
+        return self.pts[: bisect.bisect_left(self.pts, x, key=by_x)]
 
     def right_of(self, x) -> list:
-        return self.pts[bisect.bisect_right(self.xs, x) :]
+        return self.pts[bisect.bisect_right(self.pts, x, key=by_x) :]
 
     def x_flip(self) -> "_Fam":
         """This family in the left-right mirror; the hull is flipped with
         the points, not rebuilt."""
-        pts = _xrot(self.pts)
         chain = self.chain
         if chain is not None:
             chain = HullChain(chain.side, _xrot(chain.vertices))
-        return _Fam(pts, [p[0] for p in pts], chain)
+        return _Fam(_xrot(self.pts), chain)
 
     def y_flip(self) -> "_Fam":
         """This family in the up-down mirror, where it plays the other
         side's role: negating y turns a lower chain into the upper chain of
         the mirrored points (the scan makes the same pops), so the hull is
         flipped with the points, not rebuilt."""
-        pts = [(x, -y, i) for x, y, i in self.pts]
         chain = self.chain
         if chain is not None:
             side = UPPER if chain.side == LOWER else LOWER
-            chain = HullChain(side, [(x, -y, i) for x, y, i in chain.vertices], chain._xs)
-        return _Fam(pts, self.xs, chain)
+            chain = HullChain(side, [(x, -y, i) for x, y, i in chain.vertices])
+        return _Fam([(x, -y, i) for x, y, i in self.pts], chain)
 
 
 @dataclass
 class View:
-    scene: DualScene
+    """A frame: the upper family `u` and the lower family `l`.  The flips
+    mirror coordinates and keep each tip's index, so a coloring keyed by
+    index holds in every frame."""
+
     u: _Fam
     l: _Fam
 
     @classmethod
     def of(cls, scene: DualScene) -> "View":
-        return cls(
-            scene,
-            _Fam.build(scene.tips_u, UPPER),
-            _Fam.build(scene.tips_l, LOWER),
-        )
+        return cls(_Fam.build(scene.tips_u, UPPER), _Fam.build(scene.tips_l, LOWER))
 
     def x_flip(self) -> "View":
         """The left-right mirror frame, with no hull rebuilt."""
-        u, l = self.u.x_flip(), self.l.x_flip()
-        return View(DualScene(u.pts, l.pts), u, l)
+        return View(self.u.x_flip(), self.l.x_flip())
 
     def y_flip(self) -> "View":
         """The up-down mirror frame (the families swap roles), with no hull
         rebuilt."""
-        u, l = self.l.y_flip(), self.u.y_flip()
-        return View(DualScene(u.pts, l.pts), u, l)
+        return View(self.l.y_flip(), self.u.y_flip())
 
 
 @dataclass
@@ -216,7 +210,7 @@ def _chain_slopes_at(chain: HullChain, x):
         return Fraction(b[1] - a[1], b[0] - a[0])
 
     s_minus = s_plus = None
-    i = bisect.bisect_left(chain._xs, x)
+    i = bisect.bisect_left(verts, x, key=by_x)
     at_vertex = i < len(verts) and verts[i][0] == x
     if at_vertex:
         if i > 0:
@@ -345,7 +339,7 @@ def build_pivot(view: View, pivot) -> Pivot:
     r_U = cu.vertices[iu + 1] if iu + 1 < len(cu.vertices) else None
     if l_U is None and len(view.u.pts) > 1:
         raise InternalError("pivot left-normalization failed")
-    j = bisect.bisect_right(cl._xs, pivot[0])
+    j = bisect.bisect_right(cl.vertices, pivot[0], key=by_x)
     if not 0 < j < len(cl.vertices):
         raise InternalError("pivot not strictly inside the lower hull span")
     l_L = cl.vertices[j - 1]
@@ -642,7 +636,7 @@ def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
 
 def _min_x_gap(view: View) -> Fraction:
     # ints and Fractions compare natively; Fraction() keeps eps = gap / 2 exact
-    xs = sorted(view.u.xs + view.l.xs)
+    xs = sorted(p[0] for p in view.u.pts + view.l.pts)
     return Fraction(min((b - a for a, b in zip(xs, xs[1:])), default=1))
 
 
@@ -924,11 +918,9 @@ def color_covered(cov: Coverage) -> tuple[dict, list]:
     """Color a covered scene; returns colors by half-plane index, and the path."""
     path: list = []
     colors = _dispatch(find_pivot(cov), path)
-    scene = cov.view.scene
-    if len(colors) != scene.size:
-        raise InternalError(
-            f"uncolored half-planes: {sorted(range(scene.size) - colors.keys())[:3]}"
-        )
+    n = len(cov.view.u.pts) + len(cov.view.l.pts)
+    if len(colors) != n:
+        raise InternalError(f"uncolored half-planes: {sorted(range(n) - colors.keys())[:3]}")
     return colors, path
 
 

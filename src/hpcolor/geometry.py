@@ -11,11 +11,11 @@ and every constructed line joins points with distinct x.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from . import kernels
 from .rationals import Scalar, as_fraction, normalize
 
 Point = tuple  # (x, y), or a dual tip (x, y, i), with exact rational x and y
@@ -24,6 +24,8 @@ LEFT, COLLINEAR, RIGHT = 1, 0, -1
 
 UPPER = "upper"
 LOWER = "lower"
+
+by_x = itemgetter(0)  # the key that x-sorted point lists are bisected by
 
 
 class GeometryError(Exception):
@@ -44,7 +46,12 @@ class DegenerateTriangleError(GeometryError):
 
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Exact sign of det(q-p, r-p): LEFT (+1), RIGHT (-1) or COLLINEAR (0)."""
-    return kernels.orient(p[0], p[1], q[0], q[1], r[0], r[1])
+    det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    if det > 0:
+        return LEFT
+    if det < 0:
+        return RIGHT
+    return COLLINEAR
 
 
 @dataclass(frozen=True)
@@ -119,11 +126,6 @@ class HullChain:
 
     side: str
     vertices: list  # Points, strictly increasing x
-    _xs: list = field(default_factory=list, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self._xs:
-            self._xs = [v[0] for v in self.vertices]
 
     @property
     def x_min(self) -> Scalar:
@@ -143,15 +145,13 @@ class HullChain:
         if len(self.vertices) == 1:
             v = self.vertices[0]
             return v, v
-        i = bisect.bisect_right(self._xs, x)
-        if i == 0:
-            i = 1
+        i = bisect.bisect_right(self.vertices, x, key=by_x)  # >= 1: x >= x_min
         if i == len(self.vertices):
             i -= 1
         return self.vertices[i - 1], self.vertices[i]
 
     def vertex_index(self, pt: Point) -> Optional[int]:
-        i = bisect.bisect_left(self._xs, pt[0])
+        i = bisect.bisect_left(self.vertices, pt[0], key=by_x)
         if i < len(self.vertices) and self.vertices[i] == pt:
             return i
         return None
@@ -204,8 +204,6 @@ def second_layer(sorted_points: Sequence[Point], first: HullChain) -> list:
     `sorted_points` (may be [])."""
     on_first = set(first.vertices)
     rest = [p for p in sorted_points if p not in on_first]
-    if not rest:
-        return []
     return hull_from_sorted(rest, first.side).vertices
 
 

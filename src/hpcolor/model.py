@@ -140,7 +140,7 @@ def coloring_to_json(colors: list) -> str:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InstanceFormatError(f"invalid JSON: {exc}")
     except RecursionError:
         raise InstanceFormatError("invalid JSON: nested too deeply")
@@ -265,30 +265,11 @@ class DualScene:
 
     A tip is ``(x, y, i)``: the ray's apex and the index of its half-plane
     in the instance.  tips_u carry downward rays (upper half-planes),
-    tips_l upward rays.  The flips mirror coordinates and keep indices, so
-    a coloring keyed by index holds in every frame.
+    tips_l upward rays.
     """
 
     tips_u: list
     tips_l: list
-
-    @property
-    def size(self) -> int:
-        return len(self.tips_u) + len(self.tips_l)
-
-    def x_flip(self) -> "DualScene":
-        """Mirror left-right; families keep their roles; involution."""
-        return DualScene(
-            [(-x, y, i) for x, y, i in reversed(self.tips_u)],
-            [(-x, y, i) for x, y, i in reversed(self.tips_l)],
-        )
-
-    def y_flip(self) -> "DualScene":
-        """Mirror up-down and swap the families' roles; involution."""
-        return DualScene(
-            [(x, -y, i) for x, y, i in self.tips_l],
-            [(x, -y, i) for x, y, i in self.tips_u],
-        )
 
 
 def dualize(inst: Instance) -> DualScene:
@@ -312,9 +293,12 @@ def dualize(inst: Instance) -> DualScene:
 
 
 def dual_line_meets_ray(pt, hp: HalfPlane) -> bool:
-    """Does the dual line of primal point pt intersect hp's dual ray?"""
+    """Does the dual line of primal point pt intersect hp's dual ray?  The
+    tip is the one `dualize` maps hp to; its family gives the ray's
+    direction."""
     c, d = pt
-    tip_x = -as_fraction(hp.a)
-    tip_y = as_fraction(hp.b)
-    value = as_fraction(c) * tip_x + d
-    return value <= tip_y if hp.side == UPPER else value >= tip_y
+    scene = dualize(Instance([hp]))
+    downward = bool(scene.tips_u)  # upper half-planes carry downward rays
+    tip_x, tip_y, _ = (scene.tips_u + scene.tips_l)[0]
+    value = c * tip_x + d
+    return value <= tip_y if downward else value >= tip_y

@@ -9,6 +9,7 @@ as ints.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -55,7 +56,14 @@ def format_scalar(value: Scalar):
     value = normalize(value)
     if isinstance(value, int):
         return value
-    return f"{value.numerator}/{value.denominator}"
+    return scalar_text(value)
+
+
+def scalar_text(value: Scalar) -> str:
+    """The canonical form as text, exact at any size: ``str(Decimal(n))``
+    is not bound by the int-to-str digit limit, which guards parsing."""
+    n, d = num_den(normalize(value))
+    return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 def as_fraction(value: Scalar) -> Fraction:

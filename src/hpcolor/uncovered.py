@@ -133,13 +133,13 @@ def enumerate_point_hyperedges(points) -> list:
     n = len(points)
     if n < 3:
         return []
+    # n >= 3 leaves >= 3 candidates: a hull has >= 3 vertices unless every
+    # point is collinear, and the weak scan then keeps them all
     cand = _first_layers(points)
     hom = _homogeneous(points)
     edges = set()
 
     m = len(cand)
-    if m < 3:
-        return []
     for ii in range(m):
         i = cand[ii]
         xi, yi, wi = hom[i]

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .model import BLUE, RED, Instance, ModelError
 from .nae import solve_nae
-from .rationals import format_scalar
+from .rationals import scalar_text
 
 ORACLE_LIMIT = 20
 
@@ -55,8 +55,8 @@ class Violation:
     def to_json_dict(self) -> dict:
         return {
             "witness": {
-                "x": str(format_scalar(self.witness[0])),
-                "y": str(format_scalar(self.witness[1])),
+                "x": scalar_text(self.witness[0]),
+                "y": scalar_text(self.witness[1]),
             },
             "covering": list(self.covering),
             "color": self.color,

@@ -104,6 +104,7 @@ def test_criterion_5_duality_incidence():
 def test_criterion_6_observation_suites():
     """Observation colorings verify; the pivot sweep always succeeds."""
     from hpcolor.engine import View
+    from hpcolor.model import DualScene
 
     ok = True
     # non-crossing branch
@@ -135,7 +136,7 @@ def test_criterion_6_observation_suites():
         if cov.kind != "covered":
             continue
         pv = find_pivot(cov)
-        view = View.of(pv.view.scene)
+        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts))
         if view.u.chain.vertex_index(pv.p) is None or not region_contains(view.l.chain, pv.p):
             ok = False
             break

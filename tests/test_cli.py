@@ -1,12 +1,19 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from hpcolor.cli import main
 from hpcolor.generate import GenSpec, generate
-from hpcolor.model import BLUE, RED, Instance, coloring_from_json
+from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance, coloring_from_json
+from hpcolor.verification import verify
+
+# JSON integer literals past the int-to-str digit limit (4,300 digits)
+HUGE_INT_INSTANCE = '{"halfplanes": [{"a": %s, "b": 0, "side": "upper"}]}' % ("9" * 5000)
+HUGE_INT_COLORING = '{"colors": [%s]}' % ("9" * 5000)
 
 
 def run_cli(*argv):
@@ -39,7 +46,8 @@ def test_color_malformed_input(tmp_path, capsys):
     bad.write_text("{nope")
     assert run_cli("color", str(bad)) == 3
     assert "error" in capsys.readouterr().err
-    for junk in (b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000):
+    huge = (HUGE_INT_INSTANCE.encode(), HUGE_INT_COLORING.encode())
+    for junk in (b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000, *huge):
         bad.write_bytes(junk)
         assert run_cli("color", str(bad)) == 3
         err = capsys.readouterr().err
@@ -92,6 +100,9 @@ def test_verify_shape_errors(tmp_path, i3_file, capsys):
     binary.write_bytes(b"\xff\xfe")
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
+    huge_inst, huge_colors = tmp_path / "huge_inst.json", tmp_path / "huge_colors.json"
+    huge_inst.write_text(HUGE_INT_INSTANCE)
+    huge_colors.write_text(HUGE_INT_COLORING)
     for argv in (
         ("verify", str(i3_file), str(binary)),
         ("render", str(i3_file), "--coloring", str(binary)),
@@ -99,10 +110,44 @@ def test_verify_shape_errors(tmp_path, i3_file, capsys):
         ("verify", str(nested), str(short)),
         ("render", str(i3_file), "--coloring", str(nested)),
         ("render", str(nested)),
+        ("verify", str(i3_file), str(huge_colors)),
+        ("verify", str(huge_inst), str(short)),
+        ("render", str(i3_file), "--coloring", str(huge_colors)),
+        ("render", str(huge_inst)),
+        ("oracle", str(huge_inst)),
+        ("validate", str(huge_inst)),
     ):
         assert run_cli(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_prints_a_large_witness_exactly(tmp_path, capsys):
+    """A violation whose witness numerator is past the int-to-str digit
+    limit exits 2 and prints the witness with its exact digits."""
+    big, big2 = 10**1500 + 7, 3 * 10**1500 + 1
+    inst = Instance([
+        HalfPlane(Fraction(big, big2), Fraction(big2, big), UPPER),
+        HalfPlane(Fraction(-big2, big), Fraction(big, big2 + 2), UPPER),
+        HalfPlane(Fraction(1, big + 2), Fraction(-big, big2 + 4), LOWER),
+    ])
+    inst_path, colors_path = tmp_path / "inst.json", tmp_path / "colors.json"
+    inst_path.write_text(inst.to_json())
+    colors_path.write_text(json.dumps({"colors": [BLUE] * 3}))
+    assert run_cli("verify", str(inst_path), str(colors_path)) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    data = json.loads(out)
+
+    def exact(text):
+        num, _, den = text.partition("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+    x, y = data["witness"]["x"], data["witness"]["y"]
+    assert len(x.partition("/")[0]) > 4300
+    witness = (exact(x), exact(y))
+    assert witness == verify(inst, [BLUE] * 3, 3).witness
+    assert data["covering"] == [0, 1, 2] and all(h.contains(witness) for h in inst)
 
 
 def test_oracle_exit_codes(tmp_path, i3_file, tri2_file, capsys):

@@ -3,6 +3,8 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
+import pytest
+
 from hpcolor import engine as E
 from hpcolor.engine import (
     Pivot,
@@ -18,6 +20,7 @@ from hpcolor.generate import GenSpec, generate
 from hpcolor.geometry import (
     LOWER,
     UPPER,
+    OutOfSpanError,
     _slope_cmp,
     chain_eval,
     hull_from_sorted,
@@ -25,7 +28,7 @@ from hpcolor.geometry import (
     region_contains,
     second_layer,
 )
-from hpcolor.model import BLUE, RED, GeneralPositionViolation, Instance, dualize
+from hpcolor.model import BLUE, RED, DualScene, GeneralPositionViolation, Instance, dualize
 from hpcolor.rationals import normalize
 from hpcolor.uncovered import uncovered_witness
 from hpcolor.verification import oracle, verify
@@ -35,6 +38,24 @@ from conftest import instance_from_tips, make_instance, observe
 
 def scene_of(upper_tips, lower_tips):
     return dualize(instance_from_tips(upper_tips, lower_tips))
+
+
+def x_mirror(scene):
+    """The left-right mirror scene, tip by tip: (x, y, i) -> (-x, y, i),
+    each family reversed to stay x-sorted."""
+    return DualScene(
+        [(-x, y, i) for x, y, i in reversed(scene.tips_u)],
+        [(-x, y, i) for x, y, i in reversed(scene.tips_l)],
+    )
+
+
+def y_mirror(scene):
+    """The up-down mirror scene, tip by tip: (x, y, i) -> (x, -y, i), the
+    families swapping roles."""
+    return DualScene(
+        [(x, -y, i) for x, y, i in scene.tips_l],
+        [(x, -y, i) for x, y, i in scene.tips_u],
+    )
 
 
 def test_coverage_i3(i3):
@@ -133,12 +154,54 @@ def test_find_pivot_postcondition_fuzz():
         if cov.kind != "covered":
             continue
         pv = find_pivot(cov)
-        view = View.of(pv.view.scene)
+        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts))
         assert view.u.chain.vertex_index(pv.p) is not None
         assert region_contains(view.l.chain, pv.p)
         assert pv.l_L[0] < pv.p[0] < pv.r_L[0]
         hits += 1
     assert hits > 250
+
+
+def test_lookups_by_key_match_filter_by_x():
+    """A family's `between` / `left_of` / `right_of` and its chain's
+    `vertex_index` / `edge_at`, which bisect the x-sorted lists by key,
+    equal filters by x, with int and Fraction x, queried on tips, between
+    tips and past both ends."""
+    rng = random.Random(10)
+    seen = Counter()
+    for t in range(600):
+        draws = range(rng.randint(1, 14))
+        xs = sorted({normalize(Fraction(rng.randint(-40, 40), rng.randint(1, 3))) for _ in draws})
+        ys = [normalize(Fraction(rng.randint(-30, 30), rng.choice([1, 2]))) for _ in xs]
+        pts = [(x, y, i) for i, (x, y) in enumerate(zip(xs, ys))]
+        fam = E._Fam.build(pts, rng.choice([UPPER, LOWER]))
+        verts = fam.chain.vertices
+        mids = [Fraction(a + b, 2) for a, b in zip(xs, xs[1:])]
+        queries = xs + mids + [xs[0] - 1, xs[-1] + Fraction(1, 2)]
+        for x in queries:
+            seen[type(x).__name__] += 1
+            assert fam.left_of(x) == [p for p in pts if p[0] < x], t
+            assert fam.right_of(x) == [p for p in pts if p[0] > x], t
+            x2 = rng.choice(queries)
+            assert fam.between(x, x2) == [p for p in pts if x < p[0] < x2], t
+            if not verts[0][0] <= x <= verts[-1][0]:
+                with pytest.raises(OutOfSpanError):
+                    fam.chain.edge_at(x)
+                continue
+            seen["in span"] += 1
+            left = [v for v in verts if v[0] <= x]
+            right = [v for v in verts if v[0] > x]
+            if len(verts) == 1:
+                want = (verts[0], verts[0])
+            else:
+                want = (left[-1], right[0]) if right else (verts[-2], verts[-1])
+            assert fam.chain.edge_at(x) == want, t
+        for p in pts + [(p[0], p[1] + 1, p[2]) for p in pts] + [(x, 0, -1) for x in mids]:
+            want = next((k for k, v in enumerate(verts) if v == p), None)
+            seen["on chain"] += want is not None
+            assert fam.chain.vertex_index(p) == want, t
+    floors = {"int": 2500, "Fraction": 5000, "in span": 7000, "on chain": 1500}
+    assert all(seen[k] >= floor for k, floor in floors.items()), seen
 
 
 def test_mirror_frame_fuzz(monkeypatch):
@@ -166,13 +229,10 @@ def test_mirror_frame_fuzz(monkeypatch):
         scene = dualize(generate(GenSpec(n=n, mode="covered", seed=t, bound=bound)))
         view = View.of(scene)
         for flipped, rebuilt in (
-            (view.x_flip(), View.of(scene.x_flip())),
-            (view.y_flip(), View.of(scene.y_flip())),
+            (view.x_flip(), View.of(x_mirror(scene))),
+            (view.y_flip(), View.of(y_mirror(scene))),
         ):
-            for fam in ("u", "l"):
-                got, want = getattr(flipped, fam), getattr(rebuilt, fam)
-                assert got.pts == want.pts and got.xs == want.xs
-                assert got.chain == want.chain
+            assert flipped == rebuilt  # the points and the chains of both families
         cov = coverage(scene)
         if cov.kind != "covered":
             continue
@@ -183,7 +243,8 @@ def test_mirror_frame_fuzz(monkeypatch):
             assert getattr(twice, f.name) == getattr(pv, f.name), f.name
         if pv.r_U is not None:
             # the mirror is the configuration a rebuilt mirror frame gives
-            assert mv == build_pivot(View.of(pv.view.scene.x_flip()), mv.p)
+            frame = DualScene(pv.view.u.pts, pv.view.l.pts)
+            assert mv == build_pivot(View.of(x_mirror(frame)), mv.p)
             compared += 1
         pivots += 1
         try:

@@ -25,10 +25,10 @@ point_sets = st.composite(distinct_x_points)()
 
 
 def test_orientation_examples():
-    assert g.orientation((0, 0), (1, 0), (0, 1)) == g.LEFT
-    assert g.orientation((0, 0), (1, 0), (2, 0)) == g.COLLINEAR
+    assert g.orientation((0, 0), (1, 0), (0, 1)) == g.LEFT == 1
+    assert g.orientation((0, 0), (1, 0), (2, 0)) == g.COLLINEAR == 0
     # determinant (1*1 - 1*2) = -1
-    assert g.orientation((0, 0), (1, 1), (2, 1)) == g.RIGHT
+    assert g.orientation((0, 0), (1, 1), (2, 1)) == g.RIGHT == -1
 
 
 @given(points, points, points)
