@@ -1,4 +1,4 @@
-"""Exact 2D primitives: orientation, hull chains, hull layers, slope order.
+"""Exact 2D primitives: orientation, hull chains, a second hull layer, slope order.
 
 Points are ``(x, y)`` tuples of exact rationals (int or Fraction); dual
 tips carry a third entry, their half-plane index, which the predicates
@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rationals import Scalar, as_fraction, normalize
 
@@ -170,33 +170,6 @@ def _scan(points: Sequence[Point], turn: int) -> list:
 def hull_from_sorted(points: Sequence[Point], side: str) -> HullChain:
     """Hull of already x-sorted, duplicate-free points (no re-sort)."""
     return HullChain(side, _scan(points, RIGHT if side == UPPER else LEFT))
-
-
-@dataclass
-class HullLayers:
-    """Onion peeling: layer 0 is the outermost hull chain."""
-
-    side: str
-    layers: list  # of HullChain
-    assignment: dict  # Point -> layer index
-
-
-def hull_layers(points: Iterable[Point], side: str) -> HullLayers:
-    """Peel hulls until no point remains; layers partition the input
-    (points with pairwise distinct x)."""
-    remaining = sorted(points)
-    if not remaining:
-        raise GeometryError("empty point set")
-    layers: list[HullChain] = []
-    assignment: dict = {}
-    while remaining:
-        chain = hull_from_sorted(remaining, side)
-        on_chain = set(chain.vertices)
-        for v in chain.vertices:
-            assignment[v] = len(layers)
-        layers.append(chain)
-        remaining = [p for p in remaining if p not in on_chain]
-    return HullLayers(side, layers, assignment)
 
 
 def second_layer(sorted_points: Sequence[Point], first: HullChain) -> list:

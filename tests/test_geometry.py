@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,34 @@ def distinct_x_points(draw, n_min=1, n_max=12):
 
 
 point_sets = st.composite(distinct_x_points)()
+
+
+@dataclass
+class HullLayers:
+    """Onion peeling: layer 0 is the outermost hull chain."""
+
+    side: str
+    layers: list  # of HullChain
+    assignment: dict  # Point -> layer index
+
+
+def hull_layers(points, side: str) -> HullLayers:
+    """Peel hulls until no point remains; layers partition the input
+    (points with pairwise distinct x).  The reference peel that
+    `second_layer` is checked against."""
+    remaining = sorted(points)
+    if not remaining:
+        raise g.GeometryError("empty point set")
+    layers = []
+    assignment = {}
+    while remaining:
+        chain = g.hull_from_sorted(remaining, side)
+        on_chain = set(chain.vertices)
+        for v in chain.vertices:
+            assignment[v] = len(layers)
+        layers.append(chain)
+        remaining = [p for p in remaining if p not in on_chain]
+    return HullLayers(side, layers, assignment)
 
 
 def test_orientation_examples():
@@ -73,16 +102,16 @@ def test_hulls_dominate_generators(pts):
 
 
 def test_hull_layers_examples():
-    layers = g.hull_layers([(-2, 0), (2, 0), (0, -1)], g.LOWER)
+    layers = hull_layers([(-2, 0), (2, 0), (0, -1)], g.LOWER)
     assert len(layers.layers) == 1
-    layers = g.hull_layers([(-2, 0), (2, 0), (1, 1), (0, -1)], g.LOWER)
+    layers = hull_layers([(-2, 0), (2, 0), (1, 1), (0, -1)], g.LOWER)
     assert layers.layers[0].vertices == [(-2, 0), (0, -1), (2, 0)]
     assert layers.layers[1].vertices == [(1, 1)]
 
 
 @given(point_sets)
 def test_hull_layers_partition(pts):
-    layers = g.hull_layers(pts, g.UPPER)
+    layers = hull_layers(pts, g.UPPER)
     seen = []
     for chain in layers.layers:
         seen.extend(chain.vertices)
@@ -130,6 +159,6 @@ def test_point_in_triangle_examples():
 def test_second_layer_matches_hull_layers(pts):
     spts = sorted(pts)
     for side in (g.UPPER, g.LOWER):
-        layers = g.hull_layers(spts, side)
+        layers = hull_layers(spts, side)
         expect = layers.layers[1].vertices if len(layers.layers) > 1 else []
         assert g.second_layer(spts, g.hull_from_sorted(spts, side)) == expect

@@ -1,14 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hpcolor.engine import coverage
 from hpcolor.generate import GenSpec, generate
+from hpcolor.geometry import orientation
 from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance, dualize
 from hpcolor.nae import solve_nae
 from hpcolor.uncovered import (
     NotActuallyUncovered,
+    _first_layers,
+    _homogeneous,
     color_points_vs_halfplanes,
     enumerate_point_hyperedges,
     polarize,
@@ -105,6 +109,154 @@ def test_enumerate_prefixes_cover_realizable_cuts():
             for size in range(3, n + 1):
                 cut = order[:size]
                 assert any(set(e) <= set(cut) for e in edges), (pts, cut)
+
+
+def _reference_first_layers(points) -> list:
+    """The weak three-layer peel on Fraction cross products: per layer,
+    sort the remaining points, scan both chains keeping collinear points,
+    and list the layer in index order."""
+    remaining = list(range(len(points)))
+    out = []
+    for _ in range(3):
+        idx = sorted(remaining, key=lambda i: points[i])
+
+        def chain(pop_left):
+            kept = []
+            for i in idx:
+                while len(kept) > 1:
+                    o, a, b = points[kept[-2]], points[kept[-1]], points[i]
+                    c = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+                    if (c > 0) if pop_left else (c < 0):
+                        kept.pop()
+                    else:
+                        break
+                kept.append(i)
+            return kept
+
+        layer = sorted(set(chain(True)) | set(chain(False)))
+        out.extend(layer)
+        remaining = [i for i in remaining if i not in layer]
+    return out
+
+
+def _reference_hyperedges(points) -> list:
+    """The O(m^3) triple loop the rotational sweep replaced.
+
+    For each ordered candidate pair (i, j), d = p_j - p_i and u = perp(d),
+    and for each tie sign +-1 keep the top 3 candidates by (u.p, +-d.p)
+    descending, full ties by position in the candidate list.
+    """
+    if len(points) < 3:
+        return []
+    cand = _reference_first_layers(points)
+    hom = _homogeneous(points)
+    edges = set()
+    for ii, i in enumerate(cand):
+        xi, yi, wi = hom[i]
+        for jj, j in enumerate(cand):
+            if ii == jj:
+                continue
+            xj, yj, wj = hom[j]
+            dx = xj * wi - xi * wj
+            dy = yj * wi - yi * wj
+            for sign in (1, -1):
+                best = []
+                for k in cand:
+                    xk, yk, wk = hom[k]
+                    entry = (-dy * xk + dx * yk, sign * (dx * xk + dy * yk), wk, k)
+                    pos = len(best)
+                    while pos > 0:
+                        pq, sq, wq, _q = best[pos - 1]
+                        lhs, rhs = entry[0] * wq, pq * wk
+                        if lhs > rhs or (lhs == rhs and entry[1] * wq > sq * wk):
+                            pos -= 1
+                        else:
+                            break
+                    best.insert(pos, entry)
+                    del best[3:]
+                edges.add(tuple(sorted(e[3] for e in best)))
+    return sorted(edges)
+
+
+def _convex_polar_points(n, seed):
+    """Polar points of y <= a*x - a^2 - 1 (distinct a) seen from the
+    origin: n points in convex position."""
+    slopes = random.Random(seed).sample(range(-2 * n, 2 * n + 1), n)
+    inst = Instance([HalfPlane(a, -a * a - 1, UPPER) for a in slopes])
+    return polarize(inst, (0, 0)).points
+
+
+def _point_set(rng, kind, n):
+    """A seeded set of n points (n-ish for the generated ones) of one
+    differential family."""
+    if kind == "fraction":
+        return [(Fraction(rng.randint(-30, 30), rng.randint(1, 7)),
+                 Fraction(rng.randint(-30, 30), rng.randint(1, 7))) for _ in range(n)]
+    if kind == "collinear":
+        # runs of points on shared lines among a few free ones
+        pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n // 3)]
+        while len(pts) < n:
+            base = (rng.randint(-6, 6), rng.randint(-6, 6))
+            step = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (Fraction(1, 3), 1)])
+            for t in rng.sample(range(-9, 10), min(n - len(pts), rng.randint(2, 6))):
+                pts.append((base[0] + t * step[0], base[1] + t * step[1]))
+        rng.shuffle(pts)
+        return pts
+    if kind == "all-collinear":
+        step = rng.choice([(1, 0), (0, 1), (1, 1), (3, -2), (Fraction(1, 2), Fraction(1, 5))])
+        base = (rng.randint(-5, 5), rng.randint(-5, 5))
+        return [(base[0] + t * step[0], base[1] + t * step[1])
+                for t in (rng.randint(-6, 6) for _ in range(n))]
+    if kind == "coincident":
+        pts = [(rng.randint(-4, 4), Fraction(rng.randint(-8, 8), rng.randint(1, 2))) for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            pts[rng.randrange(n)] = pts[rng.randrange(n)]
+        return pts
+    if kind == "huge":
+        scale = 10**40
+        return [(rng.randint(-50, 50) * scale + rng.randint(-3, 3),
+                 Fraction(rng.randint(-50, 50) * scale, rng.randint(1, 3))) for _ in range(n)]
+    inst = generate(GenSpec(n=2 * n, mode="uncovered", seed=rng.randrange(10**6),
+                            bound=rng.choice([3, 12, 50])))
+    return polarize(inst, uncovered_witness(inst, coverage(dualize(inst)).separator)).points
+
+
+def test_sweep_matches_reference_triple_loop():
+    """The sweep returns the triple loop's edge list, list for list."""
+    rng = random.Random(11)
+    kinds = ("fraction", "collinear", "all-collinear", "coincident", "huge", "generated")
+    seen = Counter()
+    for t in range(3000):
+        kind = kinds[t % len(kinds)]
+        pts = _point_set(rng, kind, rng.randint(3, 11))
+        got = enumerate_point_hyperedges(pts)
+        assert got == _reference_hyperedges(pts), (t, kind, pts)
+        seen["coincident pair"] += len(set(pts)) < len(pts)
+        seen["all collinear"] += all(orientation(pts[0], p, q) == 0 for p in pts for q in pts)
+    for n in (4, 5, 8, 16, 33, 64):
+        pts = _convex_polar_points(n, n)
+        got = enumerate_point_hyperedges(pts)
+        assert got == _reference_hyperedges(pts), n
+        assert len(got) == n  # the n arcs of three consecutive hull points
+    assert min(seen.values()) >= 500, seen
+
+
+def test_integer_peel_matches_fraction_peel():
+    """The integer peel lists the same indices as the Fraction peel,
+    duplicates and collinear hull points included."""
+    rng = random.Random(12)
+    seen = Counter()
+    for t in range(1500):
+        kind = ("fraction", "collinear", "all-collinear", "coincident", "huge")[t % 5]
+        pts = _point_set(rng, kind, rng.randint(3, 40))
+        if t % 3 == 0:
+            pts = pts + [pts[rng.randrange(len(pts))] for _ in range(rng.randint(1, 3))]
+        got = _first_layers(_homogeneous(pts))
+        want = _reference_first_layers(pts)
+        assert got == want, (t, pts)
+        seen["duplicates kept"] += len({pts[i] for i in got}) < len(got)
+        seen["some peeled off"] += len(got) < len(pts)
+    assert min(seen.values()) >= 200, seen
 
 
 def test_nae_solver_basics():
