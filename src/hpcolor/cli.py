@@ -23,7 +23,7 @@ from .model import (
 )
 from .render import render_svg
 from .rationals import parse_scalar
-from .verification import TooLargeError, hyperedges, oracle, verify
+from .verification import TooLargeError, VerifyError, hyperedges, oracle, verify
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -81,7 +81,10 @@ def cmd_verify(args) -> int:
     colors = _read_coloring(args.coloring)
     if len(colors) != len(inst):
         return _fail(f"{len(colors)} colors for {len(inst)} half-planes")
-    violation = verify(inst, colors, args.threshold)
+    try:
+        violation = verify(inst, colors, args.threshold)
+    except VerifyError as exc:
+        return _fail(str(exc))
     if violation is None:
         print("Ok")
         return EXIT_OK
@@ -98,7 +101,7 @@ def cmd_oracle(args) -> int:
                 sys.stdout.write(coloring_to_json(colors))
             return EXIT_OK if found else EXIT_NO_COLORING
         colors = oracle(inst, args.threshold)
-    except TooLargeError as exc:
+    except VerifyError as exc:  # oversize, or a threshold below 1
         return _fail(str(exc))
     if colors is None:
         print("no good coloring exists", file=sys.stderr)

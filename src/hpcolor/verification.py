@@ -4,11 +4,20 @@ The verifier judges colorings against the ORIGINAL instance, degenerate
 or not.  Hyperedges are constant on cells of the boundary-line
 arrangement, so a finite set of exact sample points (vertices, edge
 midpoints and far points, and one point inside every face) decides
-goodness.  ``verify`` walks each boundary line with incremental
-containment counts, all in integer homogeneous coordinates; nothing is
-ever rounded.  It orders the crossings along a line by an exact integer
-key and builds ``Fraction`` coordinates only for the witness of the
-violation it reports.
+goodness.
+
+``verify`` first certifies from the shape of the coloring.  A violation
+of one color lies in the region outside every half-plane of the other
+color, an open convex region bounded by two envelopes of lines.  Where
+that region is empty the color needs no check; otherwise a walk over
+the envelope lines and the lines of the half-planes that meet the
+region decides it.  When these walks would cover more lines than the
+whole arrangement has, or when one finds a violation, the full walk
+runs: it walks each boundary line with incremental containment counts
+and reports the first violation in its fixed order.  All of it is
+integer arithmetic in homogeneous coordinates; nothing is ever rounded.
+Crossings along a line are ordered by an exact integer key, and
+``Fraction`` coordinates are built only for a reported witness.
 """
 
 from __future__ import annotations
@@ -251,7 +260,8 @@ def _safe_offset(lines, incident, vertex, d) -> Fraction:
 
 
 def hyperedges(inst: Instance, k: int = 3) -> list[Hyperedge]:
-    """All distinct covering sets of depth >= k, one witness each."""
+    """All distinct covering sets of depth >= k, one witness each (k >= 1)."""
+    _check_threshold(k)
     edges: dict = {}
     for pt in arrangement_samples(inst):
         d, covering = depth(inst, pt)
@@ -263,19 +273,16 @@ def hyperedges(inst: Instance, k: int = 3) -> list[Hyperedge]:
 
 
 # ---------------------------------------------------------------------------
-# goodness checking (incremental arrangement walk)
+# goodness checking: the shape certificate, then the arrangement walk
 
 
 def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violation]:
     """None when every depth->=k cell sees both colors, else first Violation.
 
-    Walks every boundary line left to right, keeping exact containment
-    counts per color; vertices, edges (midpoints and far points), and all
-    faces around each vertex are checked.  Vertex and face checks run
-    once, owned by the lowest incident line.  Deterministic order: lines
-    by first occurrence, then increasing x, then sectors by angle.
-    Crossings are ordered by an exact integer key, and ``Fraction``
-    coordinates are built only for the witness that is reported.
+    ``_shape_path`` first tries to certify the coloring from the regions
+    outside each color class.  When it cannot, ``_walk`` walks every
+    boundary line and the first violation in its deterministic order is
+    reported, as a full walk alone would report it.
     """
     if len(colors) != len(inst):
         raise LengthMismatchError(
@@ -284,12 +291,249 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
     bad = [c for c in colors if c not in (BLUE, RED)]
     if bad:
         raise VerifyError(f"bad color values: {bad[:3]}")
-    n = len(inst)
-    if n < k:
+    _check_threshold(k)
+    if len(inst) < k:
         return None
-
     is_red = [c == RED for c in colors]
     lines, members = _line_table(inst)
+    if _shape_path(lines, members, is_red, k) in ("empty", "walk"):
+        return None
+    return _full_walk(inst, lines, members, is_red, k)
+
+
+def _check_threshold(k: int) -> None:
+    if k < 1:
+        raise VerifyError(f"threshold must be at least 1, got {k}")
+
+
+def _full_walk(inst: Instance, lines, members, is_red, k: int) -> Optional[Violation]:
+    """The first cell of depth >= k with one color, over every line."""
+
+    def mono(nblue: int, nred: int) -> bool:
+        return nblue + nred >= k and (nblue == 0 or nred == 0)
+
+    hit = _walk(lines, members, is_red, mono)
+    if hit is None:
+        return None
+    witness, nblue = hit
+    covering = depth(inst, witness)[1]
+    return Violation(witness, tuple(covering), RED if nblue == 0 else BLUE)
+
+
+def _shape_path(lines, members, is_red, k: int) -> str:
+    """Decide from the shape of the coloring, and say how.
+
+    Returns "empty" or "walk" when no cell of depth >= k is monochromatic,
+    and "size" or "violation" when only the full walk can decide.
+
+    A violation of color c is a point in at least k half-planes of c and
+    in none of the other color O.  The points in no half-plane of O form
+    the open convex region K_c = {F(x) < y < C(x)}: F is the upper
+    envelope of O's upper boundaries (-inf without one), C the lower
+    envelope of O's lower boundaries (+inf without one).  A point avoids
+    every half-plane of O exactly when it avoids those whose boundary is
+    on F or C, the envelope lines, since F and C are the max and min over
+    the envelope lines alone.  So color c needs no walk when it has fewer
+    than k half-planes or when K_c is empty.
+
+    Otherwise the restricted walk runs ``_walk`` over the envelope lines
+    and the lines of the c half-planes that meet K_c, with every member
+    half-plane of those lines, and flags a cell with no O member in it
+    and at least k members of c.  It is exact.  At a point p outside K_c
+    some envelope half-plane of O holds p, so p is not flagged.  At p in
+    K_c no half-plane of O holds p, and every c half-plane that holds p
+    meets K_c, so its line is walked: p's count of c is exact.  Each
+    cell of the walked arrangement lies wholly inside or wholly outside
+    K_c, since the envelope lines are among its lines, and the walk
+    samples every cell; so it flags a cell exactly when color c is
+    violated.  A closed half-plane h meets the open convex K_c exactly
+    when its interior meets the closure of K_c, which is the convex hull
+    of the corners plus the cone of the rays from ``_region``: exactly
+    when h's constraint is positive at a corner or its linear part is
+    positive along a ray.
+
+    Two restricted walks over fewer lines in all than the arrangement has
+    cost less than the full walk; otherwise this returns "size" at once,
+    first from the envelope sizes alone, before any corner is built.  A
+    restricted walk that finds a violation returns "violation", so that
+    the full walk reports it in its own order.
+    """
+    n = len(is_red)
+    reds = sum(is_red)
+    m = max(q for _p, q, _r in lines) ** 2 + 1
+    todo = []
+    for red in (False, True):
+        if (reds if red else n - reds) < k:
+            continue
+        floor, ceiling = [], []
+        for g, ms in enumerate(members):
+            sides = {s for hp, s in ms if is_red[hp] != red}
+            if -1 in sides:  # an upper half-plane of O: y <= its line
+                floor.append(g)
+            if 1 in sides:
+                ceiling.append(g)
+        if not floor and not ceiling:
+            return "size"  # K_c is the plane: every line would be walked
+        todo.append((red, _envelope(lines, floor, m, 1), _envelope(lines, ceiling, m, -1)))
+    if sum(len(f) + len(c) for _red, f, c in todo) >= len(lines):
+        return "size"
+
+    walks = []
+    for red, floor, ceiling in todo:
+        region = _region([lines[g] for g in floor], [lines[g] for g in ceiling])
+        if region is None:
+            continue
+        corners, rays = region
+        kept = set(floor) | set(ceiling)
+        for g, ms in enumerate(members):
+            p, q, r = lines[g]
+            for s in {s for hp, s in ms if is_red[hp] == red}:
+                if any(s * (p * x + q * y + r * w) > 0 for x, y, w in corners) or any(
+                    s * (p * dx + q * dy) > 0 for dx, dy in rays
+                ):
+                    kept.add(g)
+                    break
+        walks.append((red, sorted(kept)))
+    if sum(len(kept) for _red, kept in walks) >= len(lines):
+        return "size"
+
+    for red, kept in walks:
+
+        def own_only(nblue: int, nred: int, red=red) -> bool:
+            own, other = (nred, nblue) if red else (nblue, nred)
+            return other == 0 and own >= k
+
+        if _walk([lines[g] for g in kept], [members[g] for g in kept], is_red, own_only) is not None:
+            return "violation"
+    return "walk" if walks else "empty"
+
+
+def _envelope(lines, group, m: int, sign: int) -> list:
+    """The lines of `group` on the upper envelope (sign 1) or on the
+    lower envelope (sign -1) of their graphs, left to right.
+
+    The lower envelope is the upper one of the mirror images in the
+    x-axis, (P, Q, R) -> (-P, Q, -R).  Lines sort by slope, then by
+    intercept, on exact floor keys: distinct values -P/Q differ by at
+    least 1/Q_max**2 and m > Q_max**2, as for ``_walk``'s crossing key.
+    Of parallel lines only the outermost stays, and a line goes when its
+    neighbours meet on it or beyond it, so the envelope is unchanged.
+    """
+
+    def key(g):
+        p, q, r = lines[g]
+        return -sign * p * m // q, -sign * r * m // q
+
+    hull: list = []
+    for g in sorted(group, key=key):
+        if hull and key(hull[-1])[0] == key(g)[0]:
+            hull.pop()
+        while len(hull) >= 2:
+            x, y, w = _meet(lines[hull[-2]], lines[g])
+            p, q, r = lines[hull[-1]]
+            if sign * (p * x + q * y + r * w) < 0:
+                break
+            hull.pop()
+        hull.append(g)
+    return hull
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _region(floor, ceiling):
+    """Corners and rays of the closure of K = {F(x) < y < C(x)}, or None
+    when K is empty.
+
+    F is the upper envelope given by the `floor` lines, C the lower one
+    given by the `ceiling` lines, each left to right; one of the two may
+    be empty.  Corners are homogeneous (X, Y, W), W > 0, and rays integer
+    directions; the closure is their convex hull plus the rays' cone.
+    With one envelope, the closure is an epigraph or a hypograph: its
+    corners are the envelope's breakpoints (a point on its line when it
+    has none), and its rays run vertically inward and out along the
+    first and last lines.  With both, D = C - F is concave, so K is
+    nonempty exactly when D > 0 at a breakpoint of either envelope or
+    towards one end.  The corners are the breakpoints where D >= 0 and
+    the points where D changes sign between them; the rays run out along
+    the first lines of F and C when D > 0 towards the left end, and
+    along their last lines when D > 0 towards the right.  A strip
+    between two parallel lines has no corner; a point on each line
+    stands in for them.
+    """
+    if not floor or not ceiling:
+        env, up = (floor, 1) if floor else (ceiling, -1)
+        corners = _breaks(env) or [_point_on(env[0], 0)]
+        return corners, [(0, up), _leftward(env[0]), _rightward(env[-1])]
+
+    def end_sign(f, g, toward: int) -> int:
+        # sign of D as x goes to toward * infinity, D's slope times
+        # Q_f * Q_g being P_f*Q_g - P_g*Q_f
+        slope = f[0] * g[1] - g[0] * f[1]
+        return toward * _sign(slope) if slope else _sign(f[2] * g[1] - g[2] * f[1])
+
+    fb, cb = _breaks(floor), _breaks(ceiling)
+    corners = []
+    left = prev = end_sign(floor[0], ceiling[0], -1)
+    seen_positive = left > 0
+    i = j = 0  # the pieces of F and C in force up to the next breakpoint
+    while i < len(fb) or j < len(cb):
+        f, g = floor[i], ceiling[j]
+        if j == len(cb) or (i < len(fb) and fb[i][0] * cb[j][2] <= cb[j][0] * fb[i][2]):
+            v, i = fb[i], i + 1
+            s = -_sign(g[0] * v[0] + g[1] * v[1] + g[2] * v[2])
+        else:
+            v, j = cb[j], j + 1
+            s = _sign(f[0] * v[0] + f[1] * v[1] + f[2] * v[2])
+        if s * prev < 0:
+            corners.append(_meet(f, g))
+        if s >= 0:
+            corners.append(v)
+        seen_positive = seen_positive or s > 0
+        prev = s
+    right = end_sign(floor[-1], ceiling[-1], 1)
+    if right * prev < 0:
+        corners.append(_meet(floor[-1], ceiling[-1]))
+    if not (seen_positive or right > 0):
+        return None
+    rays = []
+    if left > 0:
+        rays += [_leftward(floor[0]), _leftward(ceiling[0])]
+    if right > 0:
+        rays += [_rightward(floor[-1]), _rightward(ceiling[-1])]
+    # no corner only for a strip between two parallel lines: one point
+    # on each, with the rays along them, spans the closed strip
+    return corners or [_point_on(floor[0], 0), _point_on(ceiling[0], 0)], rays
+
+
+def _breaks(env) -> list:
+    return [_meet(l1, l2) for l1, l2 in zip(env, env[1:])]
+
+
+def _leftward(line) -> tuple:
+    p, q, _r = line
+    return -q, p
+
+
+def _rightward(line) -> tuple:
+    p, q, _r = line
+    return q, -p
+
+
+def _walk(lines, members, is_red, flagged):
+    """(witness, blue count) at the first sample where ``flagged(nblue,
+    nred)`` holds, or None.
+
+    Walks every line of `lines` left to right, keeping exact containment
+    counts per color of the member half-planes of `lines`; vertices,
+    edges (midpoints and far points), and all faces around each vertex
+    are checked.  Vertex and face checks run once, owned by the lowest
+    incident line.  Deterministic order: lines as given, then increasing
+    x, then sectors by angle.  Crossings are ordered by an exact integer
+    key, and ``Fraction`` coordinates are built only for the witness.
+    """
+    n = len(is_red)
     nlines = len(lines)
 
     # vertices keyed by reduced integer homogeneous triples (X, Y, W), W > 0
@@ -329,13 +573,6 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
         x, y, w = vkey
         return Fraction(x, w), Fraction(y, w)
 
-    def mono(nblue: int, nred: int) -> bool:
-        return nblue + nred >= k and (nblue == 0 or nred == 0)
-
-    def violation(nblue: int, witness) -> Violation:
-        covering = depth(inst, witness)[1]
-        return Violation(witness, tuple(covering), RED if nblue == 0 else BLUE)
-
     for g in range(nlines):
         p, q, r = lines[g]
         xs = sorted(crossings[g], key=x_key)
@@ -361,8 +598,8 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                 if inside:
                     cnt[1 if is_red[hp] else 0] += 1
 
-        if mono(cnt[0], cnt[1]):
-            return violation(cnt[0], (x0, y_at(x0)))
+        if flagged(cnt[0], cnt[1]):
+            return (x0, y_at(x0)), cnt[0]
 
         for pos, vkey in enumerate(xs):
             all_inc = vertex_lines[vkey]
@@ -379,8 +616,8 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
             if all_inc[0] == g:  # this line owns the vertex
                 onv_blue = cnt[0] + dblue
                 onv_red = cnt[1] + dred
-                if mono(onv_blue, onv_red):
-                    return violation(onv_blue, vertex_point(vkey))
+                if flagged(onv_blue, onv_red):
+                    return vertex_point(vkey), onv_blue
 
                 # face samples: one direction inside each sector
                 for d in _sector_directions([lines[h] for h in all_inc]):
@@ -394,10 +631,10 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                                     sred -= 1
                                 else:
                                     sblue -= 1
-                    if mono(sblue, sred):
+                    if flagged(sblue, sred):
                         vx, vy = vertex_point(vkey)
                         delta = _safe_offset(lines, all_inc, (vx, vy), d)
-                        return violation(sblue, (vx + delta * d[0], vy + delta * d[1]))
+                        return (vx + delta * d[0], vy + delta * d[1]), sblue
 
             # step over the vertex: incident line signs flip
             for h in incident:
@@ -411,13 +648,13 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
 
             # the edge after this vertex: midpoint to the next crossing,
             # or a far point past the last one
-            if mono(cnt[0], cnt[1]):
+            if flagged(cnt[0], cnt[1]):
                 x = vertex_point(vkey)[0]
                 if pos + 1 < len(xs):
                     x = (x + vertex_point(xs[pos + 1])[0]) / 2
                 else:
                     x = x + 1
-                return violation(cnt[0], (x, y_at(x)))
+                return (x, y_at(x)), cnt[0]
 
         if not xs:
             # crossing-free line: the two adjacent cells, one per side
@@ -430,7 +667,7 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                             sred -= 1
                         else:
                             sblue -= 1
-                if mono(sblue, sred):
+                if flagged(sblue, sred):
                     y0 = y_at(x0)
                     gaps = [
                         abs(Fraction(-(ph * x0 + rh), qh) - y0)
@@ -439,7 +676,7 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
                     ]
                     gaps = [gp for gp in gaps if gp > 0]
                     delta = min(gaps) / 2 if gaps else Fraction(1)
-                    return violation(sblue, (x0, y0 + updir * delta))
+                    return (x0, y0 + updir * delta), sblue
 
     return None
 

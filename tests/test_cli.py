@@ -158,6 +158,24 @@ def test_oracle_exit_codes(tmp_path, i3_file, tri2_file, capsys):
     assert run_cli("oracle", str(tri2_file), "--threshold", "3") == 0
 
 
+def test_thresholds_below_one_exit_3(tmp_path, capsys):
+    """A threshold below 1 is invalid input, also where the coloring is Ok at 3."""
+    inst = generate(GenSpec(n=6, mode="covered", seed=0))
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(inst.to_json())
+    assert run_cli("color", str(inst_path), "--out", str(tmp_path / "colors.json")) == 0
+    colors_path = str(tmp_path / "colors.json")
+    assert run_cli("verify", str(inst_path), colors_path) == 0
+    capsys.readouterr()
+    for k in ("0", "-2"):
+        for argv in (("verify", str(inst_path), colors_path), ("oracle", str(inst_path))):
+            assert run_cli(*argv, "--threshold", k) == 3, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+        assert run_cli("oracle", str(inst_path), "--all", "--threshold", k) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_oracle_all_counts(tmp_path, i3_file, capsys):
     assert run_cli("oracle", str(i3_file), "--all") == 0
     out = capsys.readouterr().out

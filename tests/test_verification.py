@@ -1,14 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hpcolor.engine import solve
 from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance
-from hpcolor.generate import GenSpec, generate
+from hpcolor.generate import MODES, GenSpec, generate
 from hpcolor.verification import (
     LengthMismatchError,
     TooLargeError,
+    VerifyError,
+    _full_walk,
+    _line_table,
     _sector_directions,
+    _shape_path,
     _sort_rays,
     arrangement_samples,
     depth,
@@ -72,6 +78,14 @@ def test_verify_monotone_in_k(i3):
 def test_verify_length_mismatch(i3):
     with pytest.raises(LengthMismatchError):
         verify(i3, [BLUE])
+
+
+def test_thresholds_below_one_are_rejected(i3):
+    for k in (0, -2):
+        with pytest.raises(VerifyError):
+            verify(i3, [BLUE, RED, RED], k)
+        with pytest.raises(VerifyError):
+            oracle(i3, k)
 
 
 def test_verify_duplicate_halfplanes():
@@ -193,3 +207,119 @@ def test_verify_matches_brute_force():
             assert all(colors[i] == fast.color for i in cov)
             checked_violations += 1
     assert checked_violations > 10
+
+
+def _shape_case(rng, t):
+    """One (instance, coloring) for the shape certificate's differential test."""
+    kind = t % 8
+    n = rng.randint(3, 22)
+    side = lambda: rng.choice([UPPER, LOWER])
+    if kind == 0:  # engine output
+        inst = generate(GenSpec(n=n, mode=MODES[t % 32 // 8], seed=t, bound=rng.choice([5, 50])))
+        return kind, inst, solve(inst)
+    if kind == 1:  # parallel families
+        slopes = rng.sample([-2, 0, Fraction(1, 3), 1], rng.randint(1, 3))
+        inst = Instance([HalfPlane(rng.choice(slopes), rng.randint(-6, 6), side()) for _ in range(n)])
+    elif kind == 2:  # boundaries shared by half-planes of both sides
+        base = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 9))]
+        inst = Instance([HalfPlane(*rng.choice(base), side()) for _ in range(n)])
+    elif kind == 3:  # a concurrent pencil, sometimes with two more lines
+        x0, y0 = Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-9, 9), 5)
+        slopes = [Fraction(a, 3) for a in rng.sample(range(-12, 13), min(n, 12))]
+        extra = [rng.randint(-5, 5) for _ in range(rng.choice([0, 2]))]
+        inst = Instance(
+            [HalfPlane(a, y0 - a * x0, side()) for a in slopes]
+            + [HalfPlane(a, rng.randint(-5, 5), side()) for a in extra]
+        )
+    else:
+        inst = generate(GenSpec(n=n, mode=MODES[t % 4], seed=t, bound=rng.choice([3, 10, 50])))
+    if kind == 4:  # each class on one side: only upper or only lower boundaries
+        flip = rng.random() < 0.5
+        colors = [RED if (h.side == UPPER) != flip else BLUE for h in inst]
+        if rng.random() < 0.3:
+            inst = Instance([HalfPlane(h.a, h.b, UPPER) for h in inst])
+    elif kind == 5:  # one color
+        colors = [rng.choice([BLUE, RED])] * len(inst)
+    else:
+        share = rng.choice([0.05, 0.3, 0.5])
+        colors = [RED if rng.random() < share else BLUE for _ in inst]
+    if t % 5 == 0:  # (x, y) -> (x, 10**40 * y): same arrangement, huge coefficients
+        inst = Instance([HalfPlane(h.a * 10**40, h.b * 10**40, h.side) for h in inst])
+    return kind, inst, colors
+
+
+def test_shape_certificate_matches_full_walk():
+    """verify returns what the full walk returns, on every path of the
+    shape certificate."""
+    rng = random.Random(12)
+    paths = Counter()
+    for t in range(600):
+        kind, inst, colors = _shape_case(rng, t)
+        lines, members = _line_table(inst)
+        is_red = [c == RED for c in colors]
+        for k in (1, 2, 3, 4):
+            if len(inst) < k:
+                continue
+            expected = _full_walk(inst, lines, members, is_red, k)
+            got = verify(inst, colors, k)
+            path = _shape_path(lines, members, is_red, k)
+            case = (t, kind, k, path, inst.to_json_dict(), colors)
+            assert got == expected, case
+            # the restricted walk is exact: it flags only real violations
+            assert path != "violation" or expected is not None, case
+            paths[path] += 1
+    floors = {"empty": 300, "walk": 60, "violation": 200, "size": 1000}
+    assert all(paths[p] >= floor for p, floor in floors.items()), paths
+
+
+def test_strip_region_keeps_its_far_side():
+    """Blue y <= 0 and y >= 10 leave the strip 0 < y < 10 for red, a
+    region with no corner.  Red's y >= 5, 6, 7 meet it only through the
+    strip's upper side, and (0, 17/2) is a red-only point of depth 3."""
+    strip = [(0, 0, UPPER), (0, 10, LOWER), (0, 5, LOWER), (0, 6, LOWER), (0, 7, LOWER)]
+    below = [(0, -20 - i, UPPER) for i in range(11)]  # red, outside the strip
+    for rows in (strip, strip + below):
+        inst = make_instance(*rows)
+        colors = [BLUE, BLUE] + [RED] * (len(rows) - 2)
+        lines, members = _line_table(inst)
+        is_red = [c == RED for c in colors]
+        expected = _full_walk(inst, lines, members, is_red, 3)
+        assert expected is not None and expected.covering == (2, 3, 4)
+        assert verify(inst, colors, 3) == expected
+        assert _shape_path(lines, members, is_red, 3) in ("size", "violation")
+    assert _shape_path(lines, members, is_red, 3) == "violation"
+
+
+def test_shape_certificate_on_strips():
+    """verify returns what the full walk returns when the other color
+    leaves a strip between parallel boundaries, with or without one
+    crossing line of its own."""
+    rng = random.Random(5)
+    paths = Counter()
+    for t in range(200):
+        a = rng.choice([0, -2, Fraction(1, 3), 5])
+        lo, hi = sorted(rng.sample(range(-10, 11), 2))
+        other = [HalfPlane(a, lo - rng.randint(0, 3), UPPER) for _ in range(rng.randint(1, 3))]
+        other += [HalfPlane(a, hi + rng.randint(0, 3), LOWER) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            other.append(HalfPlane(rng.randint(-3, 3), rng.randint(-15, 15), rng.choice([UPPER, LOWER])))
+        own = [
+            HalfPlane(a if rng.random() < 0.7 else rng.randint(-3, 3), rng.randint(-15, 15), rng.choice([UPPER, LOWER]))
+            for _ in range(rng.randint(1, 14))
+        ]
+        own_color, other_color = rng.choice([(RED, BLUE), (BLUE, RED)])
+        rows = [(h, other_color) for h in other] + [(h, own_color) for h in own]
+        rng.shuffle(rows)
+        inst = Instance([h for h, _c in rows])
+        colors = [c for _h, c in rows]
+        lines, members = _line_table(inst)
+        is_red = [c == RED for c in colors]
+        for k in (1, 2, 3, 4):
+            if len(inst) < k:
+                continue
+            path = _shape_path(lines, members, is_red, k)
+            case = (t, k, path, inst.to_json_dict(), colors)
+            assert verify(inst, colors, k) == _full_walk(inst, lines, members, is_red, k), case
+            paths[path] += 1
+    floors = {"empty": 15, "walk": 30, "violation": 350, "size": 120}
+    assert all(paths[p] >= floor for p, floor in floors.items()), paths
