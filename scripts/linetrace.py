@@ -5,17 +5,15 @@ Traces `engine.py` line by line (`sys.settrace`) while it solves the
 coloring-corpus grid and the branch grid of `tests/test_corpus.py`
 (`corpus_records()` and `branch_records()`, so each grid is defined in
 one place), then every `test_regressions.CASES` instance through
-`solve` with `HPCOLOR_MAX_ATTEMPTS` set to its default, then an empty
-instance.  Prints each statement that never ran, leaving out docstrings
-and explicit `raise` statements (the guards of the case split), and
-exits 1 if any remain.
+`solve`, then an empty instance.  Prints each statement that never ran,
+leaving out docstrings and explicit `raise` statements (the guards of
+the case split), and exits 1 if any remain.
 
 Run from the repo root:
     python3 scripts/linetrace.py
 """
 
 import ast
-import os
 import sys
 from pathlib import Path
 
@@ -60,12 +58,11 @@ def main() -> int:
         # imported under the trace, so engine.py's module-level lines count
         import test_corpus
         import test_regressions
-        from hpcolor.engine import DEFAULT_MAX_ATTEMPTS, solve
+        from hpcolor.engine import solve
         from hpcolor.model import Instance
 
         test_corpus.corpus_records()
         test_corpus.branch_records()
-        os.environ["HPCOLOR_MAX_ATTEMPTS"] = str(DEFAULT_MAX_ATTEMPTS)
         for case in test_regressions.CASES.values():
             solve(Instance.from_json_dict(case))
         solve(Instance([]))

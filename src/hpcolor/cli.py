@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bench import run_bench
-from .engine import InternalError, max_attempts_default, solve_detailed
+from .engine import InternalError, solve_detailed
 from .generate import MODES, GenSpec, generate
 from .model import (
     Instance,
@@ -23,7 +23,7 @@ from .model import (
 )
 from .render import render_svg
 from .rationals import parse_scalar
-from .verification import TooLargeError, VerifyError, hyperedges, oracle, verify
+from .verification import VerifyError, good_colorings, verify
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -65,10 +65,6 @@ def _emit(text: str, path) -> int:
 def cmd_color(args) -> int:
     inst = _read_instance(args.instance)
     try:
-        max_attempts_default()  # a bad HPCOLOR_MAX_ATTEMPTS fails before the solve
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
         result = solve_detailed(inst, check=not args.no_verify)
     except InternalError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -79,8 +75,6 @@ def cmd_color(args) -> int:
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     colors = _read_coloring(args.coloring)
-    if len(colors) != len(inst):
-        return _fail(f"{len(colors)} colors for {len(inst)} half-planes")
     try:
         violation = verify(inst, colors, args.threshold)
     except VerifyError as exc:
@@ -95,38 +89,21 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _read_instance(args.instance)
     try:
-        if args.all:
-            found = _oracle_all(inst, args.threshold)
-            for colors in found:
-                sys.stdout.write(coloring_to_json(colors))
-            return EXIT_OK if found else EXIT_NO_COLORING
-        colors = oracle(inst, args.threshold)
+        colorings = good_colorings(inst, args.threshold)
     except VerifyError as exc:  # oversize, or a threshold below 1
         return _fail(str(exc))
+    if args.all:
+        found = False
+        for colors in colorings:
+            sys.stdout.write(coloring_to_json(colors))
+            found = True
+        return EXIT_OK if found else EXIT_NO_COLORING
+    colors = next(colorings, None)
     if colors is None:
         print("no good coloring exists", file=sys.stderr)
         return EXIT_NO_COLORING
     sys.stdout.write(coloring_to_json(colors))
     return EXIT_OK
-
-
-def _oracle_all(inst: Instance, k: int) -> list:
-    from .model import BLUE, RED
-    from .verification import ORACLE_LIMIT
-
-    n = len(inst)
-    if n > ORACLE_LIMIT:
-        raise TooLargeError(f"{n} half-planes exceeds oracle limit {ORACLE_LIMIT}")
-    edges = [e.covering for e in hyperedges(inst, k)]
-    out = []
-    for mask in range(2**n):
-        colors = [(mask >> (n - 1 - i)) & 1 for i in range(n)]
-        if all(
-            any(colors[v] == 0 for v in e) and any(colors[v] == 1 for v in e)
-            for e in edges
-        ):
-            out.append([RED if c else BLUE for c in colors])
-    return out
 
 
 def cmd_gen(args) -> int:

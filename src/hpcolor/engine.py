@@ -16,7 +16,6 @@ an assertion bounds its length.
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -26,8 +25,6 @@ from .geometry import (
     GeometryError,
     HullChain,
     Line,
-    LOWER,
-    UPPER,
     by_x,
     hull_from_sorted,
     point_above_line,
@@ -37,7 +34,9 @@ from .geometry import (
 )
 from .model import (
     BLUE,
+    LOWER,
     RED,
+    UPPER,
     DualScene,
     GeneralPositionViolation,
     Instance,
@@ -48,7 +47,7 @@ from .model import (
 from .uncovered import UncoveredError, uncovered_solve, uncovered_witness
 from .verification import verify
 
-DEFAULT_MAX_ATTEMPTS = 8
+MAX_ATTEMPTS = 8
 MAX_REDUCTIONS = 6
 
 
@@ -935,19 +934,6 @@ class SolveResult:
     case_path: list = field(default_factory=list)
 
 
-def max_attempts_default() -> int:
-    """``HPCOLOR_MAX_ATTEMPTS`` if set and non-empty, else the default.
-
-    Raises ValueError unless the value is a positive decimal integer.
-    """
-    value = os.environ.get("HPCOLOR_MAX_ATTEMPTS")
-    if not value:
-        return DEFAULT_MAX_ATTEMPTS
-    if not (value.isascii() and value.isdigit() and int(value) > 0):
-        raise ValueError(f"HPCOLOR_MAX_ATTEMPTS must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def solve_detailed(inst: Instance, *, check: bool = True) -> SolveResult:
     """Compute a coloring certified good at depth 3 on the original input.
 
@@ -957,14 +943,14 @@ def solve_detailed(inst: Instance, *, check: bool = True) -> SolveResult:
     itself when the cheap screen passes (no parallel boundaries); a
     perturbed instance that still has parallels fails in `dualize`.  With
     ``check=False`` the first constructed coloring is returned unjudged
-    (the benchmark path).  ``HPCOLOR_MAX_ATTEMPTS`` bounds the attempts.
+    (the benchmark path).  After ``MAX_ATTEMPTS`` attempts it raises
+    InternalError.
     """
     n = len(inst)
     if n < 3:
         return SolveResult([BLUE] * n, 0, ["trivial"])
-    attempts = max_attempts_default()
     last_error: Optional[Exception] = None
-    for attempt in range(attempts):
+    for attempt in range(MAX_ATTEMPTS):
         pert = inst if attempt == 0 and cheap_position_ok(inst) else perturb(inst, attempt)
         try:
             scene = dualize(pert)
@@ -989,7 +975,7 @@ def solve_detailed(inst: Instance, *, check: bool = True) -> SolveResult:
         if verify(inst, colors, 3) is None:
             return SolveResult(colors, attempt, path)
     raise InternalError(
-        f"no verified coloring after {attempts} attempts"
+        f"no verified coloring after {MAX_ATTEMPTS} attempts"
         + (f" (last error: {last_error})" if last_error else "")
     )
 

@@ -16,14 +16,12 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
 
+from .model import UPPER
 from .rationals import Scalar, as_fraction, normalize
 
 Point = tuple  # (x, y), or a dual tip (x, y, i), with exact rational x and y
 
 LEFT, COLLINEAR, RIGHT = 1, 0, -1
-
-UPPER = "upper"
-LOWER = "lower"
 
 by_x = itemgetter(0)  # the key that x-sorted point lists are bisected by
 

@@ -1,24 +1,29 @@
 """Not-all-equal 2-coloring search: backtracking with unit propagation.
 
 Constraints are vertex sets that must see both colors.  The search
-assigns variables in index order, trying blue before red, so the first
-solution found is the lexicographically smallest (propagated values are
-logical consequences of the prefix, which preserves minimality).
+assigns variables in index order, trying blue before red, so solutions
+come out in lexicographic order (propagated values are logical
+consequences of the prefix, which preserves the order).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 BLUE, RED = 0, 1
 
 
 def solve_nae(n: int, edges: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """First good assignment in lexicographic order (blue < red), or None."""
+    return next(nae_solutions(n, edges), None)
+
+
+def nae_solutions(n: int, edges: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Every good assignment, in lexicographic order (blue < red)."""
     edge_vars = [tuple(e) for e in edges]
     for e in edge_vars:
         if len(e) < 2:
-            return None  # a singleton edge can never see both colors
+            return  # a singleton edge can never see both colors
     watch: list[list[int]] = [[] for _ in range(n)]
     for idx, e in enumerate(edge_vars):
         for v in e:
@@ -65,20 +70,27 @@ def solve_nae(n: int, edges: Sequence[Sequence[int]]) -> Optional[list[int]]:
     # Depth-first search over an explicit stack of the decisions on the
     # current path, each with the trail of values it set: variables in
     # index order, blue before red, so no Python recursion depth limit.
+    # A full assignment is yielded, then left as a failure is.
     stack: list[tuple[int, int, list[int]]] = []
     v, color = first_free(0), BLUE
-    while v < n:
-        trail: list[int] = []
-        set_var(v, color, trail)
-        if propagate(trail, [v]):
-            stack.append((v, color, trail))
-            v, color = first_free(v + 1), BLUE
-            continue
-        undo(trail)
-        while color == RED:  # both colors failed here: backtrack
+    while True:
+        if v < n:
+            trail: list[int] = []
+            set_var(v, color, trail)
+            if propagate(trail, [v]):
+                stack.append((v, color, trail))
+                v, color = first_free(v + 1), BLUE
+                continue
+            undo(trail)
+        else:
+            yield [assign[u] for u in range(n)]
             if not stack:
-                return None
+                return
+            v, color, trail = stack.pop()
+            undo(trail)
+        while color == RED:  # both colors are done here: backtrack
+            if not stack:
+                return
             v, color, trail = stack.pop()
             undo(trail)
         color = RED
-    return [assign[v] for v in range(n)]

@@ -16,6 +16,8 @@ from .verification import arrangement_samples, depth
 
 STROKES = {BLUE: "#1f4fd8", RED: "#d8341f", None: "#444444"}
 SHADE = "#b0b0b0"
+SIZE = 640  # pixels along the window's longer side
+DEPTH = 3  # cells covered this many times or more are shaded
 
 
 def _fmt(value) -> str:
@@ -61,8 +63,8 @@ def _clip_halfplane(poly, coeff):
     return out
 
 
-def deep_cells(inst: Instance, window, k: int = 3):
-    """Convex polygons (clipped to the window) of the depth->=k cells."""
+def deep_cells(inst: Instance, window):
+    """Convex polygons (clipped to the window) of the cells of depth >= DEPTH."""
     x0, y0, x1, y1 = window
     base = [
         (as_fraction(x0), as_fraction(y0)),
@@ -75,7 +77,7 @@ def deep_cells(inst: Instance, window, k: int = 3):
     polys = []
     for pt in arrangement_samples(inst):
         d, covering = depth(inst, pt)
-        if d < k:
+        if d < DEPTH:
             continue
         signature = []
         ok_strict = True
@@ -102,20 +104,14 @@ def deep_cells(inst: Instance, window, k: int = 3):
     return polys
 
 
-def render_svg(
-    inst: Instance,
-    colors=None,
-    window=(-10, -10, 10, 10),
-    size: int = 640,
-    k: int = 3,
-) -> str:
+def render_svg(inst: Instance, colors=None, window=(-10, -10, 10, 10)) -> str:
     """SVG text for the instance; lines stroked by color, deep cells shaded."""
     x0, y0, x1, y1 = (as_fraction(v) for v in window)
     if x0 >= x1 or y0 >= y1:
         raise ValueError("degenerate window")
     w = x1 - x0
     h = y1 - y0
-    scale = Fraction(size) / max(w, h)
+    scale = Fraction(SIZE) / max(w, h)
 
     def sx(x) -> str:
         return _fmt((as_fraction(x) - x0) * scale)
@@ -129,7 +125,7 @@ def render_svg(
         f'<rect x="0" y="0" width="{_fmt(w * scale)}" height="{_fmt(h * scale)}"'
         ' fill="#ffffff"/>',
     ]
-    for poly in deep_cells(inst, (x0, y0, x1, y1), k):
+    for poly in deep_cells(inst, (x0, y0, x1, y1)):
         pts = " ".join(f"{sx(px)},{sy(py)}" for px, py in poly)
         lines.append(f'<polygon points="{pts}" fill="{SHADE}" fill-opacity="0.6"/>')
     for i, hp in enumerate(inst):

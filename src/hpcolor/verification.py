@@ -27,10 +27,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .model import BLUE, RED, Instance, ModelError
-from .nae import solve_nae
+from .nae import nae_solutions
 from .rationals import scalar_text
 
 ORACLE_LIMIT = 20
@@ -45,7 +45,7 @@ class LengthMismatchError(VerifyError):
 
 
 class TooLargeError(VerifyError):
-    """oracle() refuses instances beyond the exhaustive-search limit."""
+    """good_colorings() and oracle() refuse instances beyond the exhaustive-search limit."""
 
 
 @dataclass(frozen=True)
@@ -700,18 +700,19 @@ def _sector_directions(incident_lines) -> list:
     ]
 
 
-def oracle(inst: Instance, k: int = 3) -> Optional[list]:
-    """First good coloring in lexicographic order (blue < red), or None.
+def good_colorings(inst: Instance, k: int = 3) -> Iterator[list]:
+    """Every good coloring in lexicographic order (blue < red).
 
     Exhaustive over the hyperedge constraints; limited to 20 half-planes.
+    The size limit, then the threshold, are checked before it returns.
     """
     n = len(inst)
     if n > ORACLE_LIMIT:
         raise TooLargeError(f"{n} half-planes exceeds oracle limit {ORACLE_LIMIT}")
-    if n < k:
-        return [BLUE] * n
     constraints = [e.covering for e in hyperedges(inst, k)]
-    assignment = solve_nae(n, constraints)
-    if assignment is None:
-        return None
-    return [RED if v else BLUE for v in assignment]
+    return ([RED if v else BLUE for v in a] for a in nae_solutions(n, constraints))
+
+
+def oracle(inst: Instance, k: int = 3) -> Optional[list]:
+    """First good coloring in lexicographic order (blue < red), or None."""
+    return next(good_colorings(inst, k), None)

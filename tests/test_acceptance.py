@@ -7,10 +7,11 @@ measurement, whose tolerance band is fixed below.
 
 import random
 import time
+from collections import Counter
 
 import numpy as np
 
-from hpcolor import engine
+from hpcolor import engine, geometry
 from hpcolor.bench import doubling_ratios, run_bench
 from hpcolor.engine import coverage, find_pivot
 from hpcolor.generate import GenSpec, generate
@@ -83,6 +84,53 @@ def test_criterion_4_scaling():
     inside = sum(1 for _, r in ratios if 1.5 <= r <= 3.0)
     detail = ", ".join(f"{n}:{r:.2f}" for n, r in ratios)
     report(4, "time ratio per doubling in [1.5, 3.0] for >= 6 of 7", inside >= 6, detail)
+
+
+def test_criterion_4_work_counts(monkeypatch):
+    """Criterion 4's instances, solved once each with check=False, do
+    linear work in counts that host load cannot move.  Per solve:
+    `hull_from_sorted` runs at most 3 times over at most 2n points in all,
+    `geometry.orientation` runs at most 4n times, and at most 2n points
+    are passed to `engine._clears`.  (Measured maxima over n = 2^10..2^17:
+    3 calls, 1.36n points, 2.71n orientations, 0.79n `_clears` points.)
+    The floors (one call, n points, n orientations) show the counters fired:
+    `coverage` scans every tip.
+    """
+    counts = Counter()
+
+    def counted(owner, name, add):
+        raw = getattr(owner, name)
+
+        def wrapper(*args):
+            add(*args)
+            return raw(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # engine imported `hull_from_sorted`; `second_layer` looks it up in geometry
+    for owner in (geometry, engine):
+        counted(
+            owner,
+            "hull_from_sorted",
+            lambda points, side: counts.update(hull_calls=1, hull_points=len(points)),
+        )
+    counted(geometry, "orientation", lambda p, q, r: counts.update(orientations=1))
+    counted(
+        engine,
+        "_clears",
+        lambda a, b, lows, ups, skip: counts.update(clears_points=len(lows) + len(ups)),
+    )
+    clears_seen = 0
+    for n in [2**k for k in range(10, 18)]:
+        inst = generate(GenSpec(n=n, mode="covered", seed=0, bound=max(64, 4 * n)))
+        counts.clear()
+        engine.solve_detailed(inst, check=False)
+        assert 1 <= counts["hull_calls"] <= 3, (n, counts)
+        assert n <= counts["hull_points"] <= 2 * n, (n, counts)
+        assert n <= counts["orientations"] <= 4 * n, (n, counts)
+        assert counts["clears_points"] <= 2 * n, (n, counts)
+        clears_seen += counts["clears_points"]
+    assert clears_seen > 0  # the `_clears` wrapper fired
 
 
 def test_criterion_5_duality_incidence():

@@ -1,15 +1,27 @@
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from hpcolor import verification
 from hpcolor.cli import main
-from hpcolor.generate import GenSpec, generate
-from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance, coloring_from_json
-from hpcolor.verification import verify
+from hpcolor.generate import MODES, GenSpec, generate
+from hpcolor.model import (
+    BLUE,
+    LOWER,
+    RED,
+    UPPER,
+    HalfPlane,
+    Instance,
+    coloring_from_json,
+    coloring_to_json,
+)
+from hpcolor.verification import oracle, verify
 
 # JSON integer literals past the int-to-str digit limit (4,300 digits)
 HUGE_INT_INSTANCE = '{"halfplanes": [{"a": %s, "b": 0, "side": "upper"}]}' % ("9" * 5000)
@@ -52,19 +64,6 @@ def test_color_malformed_input(tmp_path, capsys):
         assert run_cli("color", str(bad)) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_color_max_attempts_env(tmp_path, i3_file, monkeypatch, capsys):
-    out = tmp_path / "colors.json"
-    for junk in ("abc", "0", "-2", "1.5", " 4"):
-        monkeypatch.setenv("HPCOLOR_MAX_ATTEMPTS", junk)
-        assert run_cli("color", str(i3_file), "--out", str(out)) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "HPCOLOR_MAX_ATTEMPTS" in err and repr(junk) in err
-    assert not out.exists()
-    monkeypatch.setenv("HPCOLOR_MAX_ATTEMPTS", "2")
-    assert run_cli("color", str(i3_file), "--out", str(out)) == 0
 
 
 def test_color_rejects_threshold_flag(i3_file):
@@ -182,6 +181,57 @@ def test_oracle_all_counts(tmp_path, i3_file, capsys):
     assert out.count('"colors"') == 6
 
 
+def _brute_force_colorings(n, edges):
+    """Every coloring that makes each edge bichromatic, trying all 2^n in
+    lexicographic order (blue < red); bit n-1-i of a mask is vertex i."""
+    masks = [sum(1 << (n - 1 - v) for v in e.covering) for e in edges]
+    return [
+        [RED if mask >> (n - 1 - i) & 1 else BLUE for i in range(n)]
+        for mask in range(1 << n)
+        if all(0 != m & mask != m for m in masks)
+    ]
+
+
+def test_oracle_all_matches_brute_force(tmp_path, monkeypatch, capsys):
+    """`oracle --all` prints exactly the 2^n reference's colorings, in its
+    order, and `oracle` returns the first (440 pairs: 110 seeded instances
+    of every mode, n <= 10, k = 1..4).
+
+    The depth->=k covering sets are the depth->=1 ones of depth >= k, so
+    `hyperedges` runs once per instance and the time goes to the searches.
+    """
+    real = verification.hyperedges
+    depth_1 = {}
+
+    def hyperedges_once(inst, k=3):
+        key = inst.to_json()
+        if key not in depth_1:
+            depth_1[key] = real(inst, 1)
+        return [e for e in depth_1[key] if e.depth >= k]
+
+    monkeypatch.setattr(verification, "hyperedges", hyperedges_once)
+    rng = random.Random(13)
+    path = tmp_path / "inst.json"
+    seen = Counter()
+    for t in range(110):
+        mode = MODES[t % len(MODES)]
+        n = rng.randint(3 if mode == "covered" else 0, 10)
+        inst = generate(GenSpec(n=n, mode=mode, seed=t, bound=rng.choice([3, 5, 25])))
+        path.write_text(inst.to_json())
+        for k in range(1, 5):
+            want = _brute_force_colorings(n, hyperedges_once(inst, k))
+            code = run_cli("oracle", str(path), "--all", "--threshold", str(k))
+            out, err = capsys.readouterr()
+            assert out == "".join(coloring_to_json(c) for c in want), (t, k)
+            assert (code, err) == ((0 if want else 4), ""), (t, k)
+            assert oracle(inst, k) == (want[0] if want else None), (t, k)
+            seen["none" if not want else "some"] += 1
+            seen["n < k"] += n < k
+            seen[mode] += 1
+    assert sum(seen[m] for m in MODES) == 440
+    assert seen["none"] >= 50 and seen["some"] >= 200 and seen["n < k"] >= 40, seen
+
+
 def test_oracle_oversize(tmp_path):
     inst = Instance.from_json_dict(
         {"halfplanes": [{"a": i, "b": 0, "side": "upper"} for i in range(21)]}
@@ -271,7 +321,7 @@ def test_bench_csv(tmp_path, capsys):
     assert rows[1].startswith("64,") and rows[2].startswith("128,")
 
 
-def test_bench_rejects_unsorted(monkeypatch, capsys):
+def test_bench_rejects_unsorted(capsys):
     bad = [
         ("--sizes", "128,64"),
         ("--sizes=-4",),
@@ -283,9 +333,6 @@ def test_bench_rejects_unsorted(monkeypatch, capsys):
         assert run_cli("bench", *args) == 3, args
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, args
-    monkeypatch.setenv("HPCOLOR_MAX_ATTEMPTS", "abc")
-    assert run_cli("bench", "--sizes", "64") == 3
-    assert "HPCOLOR_MAX_ATTEMPTS" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_3(tmp_path, i3_file, capsys):
@@ -342,7 +389,6 @@ def test_color_search_failure_exits_2(tmp_path, monkeypatch, capsys):
     import hpcolor.uncovered
 
     monkeypatch.setattr(hpcolor.uncovered, "solve_nae", lambda n, edges: None)
-    monkeypatch.delenv("HPCOLOR_MAX_ATTEMPTS", raising=False)
     inst = tmp_path / "unc.json"
     inst.write_text(generate(GenSpec(n=8, mode="uncovered", seed=1, bound=10)).to_json())
     assert run_cli("color", str(inst)) == 2

@@ -18,8 +18,6 @@ from hpcolor.engine import (
 )
 from hpcolor.generate import GenSpec, generate
 from hpcolor.geometry import (
-    LOWER,
-    UPPER,
     OutOfSpanError,
     _slope_cmp,
     chain_eval,
@@ -28,7 +26,16 @@ from hpcolor.geometry import (
     region_contains,
     second_layer,
 )
-from hpcolor.model import BLUE, RED, DualScene, GeneralPositionViolation, Instance, dualize
+from hpcolor.model import (
+    BLUE,
+    LOWER,
+    RED,
+    UPPER,
+    DualScene,
+    GeneralPositionViolation,
+    Instance,
+    dualize,
+)
 from hpcolor.rationals import normalize
 from hpcolor.uncovered import uncovered_witness
 from hpcolor.verification import oracle, verify

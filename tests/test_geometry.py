@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpcolor import geometry as g
+from hpcolor.model import LOWER, UPPER
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16
@@ -79,39 +80,39 @@ def test_segments_intersect_examples():
 
 
 def test_hull_examples():
-    assert g.hull_from_sorted([(0, 0)], g.UPPER).vertices == [(0, 0)]
-    up = g.hull_from_sorted([(-1, 0), (0, 10), (1, 0)], g.UPPER)
+    assert g.hull_from_sorted([(0, 0)], UPPER).vertices == [(0, 0)]
+    up = g.hull_from_sorted([(-1, 0), (0, 10), (1, 0)], UPPER)
     assert up.vertices == [(-1, 0), (0, 10), (1, 0)]
-    lo = g.hull_from_sorted([(-1, 0), (0, 10), (1, 0)], g.LOWER)
+    lo = g.hull_from_sorted([(-1, 0), (0, 10), (1, 0)], LOWER)
     assert lo.vertices == [(-1, 0), (1, 0)]
 
 
 @given(point_sets)
 def test_hull_reflection_duality(pts):
-    up = g.hull_from_sorted(sorted(pts), g.UPPER).vertices
-    lo = g.hull_from_sorted(sorted((x, -y) for x, y in pts), g.LOWER).vertices
+    up = g.hull_from_sorted(sorted(pts), UPPER).vertices
+    lo = g.hull_from_sorted(sorted((x, -y) for x, y in pts), LOWER).vertices
     assert up == [(x, -y) for x, y in lo]
 
 
 @given(point_sets)
 def test_hulls_dominate_generators(pts):
-    for side in (g.UPPER, g.LOWER):
+    for side in (UPPER, LOWER):
         chain = g.hull_from_sorted(sorted(pts), side)
         for w in pts:
             assert g.region_contains(chain, w)
 
 
 def test_hull_layers_examples():
-    layers = hull_layers([(-2, 0), (2, 0), (0, -1)], g.LOWER)
+    layers = hull_layers([(-2, 0), (2, 0), (0, -1)], LOWER)
     assert len(layers.layers) == 1
-    layers = hull_layers([(-2, 0), (2, 0), (1, 1), (0, -1)], g.LOWER)
+    layers = hull_layers([(-2, 0), (2, 0), (1, 1), (0, -1)], LOWER)
     assert layers.layers[0].vertices == [(-2, 0), (0, -1), (2, 0)]
     assert layers.layers[1].vertices == [(1, 1)]
 
 
 @given(point_sets)
 def test_hull_layers_partition(pts):
-    layers = hull_layers(pts, g.UPPER)
+    layers = hull_layers(pts, UPPER)
     seen = []
     for chain in layers.layers:
         seen.extend(chain.vertices)
@@ -121,25 +122,25 @@ def test_hull_layers_partition(pts):
     for i in range(len(layers.layers) - 1):
         rest = [p for p in pts if layers.assignment[p] > i]
         if rest:
-            again = g.hull_from_sorted(sorted(rest), g.UPPER)
+            again = g.hull_from_sorted(sorted(rest), UPPER)
             assert again.vertices == layers.layers[i + 1].vertices
 
 
 def test_chain_eval_examples():
-    chain = g.HullChain(g.UPPER, [(-1, 0), (1, 2)])
+    chain = g.HullChain(UPPER, [(-1, 0), (1, 2)])
     assert g.chain_eval(chain, 0) == 1
-    single = g.HullChain(g.UPPER, [(0, 0)])
+    single = g.HullChain(UPPER, [(0, 0)])
     assert g.chain_eval(single, 0) == 0
-    apex = g.HullChain(g.UPPER, [(-1, 0), (0, 10), (1, 0)])
+    apex = g.HullChain(UPPER, [(-1, 0), (0, 10), (1, 0)])
     assert g.chain_eval(apex, Fraction(1, 2)) == 5
     with pytest.raises(g.OutOfSpanError):
         g.chain_eval(chain, 5)
 
 
 def test_region_contains_examples():
-    upper = g.HullChain(g.UPPER, [(-1, 0), (1, 2)])
+    upper = g.HullChain(UPPER, [(-1, 0), (1, 2)])
     assert g.region_contains(upper, (0, 0))  # boundary at 0 is 1 >= 0
-    single = g.HullChain(g.LOWER, [(0, 0)])
+    single = g.HullChain(LOWER, [(0, 0)])
     assert g.region_contains(single, (0, 5))  # on the upward ray
     assert not g.region_contains(single, (1, 5))  # outside x-span
 
@@ -158,7 +159,7 @@ def test_point_in_triangle_examples():
 @given(point_sets)
 def test_second_layer_matches_hull_layers(pts):
     spts = sorted(pts)
-    for side in (g.UPPER, g.LOWER):
+    for side in (UPPER, LOWER):
         layers = hull_layers(spts, side)
         expect = layers.layers[1].vertices if len(layers.layers) > 1 else []
         assert g.second_layer(spts, g.hull_from_sorted(spts, side)) == expect

@@ -8,7 +8,7 @@ from hpcolor.engine import coverage
 from hpcolor.generate import GenSpec, generate
 from hpcolor.geometry import orientation
 from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance, dualize
-from hpcolor.nae import solve_nae
+from hpcolor.nae import nae_solutions, solve_nae
 from hpcolor.uncovered import (
     NotActuallyUncovered,
     _first_layers,
@@ -275,6 +275,36 @@ def test_nae_lexicographic_first():
         if all(len({colors[v] for v in e}) == 2 for e in edges):
             assert got == colors
             break
+
+
+def test_nae_solutions_match_brute_force():
+    """The generator yields every good assignment of small random
+    hypergraphs, in lexicographic order, and solve_nae its first; also with
+    singleton edges, with no edges and with n = 0."""
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(0, 9)
+        edges = [
+            rng.sample(range(n), min(n, rng.randint(2, 4)))
+            for _ in range(rng.randint(0, 9) if n else 0)
+        ]
+        if n and rng.random() < 0.15:
+            edges.insert(rng.randint(0, len(edges)), [rng.randrange(n)])
+        want = [
+            [(mask >> (n - 1 - i)) & 1 for i in range(n)]
+            for mask in range(1 << n)
+            if all(len({mask >> (n - 1 - v) & 1 for v in e}) == 2 for e in edges)
+        ]
+        assert list(nae_solutions(n, edges)) == want, (n, edges)
+        assert solve_nae(n, edges) == (want[0] if want else None), (n, edges)
+        seen["n = 0"] += n == 0
+        seen["no edges"] += not edges
+        seen["singleton"] += any(len(e) == 1 for e in edges)
+        seen["none"] += not want
+        seen["none, no singleton"] += not want and all(len(e) > 1 for e in edges)
+        seen["several"] += len(want) > 1
+    assert seen.pop("none, no singleton") >= 20 and min(seen.values()) >= 100, seen
 
 
 def test_nae_deep_search_is_iterative():
