@@ -10,13 +10,24 @@ per size:
   (counted by wrapping the function, including the call inside
   `second_layer`); these counts are deterministic;
 - the median milliseconds of each stage (screen, dualize, coverage,
-  cases) and of the whole solve over ``--repeats`` solves.
+  cases) and of the whole solve over ``--repeats`` solves;
+- the median milliseconds of `read` (`Instance.from_json` on the
+  instance's JSON text) over ``--repeats`` calls, and of
+  `dualize_perturbed` (`dualize` on ``perturb(inst, 0)``, whose
+  coordinates are Fractions) over at least 15 calls.
+
+With ``--against DIR`` the `read` and `dualize_perturbed` calls of the
+hpcolor in DIR/src (another checkout, say the parent commit) alternate
+call by call with this checkout's, each side first in every other
+round, and their medians are written under ``against_ms``.
 
 Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_6.json
+    python3 scripts/stage_counts.py --out BENCH_14.json --against ../parent
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -24,14 +35,16 @@ import statistics
 import sys
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hpcolor import engine, geometry
+from hpcolor import engine, geometry, model
 from hpcolor.generate import GenSpec, generate
 
 SIZES = [2**k for k in range(10, 18)]
+PERTURBED_CALLS = 15  # fewest dualize_perturbed calls per size
 STAGES = {
     "screen": "cheap_position_ok",
     "dualize": "dualize",
@@ -107,11 +120,52 @@ def time_stages(inst, repeats):
     return out
 
 
+def load_against(root: Path):
+    """`hpcolor.model` of another checkout, imported as `hpcolor_against`."""
+    pkg = root / "src" / "hpcolor"
+    spec = importlib.util.spec_from_file_location(
+        "hpcolor_against", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("hpcolor_against.model")
+
+
+def time_front(inst, repeats, against=None):
+    """Median milliseconds of `read` and `dualize_perturbed`, for this
+    checkout and, alternating call by call, for `against`."""
+    text = inst.to_json()
+    mods = {"ms": model} if against is None else {"ms": model, "against_ms": against}
+    calls, samples = {}, {}
+    for key, mod in mods.items():
+        pert = mod.perturb(mod.Instance.from_json(text), 0)
+        calls[key] = {
+            "read": partial(mod.Instance.from_json, text),
+            "dualize_perturbed": partial(mod.dualize, pert),
+        }
+        samples[key] = {stage: [] for stage in calls[key]}
+    for stage, count in (("read", repeats), ("dualize_perturbed", max(repeats, PERTURBED_CALLS))):
+        for rep in range(count):
+            # alternate which side goes first, so neither always follows
+            # the other's garbage collection
+            for key in list(mods)[:: 1 if rep % 2 == 0 else -1]:
+                t0 = time.perf_counter()
+                calls[key][stage]()
+                samples[key][stage].append((time.perf_counter() - t0) * 1e3)
+    return {
+        key: {stage: round(statistics.median(v), 3) for stage, v in per_stage.items()}
+        for key, per_stage in samples.items()
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_6.json")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--against", type=Path, help="another checkout to time read and dualize against")
     args = ap.parse_args()
+    against = load_against(args.against) if args.against else None
 
     rows = []
     for n in SIZES:
@@ -125,10 +179,14 @@ def main() -> int:
             "hull_points": hulls["points"],
             "median_ms": time_stages(inst, args.repeats),
         }
+        front = time_front(inst, args.repeats, against)
+        row["median_ms"].update(front.pop("ms"))
+        row.update(front)
         rows.append(row)
         print(json.dumps(row), flush=True)
+    command = f"python3 scripts/stage_counts.py --out {args.out} --repeats {args.repeats}"
     doc = {
-        "command": f"python3 scripts/stage_counts.py --out {args.out} --repeats {args.repeats}",
+        "command": command + (f" --against {args.against}" if args.against else ""),
         "instances": "covered, seed 0, bound max(64, 4n), solve_detailed(check=False)",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.processor() or 'cpu'}, {os.cpu_count()} cpus",

@@ -2,10 +2,11 @@
 
 Timing covers the coloring computation only; verification is excluded
 (the uncovered path's constraint search carries no n log n guarantee, so
-the benchmark sticks to covered instances).  A covered solve is the
-screen's and dualize's slope sorts plus linear scans.  Up to about 8,192
-half-planes the two hull scans in coverage take the largest share; from
-16,384 up dualize does (about 40% at 131,072), ahead of coverage, the
+the benchmark sticks to covered instances).  A covered solve is one
+hash pass over the slopes (the screen), dualize's one slope sort, and
+linear scans.  Up to about 8,192 half-planes the two hull scans in
+coverage take the largest share; from 16,384 up dualize and coverage are
+about even (each about a third of the solve at 131,072), ahead of the
 case machine and the screen.  `scripts/stage_counts.py` prints the stage
 medians per size.
 """

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator
 
 from .rationals import (
@@ -46,7 +47,7 @@ class InstanceFormatError(ModelError):
     """Malformed instance or coloring JSON."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfPlane:
     a: Scalar
     b: Scalar
@@ -55,8 +56,12 @@ class HalfPlane:
     def __post_init__(self):
         if self.side not in (UPPER, LOWER):
             raise InstanceFormatError(f"bad side {self.side!r}")
-        object.__setattr__(self, "a", normalize(self.a))
-        object.__setattr__(self, "b", normalize(self.b))
+        # a plain int is already canonical; anything else (a Fraction, a
+        # bool to reject) goes through normalize
+        if type(self.a) is not int:
+            object.__setattr__(self, "a", normalize(self.a))
+        if type(self.b) is not int:
+            object.__setattr__(self, "b", normalize(self.b))
 
     def contains(self, pt) -> bool:
         """Closed containment of (x, y)."""
@@ -213,15 +218,14 @@ def validate(inst: Instance) -> GeneralPositionReport:
 
 
 def cheap_position_ok(inst: Instance) -> bool:
-    """Duplicate/parallel screen only (O(n log n)); concurrency not checked.
+    """Duplicate/parallel screen only (O(n)); concurrency not checked.
 
     The solver runs optimistically on instances passing this screen; a
     concurrent triple surfaces later as a collinear-tip assertion or a
     verifier rejection, and the retry loop perturbs.
     """
-    # ints and Fractions compare natively and exactly
-    slopes = sorted(h.a for h in inst)
-    return all(u != v for u, v in zip(slopes, slopes[1:]))
+    # h.a is normalized, so equal slopes are equal, hash-equal values
+    return len({h.a for h in inst}) == len(inst)
 
 
 def perturbation_step(inst: Instance) -> Fraction:
@@ -280,16 +284,17 @@ def dualize(inst: Instance) -> DualScene:
     assertions and the solve retry loop.
     """
     # h.a is normalized, and ints and Fractions compare natively
-    tagged = [((-h.a, h.b, i), h.side) for i, h in enumerate(inst)]
-    tagged.sort(key=lambda t: t[0][0])
-    for (p1, _), (p2, _) in zip(tagged, tagged[1:]):
-        if p1[0] == p2[0]:
+    tips = [(-h.a, h.b, i) for i, h in enumerate(inst)]
+    tips.sort(key=itemgetter(0))
+    for p, q in zip(tips, tips[1:]):
+        if p[0] == q[0]:
             raise GeneralPositionViolation(
-                f"half-planes {p1[2]} and {p2[2]} have parallel boundaries"
+                f"half-planes {p[2]} and {q[2]} have parallel boundaries"
             )
-    tips_u = [tip for tip, side in tagged if side == UPPER]
-    tips_l = [tip for tip, side in tagged if side != UPPER]
-    return DualScene(tips_u, tips_l)
+    upper = [h.side == UPPER for h in inst]
+    return DualScene(
+        [tip for tip in tips if upper[tip[2]]], [tip for tip in tips if not upper[tip[2]]]
+    )
 
 
 def dual_line_meets_ray(pt, hp: HalfPlane) -> bool:

@@ -33,6 +33,8 @@ def normalize(value: Scalar) -> Scalar:
 
 def parse_scalar(text) -> Scalar:
     """Parse an int, an int-valued string, or a ``"num/den"`` string."""
+    if type(text) is int:  # the common JSON number; bools fail this test
+        return text
     if isinstance(text, bool):
         raise ValueError("bool is not a scalar")
     if isinstance(text, int):

@@ -1,8 +1,11 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from hpcolor.generate import MODES, GenSpec, generate
 from hpcolor.model import (
     BLUE,
     LOWER,
@@ -85,6 +88,61 @@ def test_dualize_rejects_parallel():
         dualize(make_instance((1, 0, UPPER), (1, 3, LOWER)))
 
 
+def _dualize_reference(inst):
+    """One stable sort of every tip by x, equal neighbours rejected, then
+    a split by side."""
+    tagged = sorted(
+        (((-h.a, h.b, i), h.side) for i, h in enumerate(inst)), key=lambda t: t[0][0]
+    )
+    for (p, _), (q, _) in zip(tagged, tagged[1:]):
+        if p[0] == q[0]:
+            raise GeneralPositionViolation(f"{p[2]} and {q[2]}")
+    return (
+        [tip for tip, side in tagged if side == UPPER],
+        [tip for tip, side in tagged if side != UPPER],
+    )
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)])
+@pytest.mark.parametrize(
+    "triples, pair",
+    [
+        # parallel within the upper family, within the lower, and across
+        ([(1, 0, UPPER), (2, 0, LOWER), (3, 1, UPPER), (1, 5, UPPER)], (0, 3)),
+        ([(4, 0, UPPER), (2, 0, LOWER), (3, 1, UPPER), (2, -5, LOWER)], (1, 3)),
+        ([(4, 0, LOWER), (-2, 0, UPPER), (3, 1, LOWER), (-2, 7, LOWER)], (1, 3)),
+    ],
+)
+def test_dualize_names_the_parallel_pair(triples, pair, scale):
+    inst = make_instance(*[(a * scale, b * scale, side) for a, b, side in triples])
+    i, j = pair
+    message = f"half-planes {i} and {j} have parallel boundaries"
+    with pytest.raises(GeneralPositionViolation, match=re.escape(message)):
+        dualize(inst)
+
+
+def test_dualize_matches_reference():
+    rng = random.Random(14)
+    for trial in range(120):
+        mode = MODES[trial % len(MODES)]
+        inst = generate(
+            GenSpec(n=rng.randint(3, 24), mode=mode, seed=trial, bound=rng.choice([3, 8, 40]))
+        )
+        for case in [inst] + [perturb(inst, k) for k in range(4)]:
+            try:
+                expected = _dualize_reference(case)
+            except GeneralPositionViolation as exc:
+                # the same pair is named: the first equal neighbours in x order
+                i, j = map(int, re.findall(r"\d+", str(exc)))
+                assert i < j and case[i].a == case[j].a
+                message = f"half-planes {i} and {j} have parallel boundaries"
+                with pytest.raises(GeneralPositionViolation, match=re.escape(message)):
+                    dualize(case)
+                continue
+            scene = dualize(case)
+            assert (scene.tips_u, scene.tips_l) == expected
+
+
 def test_dualize_empty():
     scene = dualize(Instance([]))
     assert scene.tips_u == [] and scene.tips_l == []
@@ -160,3 +218,27 @@ def test_coloring_json_round_trip():
 def test_cheap_screen():
     assert cheap_position_ok(make_instance((1, 0, UPPER), (2, 0, UPPER)))
     assert not cheap_position_ok(make_instance((1, 0, UPPER), (1, 3, LOWER)))
+    assert not cheap_position_ok(make_instance((Fraction(4, 2), 0, UPPER), (2, 3, LOWER)))
+
+
+def test_cheap_screen_matches_sorted_adjacency():
+    seen = set()
+    for seed in range(200):
+        inst = generate(GenSpec(n=seed % 20, mode="degenerate", seed=seed, bound=6))
+        for case in (inst, perturb(inst, seed % 4)):
+            slopes = sorted(h.a for h in case)
+            expected = all(u != v for u, v in zip(slopes, slopes[1:]))
+            assert cheap_position_ok(case) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_halfplane_contract():
+    h = HalfPlane(Fraction(4, 2), Fraction(1, 3), UPPER)
+    assert type(h.a) is int and h.a == 2 and h.b == Fraction(1, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.a = 3
+    with pytest.raises(TypeError):
+        HalfPlane(1.5, 0, UPPER)
+    with pytest.raises(InstanceFormatError):
+        Instance.from_json('{"halfplanes": [{"a": "1/0", "b": 0, "side": "upper"}]}')

@@ -18,6 +18,7 @@ from hpcolor.verification import (
     _sort_rays,
     arrangement_samples,
     depth,
+    good_colorings,
     hyperedges,
     oracle,
     verify,
@@ -139,6 +140,9 @@ def test_oracle_counts_good_colorings(i3):
         if all(len({colors[v] for v in e}) == 2 for e in edges):
             good += 1
     assert good == 6
+    found = list(good_colorings(i3, 3))
+    assert len(found) == 6
+    assert oracle(i3, 3) == found[0]
 
 
 def test_oracle_too_large():
