@@ -19,7 +19,9 @@ per size:
 With ``--against DIR`` the `read` and `dualize_perturbed` calls of the
 hpcolor in DIR/src (another checkout, say the parent commit) alternate
 call by call with this checkout's, each side first in every other
-round, and their medians are written under ``against_ms``.
+round, and their medians are written under ``against_ms``.  The output
+names the commit of each checkout (``+changes`` if its src/ differs from
+that commit) under ``commit`` and ``against``.
 
 Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_6.json
@@ -32,6 +34,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -120,6 +123,16 @@ def time_stages(inst, repeats):
     return out
 
 
+def checkout_commit(root: Path) -> str:
+    """The commit checked out at root, with "+changes" if src/ differs from it."""
+    git = ["git", "-C", str(root)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return "not a git checkout"
+    status = subprocess.run(git + ["status", "--porcelain", "--", "src"], capture_output=True, text=True)
+    return head.stdout.strip() + ("+changes" if status.stdout else "")
+
+
 def load_against(root: Path):
     """`hpcolor.model` of another checkout, imported as `hpcolor_against`."""
     pkg = root / "src" / "hpcolor"
@@ -186,12 +199,16 @@ def main() -> int:
         print(json.dumps(row), flush=True)
     command = f"python3 scripts/stage_counts.py --out {args.out} --repeats {args.repeats}"
     doc = {
-        "command": command + (f" --against {args.against}" if args.against else ""),
+        # the checkout compared against is named by its commit, not its path
+        "command": command + (" --against DIR" if args.against else ""),
+        "commit": checkout_commit(Path(__file__).resolve().parents[1]),
         "instances": "covered, seed 0, bound max(64, 4n), solve_detailed(check=False)",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.processor() or 'cpu'}, {os.cpu_count()} cpus",
         "sizes": rows,
     }
+    if args.against:
+        doc["against"] = checkout_commit(args.against)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -8,7 +8,6 @@ coloring.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -154,10 +153,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it:
-    parsing leaves it unchanged, and each parse returns a new namespace."""
     ap = argparse.ArgumentParser(
         prog="hpcolor",
         description="2-color half-planes so every triply covered point sees both colors",

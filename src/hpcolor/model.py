@@ -47,21 +47,25 @@ class InstanceFormatError(ModelError):
     """Malformed instance or coloring JSON."""
 
 
-@dataclass(frozen=True, slots=True)
+_set_field = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class HalfPlane:
     a: Scalar
     b: Scalar
     side: str
 
-    def __post_init__(self):
-        if self.side not in (UPPER, LOWER):
-            raise InstanceFormatError(f"bad side {self.side!r}")
+    def __init__(self, a: Scalar, b: Scalar, side: str):
+        # written out rather than generated plus __post_init__: one call
+        # per half-plane less, and most of `Instance.from_json` is here
+        if side not in (UPPER, LOWER):
+            raise InstanceFormatError(f"bad side {side!r}")
         # a plain int is already canonical; anything else (a Fraction, a
         # bool to reject) goes through normalize
-        if type(self.a) is not int:
-            object.__setattr__(self, "a", normalize(self.a))
-        if type(self.b) is not int:
-            object.__setattr__(self, "b", normalize(self.b))
+        _set_field(self, "a", a if type(a) is int else normalize(a))
+        _set_field(self, "b", b if type(b) is int else normalize(b))
+        _set_field(self, "side", side)
 
     def contains(self, pt) -> bool:
         """Closed containment of (x, y)."""

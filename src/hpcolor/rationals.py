@@ -37,8 +37,6 @@ def parse_scalar(text) -> Scalar:
         return text
     if isinstance(text, bool):
         raise ValueError("bool is not a scalar")
-    if isinstance(text, int):
-        return text
     if isinstance(text, str):
         body = text.strip()
         if "/" in body:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hpcolor import verification
-from hpcolor.cli import build_parser, main
+from hpcolor.cli import main
 from hpcolor.generate import MODES, GenSpec, generate
 from hpcolor.model import (
     BLUE,
@@ -366,29 +366,6 @@ def test_color_determinism_bytes(tmp_path, i3_file):
         assert run_cli("color", str(i3_file), "--out", str(out)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_parser_reused_across_calls(tmp_path, capsys):
-    """One parser serves every call in a process: an error exit and --help
-    leave it fit for the next call, and a repeated color call prints the
-    same bytes as a fresh process."""
-    path = tmp_path / "inst.json"
-    path.write_text(generate(GenSpec(n=40, mode="covered", seed=3, bound=60)).to_json())
-    assert build_parser() is build_parser()
-    assert run_cli("color", str(path), "--no-such-flag") == 3
-    assert run_cli("--help") == 0
-    capsys.readouterr()
-    outs = []
-    for _ in range(2):
-        assert run_cli("color", str(path)) == 0
-        outs.append(capsys.readouterr().out)
-    fresh = subprocess.run(
-        [sys.executable, "-m", "hpcolor.cli", "color", str(path)],
-        capture_output=True,
-        text=True,
-    )
-    assert fresh.returncode == 0
-    assert outs[0] == outs[1] == fresh.stdout
 
 
 def test_entry_point_subprocess(tmp_path, i3_file):

@@ -238,6 +238,13 @@ def test_halfplane_contract():
     assert type(h.a) is int and h.a == 2 and h.b == Fraction(1, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.a = 3
+    # the hand-written __init__ takes keywords and serves dataclasses.replace
+    assert HalfPlane(b=Fraction(1, 3), side=UPPER, a=Fraction(4, 2)) == h
+    moved = dataclasses.replace(h, b=Fraction(6, 3))
+    assert type(moved.b) is int and moved == HalfPlane(2, 2, UPPER)
+    assert hash(moved) == hash(HalfPlane(2, 2, UPPER))
+    with pytest.raises(InstanceFormatError):
+        dataclasses.replace(h, side="left")
     with pytest.raises(TypeError):
         HalfPlane(1.5, 0, UPPER)
     with pytest.raises(InstanceFormatError):
