@@ -57,8 +57,8 @@ class HalfPlane:
     side: str
 
     def __init__(self, a: Scalar, b: Scalar, side: str):
-        # written out rather than generated plus __post_init__: one call
-        # per half-plane less, and most of `Instance.from_json` is here
+        # hand-written, so no __post_init__ call per half-plane: building
+        # half-planes is most of `Instance.from_json` after `json.loads`
         if side not in (UPPER, LOWER):
             raise InstanceFormatError(f"bad side {side!r}")
         # a plain int is already canonical; anything else (a Fraction, a
