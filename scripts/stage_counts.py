@@ -12,20 +12,21 @@ per size:
 - the median milliseconds of each stage (screen, dualize, coverage,
   cases) and of the whole solve over ``--repeats`` solves;
 - the median milliseconds of `read` (`Instance.from_json` on the
-  instance's JSON text) over ``--repeats`` calls, and of
-  `dualize_perturbed` (`dualize` on ``perturb(inst, 0)``, whose
-  coordinates are Fractions) over at least 15 calls.
+  instance's JSON text) and of `write` (`coloring_to_json` on the
+  solve's colors) over ``--repeats`` calls, and of `dualize_perturbed`
+  (`dualize` on ``perturb(inst, 0)``, whose coordinates are Fractions)
+  over at least 15 calls.
 
-With ``--against DIR`` the `read` and `dualize_perturbed` calls of the
-hpcolor in DIR/src (another checkout, say the parent commit) alternate
-call by call with this checkout's, each side first in every other
-round, and their medians are written under ``against_ms``.  The output
+With ``--against DIR`` the `read`, `write` and `dualize_perturbed`
+calls of the hpcolor in DIR/src (another checkout, say the parent
+commit) alternate call by call with this checkout's, each side first in
+every other round, and their medians are written under ``against_ms``.  The output
 names the commit of each checkout (``+changes`` if its src/ differs from
 that commit) under ``commit`` and ``against``.
 
 Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_6.json
-    python3 scripts/stage_counts.py --out BENCH_14.json --against ../parent
+    python3 scripts/stage_counts.py --out BENCH_15.json --against ../parent
 """
 
 import argparse
@@ -145,9 +146,9 @@ def load_against(root: Path):
     return importlib.import_module("hpcolor_against.model")
 
 
-def time_front(inst, repeats, against=None):
-    """Median milliseconds of `read` and `dualize_perturbed`, for this
-    checkout and, alternating call by call, for `against`."""
+def time_front(inst, colors, repeats, against=None):
+    """Median milliseconds of `read`, `write` and `dualize_perturbed`, for
+    this checkout and, alternating call by call, for `against`."""
     text = inst.to_json()
     mods = {"ms": model} if against is None else {"ms": model, "against_ms": against}
     calls, samples = {}, {}
@@ -155,10 +156,12 @@ def time_front(inst, repeats, against=None):
         pert = mod.perturb(mod.Instance.from_json(text), 0)
         calls[key] = {
             "read": partial(mod.Instance.from_json, text),
+            "write": partial(mod.coloring_to_json, colors),
             "dualize_perturbed": partial(mod.dualize, pert),
         }
         samples[key] = {stage: [] for stage in calls[key]}
-    for stage, count in (("read", repeats), ("dualize_perturbed", max(repeats, PERTURBED_CALLS))):
+    counts = {"read": repeats, "write": repeats, "dualize_perturbed": max(repeats, PERTURBED_CALLS)}
+    for stage, count in counts.items():
         for rep in range(count):
             # alternate which side goes first, so neither always follows
             # the other's garbage collection
@@ -176,7 +179,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_6.json")
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--against", type=Path, help="another checkout to time read and dualize against")
+    ap.add_argument("--against", type=Path, help="another checkout to time read, write and dualize against")
     args = ap.parse_args()
     against = load_against(args.against) if args.against else None
 
@@ -192,7 +195,7 @@ def main() -> int:
             "hull_points": hulls["points"],
             "median_ms": time_stages(inst, args.repeats),
         }
-        front = time_front(inst, args.repeats, against)
+        front = time_front(inst, result.colors, args.repeats, against)
         row["median_ms"].update(front.pop("ms"))
         row.update(front)
         rows.append(row)

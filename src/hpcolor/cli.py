@@ -92,17 +92,15 @@ def cmd_oracle(args) -> int:
         colorings = good_colorings(inst, args.threshold)
     except VerifyError as exc:  # oversize, or a threshold below 1
         return _fail(str(exc))
-    if args.all:
-        found = False
-        for colors in colorings:
-            sys.stdout.write(coloring_to_json(colors))
-            found = True
-        return EXIT_OK if found else EXIT_NO_COLORING
-    colors = next(colorings, None)
-    if colors is None:
+    found = False
+    for colors in colorings:
+        sys.stdout.write(coloring_to_json(colors))
+        found = True
+        if not args.all:
+            break
+    if not found:
         print("no good coloring exists", file=sys.stderr)
         return EXIT_NO_COLORING
-    sys.stdout.write(coloring_to_json(colors))
     return EXIT_OK
 
 

@@ -9,6 +9,11 @@ in a half-plane exactly when its dual line meets the half-plane's ray,
 and "above" in the primal is "below" in the dual.  A tip carries the
 index of its half-plane as a third entry, (-a, b, i), through every
 mirrored frame, so colorings of tips are keyed by half-plane index.
+
+An `Instance` stores its half-planes as three columns (slopes,
+intercepts, sides), which is what parsing produces and what the screen,
+`dualize` and the verifier read; a `HalfPlane` value is built only when
+an instance is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, neg
 from typing import Iterator
 
 from .rationals import (
@@ -57,8 +63,8 @@ class HalfPlane:
     side: str
 
     def __init__(self, a: Scalar, b: Scalar, side: str):
-        # hand-written, so no __post_init__ call per half-plane: building
-        # half-planes is most of `Instance.from_json` after `json.loads`
+        # hand-written, so no __post_init__ call per half-plane: indexing
+        # and iterating an `Instance` build one per access
         if side not in (UPPER, LOWER):
             raise InstanceFormatError(f"bad side {side!r}")
         # a plain int is already canonical; anything else (a Fraction, a
@@ -69,47 +75,83 @@ class HalfPlane:
 
     def contains(self, pt) -> bool:
         """Closed containment of (x, y)."""
-        lhs = pt[1]
-        rhs = as_fraction(self.a) * pt[0] + self.b
-        return lhs <= rhs if self.side == UPPER else lhs >= rhs
+        return halfplane_contains(self.a, self.b, self.side, pt)
 
     def strictly_outside(self, pt) -> bool:
-        lhs = pt[1]
-        rhs = as_fraction(self.a) * pt[0] + self.b
-        return lhs > rhs if self.side == UPPER else lhs < rhs
+        return not halfplane_contains(self.a, self.b, self.side, pt)
 
     def int_constraint(self) -> tuple[int, int, int, int]:
-        """(P, Q, R, s): containment is s*(P*x + Q*y + R) >= 0, all integer.
-
-        Built by clearing denominators of y - a*x - b; s encodes the side.
-        """
-        an, ad = num_den(self.a)
-        bn, bd = num_den(self.b)
-        p = -an * bd
-        q = ad * bd
-        r = -bn * ad
-        s = -1 if self.side == UPPER else 1
-        return p, q, r, s
+        """(P, Q, R, s): containment is s*(P*x + Q*y + R) >= 0, all integer."""
+        return halfplane_constraint(self.a, self.b, self.side)
 
 
-@dataclass
+def halfplane_contains(a: Scalar, b: Scalar, side: str, pt) -> bool:
+    """Closed containment of (x, y) in the half-plane with boundary
+    y = a*x + b on `side`."""
+    lhs = pt[1]
+    rhs = as_fraction(a) * pt[0] + b
+    return lhs <= rhs if side == UPPER else lhs >= rhs
+
+
+def halfplane_constraint(a: Scalar, b: Scalar, side: str) -> tuple[int, int, int, int]:
+    """(P, Q, R, s): containment in the half-plane (a, b, side) is
+    s*(P*x + Q*y + R) >= 0, all integer.
+
+    Built by clearing denominators of y - a*x - b; s encodes the side.
+    """
+    an, ad = num_den(a)
+    bn, bd = num_den(b)
+    p = -an * bd
+    q = ad * bd
+    r = -bn * ad
+    s = -1 if side == UPPER else 1
+    return p, q, r, s
+
+
+@dataclass(init=False)
 class Instance:
-    halfplanes: list
+    """n half-planes as three parallel columns: slopes `a`, intercepts `b`
+    and `sides`, entry i of each describing half-plane i.
+
+    The columns hold canonical scalars (`normalize`d) and valid sides.
+    The hot readers (parse, screen, perturbation, `dualize`, the verifier's
+    line table) read the columns; indexing and iteration build `HalfPlane`
+    values on access, equal to the ones the instance was made from but
+    not the same objects.
+    """
+
+    a: list
+    b: list
+    sides: list
+
+    def __init__(self, halfplanes):
+        hps = list(halfplanes)
+        self.a = [h.a for h in hps]
+        self.b = [h.b for h in hps]
+        self.sides = [h.side for h in hps]
+
+    @classmethod
+    def _of_columns(cls, a: list, b: list, sides: list) -> "Instance":
+        """An instance over columns that already hold canonical scalars and
+        valid sides; nothing is checked or copied."""
+        inst = cls.__new__(cls)
+        inst.a, inst.b, inst.sides = a, b, sides
+        return inst
 
     def __len__(self) -> int:
-        return len(self.halfplanes)
+        return len(self.a)
 
     def __iter__(self) -> Iterator[HalfPlane]:
-        return iter(self.halfplanes)
+        return map(HalfPlane, self.a, self.b, self.sides)
 
     def __getitem__(self, i: int) -> HalfPlane:
-        return self.halfplanes[i]
+        return HalfPlane(self.a[i], self.b[i], self.sides[i])
 
     def to_json_dict(self) -> dict:
         return {
             "halfplanes": [
-                {"a": format_scalar(h.a), "b": format_scalar(h.b), "side": h.side}
-                for h in self.halfplanes
+                {"a": format_scalar(a), "b": format_scalar(b), "side": side}
+                for a, b, side in zip(self.a, self.b, self.sides)
             ]
         }
 
@@ -123,27 +165,59 @@ class Instance:
         items = data["halfplanes"]
         if not isinstance(items, list):
             raise InstanceFormatError("'halfplanes' must be a list")
-        hps = []
-        for entry in items:
-            try:
-                hps.append(
-                    HalfPlane(
-                        parse_scalar(entry["a"]),
-                        parse_scalar(entry["b"]),
-                        entry["side"],
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InstanceFormatError(f"bad half-plane entry {entry!r}: {exc}")
-        return cls(hps)
+        try:
+            a = _scalar_column(items, "a")
+            b = _scalar_column(items, "b")
+            sides = list(map(itemgetter("side"), items))
+            ok = {*sides} <= {UPPER, LOWER}
+        except (KeyError, TypeError, ValueError):
+            # a missing key, a non-dict entry, an unhashable side or a bad scalar
+            ok = False
+        if not ok:
+            # the entry-by-entry parse names the first bad entry
+            return cls(_parse_entries(items))
+        return cls._of_columns(a, b, sides)
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
         return cls.from_json_dict(_load_json(text))
 
 
+def _scalar_column(items: list, key: str) -> list:
+    """Field `key` of every entry, parsed; a column of plain ints (bools
+    are not `int` by type) is kept as it is."""
+    column = list(map(itemgetter(key), items))
+    if {*map(type, column)} <= {int}:
+        return column
+    return [parse_scalar(v) for v in column]
+
+
+def _parse_entries(items: list) -> list:
+    """One `HalfPlane` per entry; raises InstanceFormatError on the first
+    bad entry."""
+    hps = []
+    for entry in items:
+        try:
+            hps.append(
+                HalfPlane(parse_scalar(entry["a"]), parse_scalar(entry["b"]), entry["side"])
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"bad half-plane entry {entry!r}: {exc}")
+    return hps
+
+
 def coloring_to_json(colors: list) -> str:
-    return json.dumps({"colors": list(colors)}, indent=2) + "\n"
+    """The bytes of ``json.dumps({"colors": colors}, indent=2) + "\\n"``.
+
+    With an indent `json.dumps` runs its pure-Python encoder; the items
+    are encoded by the C encoder instead, one per line, inside the fixed
+    frame that indent=2 gives.
+    """
+    colors = list(colors)
+    if not colors:
+        return '{\n  "colors": []\n}\n'
+    items = json.dumps(colors, separators=(",\n    ", ": "))
+    return '{\n  "colors": [\n    ' + items[1:-1] + "\n  ]\n}\n"
 
 
 def _load_json(text: str):
@@ -191,23 +265,25 @@ class GeneralPositionReport:
 def validate(inst: Instance) -> GeneralPositionReport:
     """Report every duplicate, parallel pair, and concurrent boundary triple."""
     report = GeneralPositionReport()
+    a, b, sides = inst.a, inst.b, inst.sides
     by_slope: dict = {}
-    for i, h in enumerate(inst):
-        key = as_fraction(h.a)
-        for j in by_slope.get(key, ()):
-            other = inst[j]
-            if other.b == h.b and other.side == h.side:
+    for i, slope in enumerate(a):
+        # slopes are normalized, so equal slopes are equal, hash-equal keys
+        for j in by_slope.get(slope, ()):
+            if b[j] == b[i] and sides[j] == sides[i]:
                 report.duplicates.append((j, i))
             else:
                 report.parallels.append((j, i))
-        by_slope.setdefault(key, []).append(i)
+        by_slope.setdefault(slope, []).append(i)
     # boundaries through a common point: group pairwise intersections
     meeting: dict = {}
+    fa = [as_fraction(v) for v in a]
+    fb = [as_fraction(v) for v in b]
     n = len(inst)
     for i in range(n):
-        ai, bi = as_fraction(inst[i].a), as_fraction(inst[i].b)
+        ai, bi = fa[i], fb[i]
         for j in range(i + 1, n):
-            aj, bj = as_fraction(inst[j].a), as_fraction(inst[j].b)
+            aj, bj = fa[j], fb[j]
             if ai == aj:
                 continue
             x = (bj - bi) / (ai - aj)
@@ -228,17 +304,16 @@ def cheap_position_ok(inst: Instance) -> bool:
     concurrent triple surfaces later as a collinear-tip assertion or a
     verifier rejection, and the retry loop perturbs.
     """
-    # h.a is normalized, so equal slopes are equal, hash-equal values
-    return len({h.a for h in inst}) == len(inst)
+    # slopes are normalized, so equal slopes are equal, hash-equal values
+    return len(set(inst.a)) == len(inst.a)
 
 
 def perturbation_step(inst: Instance) -> Fraction:
     """Base step 1 / (2*(1 + M))**3 with M the largest |num|/|den| seen."""
     m = 1
-    for h in inst:
-        for v in (h.a, h.b):
-            n, d = num_den(v)
-            m = max(m, abs(n), d)
+    for v in chain(inst.a, inst.b):
+        n, d = num_den(v)
+        m = max(m, abs(n), d)
     return Fraction(1, (2 * (1 + m)) ** 3)
 
 
@@ -254,17 +329,12 @@ def perturb(inst: Instance, attempt: int = 0) -> Instance:
     """
     n = max(len(inst), 1)
     delta = perturbation_step(inst) * Fraction((-1) ** attempt, 2**attempt)
-    out = []
-    for i, h in enumerate(inst):
-        k = (i + attempt) % n + 1
-        out.append(
-            HalfPlane(
-                normalize(as_fraction(h.a) + delta * k),
-                normalize(as_fraction(h.b) + delta * k**2),
-                h.side,
-            )
-        )
-    return Instance(out)
+    keys = [(i + attempt) % n + 1 for i in range(len(inst))]
+    return Instance._of_columns(
+        [normalize(as_fraction(a) + delta * k) for a, k in zip(inst.a, keys)],
+        [normalize(as_fraction(b) + delta * k**2) for b, k in zip(inst.b, keys)],
+        list(inst.sides),
+    )
 
 
 @dataclass
@@ -287,15 +357,14 @@ def dualize(inst: Instance) -> DualScene:
     boundaries parallel); collinearity degeneracies are left to callers'
     assertions and the solve retry loop.
     """
-    # h.a is normalized, and ints and Fractions compare natively
-    tips = [(-h.a, h.b, i) for i, h in enumerate(inst)]
-    tips.sort(key=itemgetter(0))
+    # slopes are normalized, and ints and Fractions compare natively
+    tips = sorted(zip(map(neg, inst.a), inst.b, range(len(inst))), key=itemgetter(0))
     for p, q in zip(tips, tips[1:]):
         if p[0] == q[0]:
             raise GeneralPositionViolation(
                 f"half-planes {p[2]} and {q[2]} have parallel boundaries"
             )
-    upper = [h.side == UPPER for h in inst]
+    upper = [side == UPPER for side in inst.sides]
     return DualScene(
         [tip for tip in tips if upper[tip[2]]], [tip for tip in tips if not upper[tip[2]]]
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Line
-from .model import BLUE, RED, Instance, ModelError
+from .model import BLUE, RED, Instance, ModelError, halfplane_contains
 from .nae import solve_nae
 from .rationals import as_fraction, num_den
 
@@ -46,8 +46,8 @@ class PolarScene:
 def uncovered_witness(inst: Instance, separator: Line) -> tuple:
     """The primal point dual to a separating line, checked by substitution."""
     pt = (separator.slope, separator.intercept)
-    for i, h in enumerate(inst):
-        if not h.strictly_outside(pt):
+    for i, row in enumerate(zip(inst.a, inst.b, inst.sides)):
+        if halfplane_contains(*row, pt):
             raise NotActuallyUncovered(f"witness lies in half-plane {i}")
     return pt
 
@@ -61,11 +61,11 @@ def polarize(inst: Instance, origin) -> PolarScene:
     """
     ox, oy = origin
     points = []
-    for i, h in enumerate(inst):
-        shift = as_fraction(h.a) * ox + h.b - oy  # boundary intercept at the origin
+    for i, (a, b) in enumerate(zip(inst.a, inst.b)):
+        shift = as_fraction(a) * ox + b - oy  # boundary intercept at the origin
         if shift == 0:
             raise NotActuallyUncovered(f"boundary {i} passes through the witness")
-        u = (-as_fraction(h.a) / shift, Fraction(1, 1) / shift)
+        u = (-as_fraction(a) / shift, Fraction(1, 1) / shift)
         points.append(u)
     return PolarScene((ox, oy), points)
 

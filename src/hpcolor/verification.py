@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .model import BLUE, RED, Instance, ModelError
+from .model import BLUE, RED, Instance, ModelError, halfplane_constraint, halfplane_contains
 from .nae import nae_solutions
 from .rationals import scalar_text
 
@@ -77,7 +77,8 @@ class Violation:
 
 def depth(inst: Instance, pt) -> tuple[int, list]:
     """Exact count of closed half-planes containing pt, with their indices."""
-    covering = [i for i, h in enumerate(inst) if h.contains(pt)]
+    rows = zip(inst.a, inst.b, inst.sides)
+    covering = [i for i, row in enumerate(rows) if halfplane_contains(*row, pt)]
     return len(covering), covering
 
 
@@ -95,8 +96,7 @@ def _line_table(inst: Instance):
     lines: list[tuple[int, int, int]] = []
     members: list[list[tuple[int, int]]] = []
     index: dict = {}
-    for i, h in enumerate(inst):
-        p, q, r, s = h.int_constraint()
+    for i, (p, q, r, s) in enumerate(map(halfplane_constraint, inst.a, inst.b, inst.sides)):
         g = math.gcd(math.gcd(abs(p), q), abs(r))
         key = (p // g, q // g, r // g)
         if key not in index:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import re
 from fractions import Fraction
@@ -23,6 +24,7 @@ from hpcolor.model import (
     perturb,
     validate,
 )
+from hpcolor.rationals import parse_scalar
 
 from conftest import make_instance
 
@@ -249,3 +251,91 @@ def test_halfplane_contract():
         HalfPlane(1.5, 0, UPPER)
     with pytest.raises(InstanceFormatError):
         Instance.from_json('{"halfplanes": [{"a": "1/0", "b": 0, "side": "upper"}]}')
+
+
+def _parse_reference(items):
+    """One `HalfPlane` per entry, the first bad entry named."""
+    hps = []
+    for entry in items:
+        try:
+            hps.append(
+                HalfPlane(parse_scalar(entry["a"]), parse_scalar(entry["b"]), entry["side"])
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceFormatError(f"bad half-plane entry {entry!r}: {exc}")
+    return hps
+
+
+def test_instance_columns_contract():
+    hps = [
+        HalfPlane(Fraction(4, 2), Fraction(1, 3), UPPER),
+        HalfPlane(-1, 7, LOWER),
+        HalfPlane(Fraction(-5, 3), 0, UPPER),
+    ]
+    inst = Instance(hps)
+    assert len(inst) == 3 and inst.sides == [UPPER, LOWER, UPPER]
+    assert type(inst.a[0]) is int and inst.a[0] == 2
+    # indexing and iteration build equal values, not the same objects
+    assert list(inst) == hps and [inst[i] for i in range(3)] == hps and inst[-1] == hps[2]
+    assert inst[0] is not hps[0]
+    assert inst == Instance(iter(hps)) and inst == Instance(list(inst))
+    assert inst != Instance(hps[:2]) and inst != Instance(hps[::-1])
+    assert inst != Instance([HalfPlane(2, Fraction(1, 3), LOWER)] + hps[1:])
+    assert inst != Instance([HalfPlane(2, 0, UPPER)] + hps[1:])
+
+    rng = random.Random(15)
+
+    def scalar():
+        v = rng.randint(-9, 9)
+        return rng.choice([v, f"{v}/{rng.randint(1, 6)}", str(v), f" {v} ", f"{2 * v}/2"])
+
+    for trial in range(200):
+        entries = [
+            {"a": scalar(), "b": scalar(), "side": rng.choice([UPPER, LOWER])}
+            for _ in range(rng.randint(0, 8))
+        ]
+        if trial % 4 == 0:  # an all-int column takes the fast path
+            for e in entries:
+                e["a"] = rng.randint(-9, 9)
+        got = Instance.from_json(json.dumps({"halfplanes": entries}))
+        want = Instance(_parse_reference(entries))
+        assert (got.a, got.b, got.sides) == (want.a, want.b, want.sides)
+        assert [type(v) for v in got.a + got.b] == [type(v) for v in want.a + want.b]
+
+
+BAD_ENTRIES = [
+    {"b": 0, "side": "upper"},  # no slope
+    [1, 0, "upper"],  # not an object
+    {"a": True, "b": 0, "side": "upper"},
+    {"a": 1, "b": 1.5, "side": "lower"},
+    {"a": "1/0", "b": 0, "side": "lower"},
+    {"a": 1, "b": "x/2", "side": "upper"},
+    {"a": 1, "b": 0, "side": "left"},
+    {"a": 1, "b": 0, "side": ["upper"]},  # unhashable side
+]
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+@pytest.mark.parametrize("where", ["first", "middle", "last", "before a bad slope"])
+def test_from_json_error_parity(bad, where):
+    """A bad entry raises the message the per-entry parse gives, naming
+    the first bad entry wherever it sits."""
+    items = [{"a": i, "b": -i, "side": UPPER if i % 2 else LOWER} for i in range(6)]
+    at = {"first": 0, "middle": 3, "last": len(items)}.get(where, 2)
+    items.insert(at, bad)
+    if where == "before a bad slope":
+        items.append({"a": 2.5, "b": 0, "side": "upper"})
+    text = json.dumps({"halfplanes": items})
+    with pytest.raises(InstanceFormatError) as want:
+        _parse_reference(json.loads(text)["halfplanes"])
+    with pytest.raises(InstanceFormatError) as got:
+        Instance.from_json(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 4096])
+def test_coloring_to_json_bytes(n):
+    rng = random.Random(n)
+    colors = [rng.choice([BLUE, RED]) for _ in range(n)]
+    assert coloring_to_json(colors) == json.dumps({"colors": colors}, indent=2) + "\n"
+    assert coloring_to_json(tuple(colors)) == coloring_to_json(colors)
