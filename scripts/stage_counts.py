@@ -20,9 +20,9 @@ per size:
 With ``--against DIR`` the `read`, `write` and `dualize_perturbed`
 calls of the hpcolor in DIR/src (another checkout, say the parent
 commit) alternate call by call with this checkout's, each side first in
-every other round, and their medians are written under ``against_ms``.  The output
-names the commit of each checkout (``+changes`` if its src/ differs from
-that commit) under ``commit`` and ``against``.
+every other round, and their medians are written under ``against_ms``.
+The output names the commit of each checkout (``+changes`` if its src/
+differs from that commit) under ``commit`` and ``against``.
 
 Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_6.json
