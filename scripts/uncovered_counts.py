@@ -66,8 +66,8 @@ def main() -> int:
     rows = []
     for family, n in SETS:
         inst = instance(family, n)
-        witness = uncovered_witness(inst, coverage(dualize(inst)).separator)
-        points = polarize(inst, witness).points
+        witness = uncovered_witness(inst, coverage(dualize(inst)).witness)
+        points = polarize(inst, witness)
         edges = enumerate_point_hyperedges(points)
         rows.append(
             {

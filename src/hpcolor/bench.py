@@ -13,7 +13,6 @@ medians per size.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -45,16 +44,3 @@ def run_bench(sizes, seed: int = 0, repeats: int = 1) -> list[BenchRecord]:
             records.append(BenchRecord(n, dt, "/".join(result.case_path)))
     return records
 
-
-def doubling_ratios(records) -> list[tuple[int, float]]:
-    """Median time per size, then t(2n)/t(n) per consecutive doubling."""
-    by_n: dict = {}
-    for r in records:
-        by_n.setdefault(r.n, []).append(r.seconds)
-    sizes = sorted(by_n)
-    medians = {n: statistics.median(by_n[n]) for n in sizes}
-    out = []
-    for a, b in zip(sizes, sizes[1:]):
-        if b == 2 * a and medians[a] > 0:
-            out.append((b, medians[b] / medians[a]))
-    return out

@@ -24,7 +24,6 @@ from . import geometry as geo
 from .geometry import (
     GeometryError,
     HullChain,
-    Line,
     by_x,
     hull_from_sorted,
     point_above_line,
@@ -195,7 +194,8 @@ class Pivot:
 @dataclass
 class Coverage:
     kind: str  # "covered" | "separated"
-    separator: Optional[Line] = None
+    # separated: the primal point (c, d) dual to a separating line y = c*x + d
+    witness: Optional[tuple] = None
     view: Optional[View] = None  # covered: the scene's hulls
     # covered: (side, vertex), the first overlap vertex by x with gap >= 0
     hit: Optional[tuple] = None
@@ -223,17 +223,17 @@ def _chain_slopes_at(chain: HullChain, x):
 
 
 def coverage(scene: DualScene) -> Coverage:
-    """Do the two ray-hull regions intersect?  Qualifying vertex or separator.
+    """Do the two ray-hull regions intersect?  The hit vertex, or a witness.
 
     One pass, in x order, over the hull vertices of both families in the
     span overlap computes the gap g(x) = uphull(x) - lowhull(x) (a
     vertex's own chain value is its y).  g is concave there, so the
     regions meet iff g >= 0 at some vertex: the first such vertex lies
-    inside the other family's region (closed) and is the hit.  Else the
-    separator passes through the first maximum of g.  A separating line
-    is strictly above every upper-family tip and strictly below every
-    lower-family tip; it dualizes back to an uncovered primal point,
-    which `uncovered_witness` checks by substitution.
+    inside the other family's region (closed) and is the hit.  Else a
+    separating line y = c*x + d passes through the first maximum of g.
+    It is strictly above every upper-family tip and strictly below every
+    lower-family tip, so it dualizes back to the uncovered primal point
+    (c, d), the witness, which `uncovered_witness` checks by substitution.
     """
     view = View.of(scene)
     cu, cl = view.u.chain, view.l.chain
@@ -241,17 +241,15 @@ def coverage(scene: DualScene) -> Coverage:
     # callers pass n >= 3, so at least one family has a chain
     if cu is None or cl is None:
         if cl is None:
-            top = max(v[1] for v in scene.tips_u)
-            sep = Line(0, top + 1)
+            witness = (0, max(v[1] for v in scene.tips_u) + 1)
         else:
-            bot = min(v[1] for v in scene.tips_l)
-            sep = Line(0, bot - 1)
-        return Coverage("separated", separator=sep)
+            witness = (0, min(v[1] for v in scene.tips_l) - 1)
+        return Coverage("separated", witness=witness)
 
     lo = max(cu.x_min, cl.x_min)
     hi = min(cu.x_max, cl.x_max)
     if lo > hi:
-        return Coverage("separated", separator=_separator_disjoint_spans(cu, cl))
+        return Coverage("separated", witness=_separator_disjoint_spans(cu, cl))
     # tip x values are distinct, so x orders the vertices totally
     cands = [("u", v) for v in cu.vertices if lo <= v[0] <= hi]
     cands += [("l", v) for v in cl.vertices if lo <= v[0] <= hi]
@@ -268,12 +266,12 @@ def coverage(scene: DualScene) -> Coverage:
         if best is None or yu - yl > best[0]:
             best = (yu - yl, x, yu + yl)
     # lo and hi are chain vertices, so `best` is set
-    return Coverage("separated", separator=_separator_overlap(cu, cl, *best))
+    return Coverage("separated", witness=_separator_overlap(cu, cl, *best))
 
 
-def _separator_disjoint_spans(cu, cl) -> Line:
-    """Steep line through (xm, 0), xm in the x-gap between the two hull
-    spans.  It passes above upper tip v iff c * (v.x - xm) > v.y and below
+def _separator_disjoint_spans(cu, cl) -> tuple:
+    """(c, d) of a steep line y = c*x + d through (xm, 0), xm in the x-gap
+    between the two hull spans.  It passes above upper tip v iff c * (v.x - xm) > v.y and below
     lower tip v iff c * (v.x - xm) < v.y.  Every upper tip sits on one side
     of xm and every lower tip on the other, so each bound v.y / (v.x - xm)
     is an upper bound on c when the upper span is left of the gap, else a
@@ -282,13 +280,13 @@ def _separator_disjoint_spans(cu, cl) -> Line:
     xm = Fraction(cu.x_max + cl.x_min, 2) if left else Fraction(cl.x_max + cu.x_min, 2)
     bounds = [v[1] / (v[0] - xm) for v in cu.vertices + cl.vertices]
     c = min(bounds) - 1 if left else max(bounds) + 1
-    return Line(c, -c * xm)
+    return c, -c * xm
 
 
-def _separator_overlap(cu, cl, gap, x_star, y_sum) -> Line:
-    """Line through the midpoint of the narrowest vertical gap at x_star,
-    slope within both chains' local slope intervals (exists because the
-    gap is extremal there)."""
+def _separator_overlap(cu, cl, gap, x_star, y_sum) -> tuple:
+    """(c, d) of a line y = c*x + d through the midpoint of the narrowest
+    vertical gap at x_star, slope c within both chains' local slope
+    intervals (exists because the gap is extremal there)."""
     assert gap < 0
     su_minus, su_plus = _chain_slopes_at(cu, x_star)
     sl_minus, sl_plus = _chain_slopes_at(cl, x_star)
@@ -299,7 +297,7 @@ def _separator_overlap(cu, cl, gap, x_star, y_sum) -> Line:
     lb = max(s for s in (su_plus, sl_minus) if s is not None)
     ub = min(s for s in (su_minus, sl_plus) if s is not None)
     c = Fraction(lb + ub, 2)
-    return Line(c, Fraction(y_sum, 2) - c * x_star)
+    return c, Fraction(y_sum, 2) - c * x_star
 
 
 def _mirror(pv: Pivot) -> Pivot:
@@ -959,14 +957,14 @@ def solve_detailed(inst: Instance, *, check: bool = True) -> SolveResult:
                 cmap, path = color_covered(cov)
                 colors = [cmap[i] for i in range(n)]
             else:
-                witness = uncovered_witness(pert, cov.separator)
+                witness = uncovered_witness(pert, cov.witness)
                 colors = uncovered_solve(pert, witness)
                 path = ["uncovered"]
         except (
             GeometryError, GeneralPositionViolation, EngineError, UncoveredError
         ) as exc:
             # degeneracies that slip the cheap screen surface as assertion
-            # failures anywhere in the machine, or as a separator that fails
+            # failures anywhere in the machine, or as a witness that fails
             # `uncovered_witness`'s substitution; a finer perturbation retries
             last_error = exc
             continue

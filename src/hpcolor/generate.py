@@ -1,4 +1,4 @@
-"""Seeded instance generation for tests, fuzzing, and the benchmark."""
+"""Seeded instance generation for tests, the `gen` command and the benchmark."""
 
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .model import UPPER
-from .rationals import Scalar, as_fraction, normalize
+from .rationals import Scalar, normalize
 
 Point = tuple  # (x, y), or a dual tip (x, y, i), with exact rational x and y
 
@@ -52,17 +52,6 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return COLLINEAR
 
 
-@dataclass(frozen=True)
-class Line:
-    """Non-vertical line y = slope*x + intercept."""
-
-    slope: Scalar
-    intercept: Scalar
-
-    def y_at(self, x: Scalar) -> Scalar:
-        return normalize(as_fraction(self.slope) * x + self.intercept)
-
-
 def point_above_line(pt: Point, a: Point, b: Point) -> int:
     """+1 above, 0 on, -1 below: pt against the non-vertical line through a, b.
 
@@ -72,14 +61,6 @@ def point_above_line(pt: Point, a: Point, b: Point) -> int:
         raise VerticalLineError("line through equal x")
     s = orientation(a, b, pt)
     return s if a[0] < b[0] else -s
-
-
-def _interval_overlaps(a1, a2, b1, b2) -> bool:
-    if a1 > a2:
-        a1, a2 = a2, a1
-    if b1 > b2:
-        b1, b2 = b2, b1
-    return a1 <= b2 and b1 <= a2
 
 
 def segments_intersect(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> bool:
@@ -108,8 +89,9 @@ def segments_intersect(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> bool
 
 def _on_segment(a: Point, b: Point, pt: Point) -> bool:
     """pt collinear with a,b assumed; is it within the bounding box?"""
-    return _interval_overlaps(a[0], b[0], pt[0], pt[0]) and _interval_overlaps(
-        a[1], b[1], pt[1], pt[1]
+    return (
+        min(a[0], b[0]) <= pt[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= pt[1] <= max(a[1], b[1])
     )
 
 

@@ -77,9 +77,6 @@ class HalfPlane:
         """Closed containment of (x, y)."""
         return halfplane_contains(self.a, self.b, self.side, pt)
 
-    def strictly_outside(self, pt) -> bool:
-        return not halfplane_contains(self.a, self.b, self.side, pt)
-
     def int_constraint(self) -> tuple[int, int, int, int]:
         """(P, Q, R, s): containment is s*(P*x + Q*y + R) >= 0, all integer."""
         return halfplane_constraint(self.a, self.b, self.side)
@@ -156,7 +153,20 @@ class Instance:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The bytes of ``json.dumps(self.to_json_dict(), indent=2) + "\\n"``.
+
+        As in `coloring_to_json`, the C encoder writes the entries, each
+        field after an item separator that indents it; then every brace
+        moves onto its own line, which is safe because no value holds one
+        (values are integers, "num/den" texts and the two sides).
+        """
+        entries = self.to_json_dict()["halfplanes"]
+        if not entries:
+            return '{\n  "halfplanes": []\n}\n'
+        body = json.dumps(entries, separators=(",\n      ", ": "))[1:-1]
+        body = body.replace("},\n      {", "},\n    {")
+        body = body.replace("{", "{\n      ").replace("}", "\n    }")
+        return '{\n  "halfplanes": [\n    ' + body + "\n  ]\n}\n"
 
     @classmethod
     def from_json_dict(cls, data) -> "Instance":
@@ -174,8 +184,7 @@ class Instance:
             # a missing key, a non-dict entry, an unhashable side or a bad scalar
             ok = False
         if not ok:
-            # the entry-by-entry parse names the first bad entry
-            return cls(_parse_entries(items))
+            raise _first_bad_entry(items)
         return cls._of_columns(a, b, sides)
 
     @classmethod
@@ -192,18 +201,19 @@ def _scalar_column(items: list, key: str) -> list:
     return [parse_scalar(v) for v in column]
 
 
-def _parse_entries(items: list) -> list:
-    """One `HalfPlane` per entry; raises InstanceFormatError on the first
-    bad entry."""
-    hps = []
+def _first_bad_entry(items: list) -> InstanceFormatError:
+    """The error naming the first entry that is no half-plane.
+
+    The column parse refuses `items` only if some entry fails here: both
+    read each field with the same subscript and `parse_scalar`, and a side
+    outside {UPPER, LOWER} fails `HalfPlane`.
+    """
     for entry in items:
         try:
-            hps.append(
-                HalfPlane(parse_scalar(entry["a"]), parse_scalar(entry["b"]), entry["side"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"bad half-plane entry {entry!r}: {exc}")
-    return hps
+            HalfPlane(parse_scalar(entry["a"]), parse_scalar(entry["b"]), entry["side"])
+        except (KeyError, TypeError, ValueError, InstanceFormatError) as exc:
+            return InstanceFormatError(f"bad half-plane entry {entry!r}: {exc}")
+    raise AssertionError("the column parse refused valid entries")
 
 
 def coloring_to_json(colors: list) -> str:

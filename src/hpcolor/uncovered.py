@@ -16,10 +16,8 @@ uncovered instances measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Line
 from .model import BLUE, RED, Instance, ModelError, halfplane_contains
 from .nae import solve_nae
 from .rationals import as_fraction, num_den
@@ -37,27 +35,22 @@ class SearchExhausted(UncoveredError):
     """The constraint search failed; contradicts the coloring theorem."""
 
 
-@dataclass
-class PolarScene:
-    origin: tuple  # the uncovered witness in original coordinates
-    points: list  # polar points, exact rational pairs; point i is half-plane i
-
-
-def uncovered_witness(inst: Instance, separator: Line) -> tuple:
-    """The primal point dual to a separating line, checked by substitution."""
-    pt = (separator.slope, separator.intercept)
+def uncovered_witness(inst: Instance, pt: tuple) -> tuple:
+    """`pt`, the primal point dual to a separating line, checked by
+    substitution to lie in no half-plane of `inst`."""
     for i, row in enumerate(zip(inst.a, inst.b, inst.sides)):
         if halfplane_contains(*row, pt):
             raise NotActuallyUncovered(f"witness lies in half-plane {i}")
     return pt
 
 
-def polarize(inst: Instance, origin) -> PolarScene:
+def polarize(inst: Instance, origin) -> list:
     """Translate the witness to the origin and map boundaries to points.
 
     After translation every boundary misses the origin, so it has a form
     <u, x> = 1; u is the polar point.  Membership transfers: translated
-    point z lies in the half-plane iff <u, z> >= 1.
+    point z lies in the half-plane iff <u, z> >= 1.  Returns the polar
+    points, exact rational pairs; point i is half-plane i's.
     """
     ox, oy = origin
     points = []
@@ -67,7 +60,7 @@ def polarize(inst: Instance, origin) -> PolarScene:
             raise NotActuallyUncovered(f"boundary {i} passes through the witness")
         u = (-as_fraction(a) / shift, Fraction(1, 1) / shift)
         points.append(u)
-    return PolarScene((ox, oy), points)
+    return points
 
 
 def _homogeneous(points) -> list:
@@ -176,7 +169,7 @@ def enumerate_point_hyperedges(points) -> list:
     can change only when a run starts within it.  O(m^2 log m) for m
     candidates, where the loop was O(m^3).
     """
-    if len(points) < 3:
+    if len(points) < 3:  # no cut of size 3, where the sweep would emit a pair
         return []
     hom = _homogeneous(points)
     # n >= 3 leaves >= 3 candidates: a hull has >= 3 vertices unless every
@@ -240,11 +233,8 @@ def enumerate_point_hyperedges(points) -> list:
 
 def color_points_vs_halfplanes(points) -> list:
     """2-color points so no closed half-plane cut of size >= 3 is one color."""
-    n = len(points)
-    if n < 3:
-        return [BLUE] * n
     edges = enumerate_point_hyperedges(points)
-    assignment = solve_nae(n, edges)
+    assignment = solve_nae(len(points), edges)
     if assignment is None:
         raise SearchExhausted("no 2-coloring over the enumerated constraints")
     return [RED if v else BLUE for v in assignment]
@@ -252,7 +242,4 @@ def color_points_vs_halfplanes(points) -> list:
 
 def uncovered_solve(inst: Instance, witness) -> list:
     """Color via the polar reduction; indices align with the instance."""
-    n = len(inst)
-    if n < 3:
-        return [BLUE] * n
-    return color_points_vs_halfplanes(polarize(inst, witness).points)
+    return color_points_vs_halfplanes(polarize(inst, witness))

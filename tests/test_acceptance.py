@@ -6,13 +6,14 @@ measurement, whose tolerance band is fixed below.
 """
 
 import random
+import statistics
 import time
 from collections import Counter
 
 import numpy as np
 
 from hpcolor import engine, geometry
-from hpcolor.bench import doubling_ratios, run_bench
+from hpcolor.bench import run_bench
 from hpcolor.engine import coverage, find_pivot
 from hpcolor.generate import GenSpec, generate
 from hpcolor.geometry import region_contains
@@ -22,6 +23,20 @@ from hpcolor.verification import arrangement_samples, depth, oracle, verify
 from conftest import instance_from_tips, observe
 
 MODES = ("covered", "uncovered", "degenerate", "random")
+
+
+def doubling_ratios(records) -> list[tuple[int, float]]:
+    """Median time per size, then t(2n)/t(n) per consecutive doubling."""
+    by_n: dict = {}
+    for r in records:
+        by_n.setdefault(r.n, []).append(r.seconds)
+    sizes = sorted(by_n)
+    medians = {n: statistics.median(by_n[n]) for n in sizes}
+    out = []
+    for a, b in zip(sizes, sizes[1:]):
+        if b == 2 * a and medians[a] > 0:
+            out.append((b, medians[b] / medians[a]))
+    return out
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -66,6 +66,17 @@ def test_color_malformed_input(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_color_bad_side_names_its_entry(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    entries = [{"a": 0, "b": 0, "side": "lower"}, {"a": 1, "b": 1, "side": "up"}]
+    bad.write_text(json.dumps({"halfplanes": entries}))
+    assert run_cli("color", str(bad)) == 3
+    assert capsys.readouterr().err == (
+        "error: cannot read instance: bad half-plane entry"
+        " {'a': 1, 'b': 1, 'side': 'up'}: bad side 'up'\n"
+    )
+
+
 def test_color_rejects_threshold_flag(i3_file):
     assert run_cli("color", str(i3_file), "--threshold", "4") == 3
 

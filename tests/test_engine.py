@@ -74,9 +74,10 @@ def test_coverage_i3(i3):
 def test_coverage_separated_overlapping_spans():
     cov = coverage(scene_of([(0, 0), (2, 0)], [(1, 10)]))
     assert cov.kind == "separated"
-    sep = cov.separator
-    # strictly above both upper tips and below the lower tip
-    assert sep.y_at(0) > 0 and sep.y_at(2) > 0 and sep.y_at(1) < 10
+    c, d = cov.witness
+    # its dual line y = c*x + d is strictly above both upper tips and
+    # below the lower tip
+    assert c * 0 + d > 0 and c * 2 + d > 0 and c * 1 + d < 10
 
 
 def test_coverage_empty_family(i_unc):
@@ -92,8 +93,8 @@ def test_coverage_disjoint_spans():
 def test_coverage_matches_pointwise_reference():
     """`coverage`'s hit is the first chain vertex, by x, inside the other
     family's region, tested vertex by vertex with `region_contains`; with
-    none, its separator clears every tip and `uncovered_witness` accepts
-    it."""
+    none, its witness's dual line clears every tip and `uncovered_witness`
+    accepts the witness."""
     rng = random.Random(2)
     seen = Counter()
     for t in range(3000):
@@ -123,10 +124,10 @@ def test_coverage_matches_pointwise_reference():
             seen["touch"] += chain_eval(cu if side == "l" else cl, v[0]) == v[1]
             continue
         assert cov.kind == "separated"
-        sep = cov.separator
-        assert all(v[1] < sep.y_at(v[0]) for v in scene.tips_u), t
-        assert all(v[1] > sep.y_at(v[0]) for v in scene.tips_l), t
-        uncovered_witness(inst, sep)
+        c, d = cov.witness
+        assert all(v[1] < c * v[0] + d for v in scene.tips_u), t
+        assert all(v[1] > c * v[0] + d for v in scene.tips_l), t
+        uncovered_witness(inst, cov.witness)
         if cu is None or cl is None:
             seen["one family"] += 1
         elif max(cu.x_min, cl.x_min) > min(cu.x_max, cl.x_max):

@@ -261,7 +261,7 @@ def _parse_reference(items):
             hps.append(
                 HalfPlane(parse_scalar(entry["a"]), parse_scalar(entry["b"]), entry["side"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, InstanceFormatError) as exc:
             raise InstanceFormatError(f"bad half-plane entry {entry!r}: {exc}")
     return hps
 
@@ -339,3 +339,17 @@ def test_coloring_to_json_bytes(n):
     colors = [rng.choice([BLUE, RED]) for _ in range(n)]
     assert coloring_to_json(colors) == json.dumps({"colors": colors}, indent=2) + "\n"
     assert coloring_to_json(tuple(colors)) == coloring_to_json(colors)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_instance_to_json_bytes(mode):
+    """`to_json` writes the bytes of `json.dumps(..., indent=2)` plus a
+    newline, on every generator mode, empty and perturbed instances and
+    30-digit fractions."""
+    sizes = ((3, 5), (17, 50), (300, 1200))
+    insts = [generate(GenSpec(n=n, mode=mode, seed=n, bound=b)) for n, b in sizes]
+    insts += [perturb(insts[1], 1), Instance([])]
+    big = Fraction(10**30 + 1, 3)
+    insts.append(Instance([HalfPlane(big, -big, UPPER), HalfPlane(-5, 1 / big, LOWER)]))
+    for inst in insts:
+        assert inst.to_json() == json.dumps(inst.to_json_dict(), indent=2) + "\n"

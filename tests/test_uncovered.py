@@ -27,37 +27,33 @@ from conftest import make_instance
 def test_witness_from_separator(i_unc):
     cov = coverage(dualize(i_unc))
     assert cov.kind == "separated"
-    o = uncovered_witness(i_unc, cov.separator)
+    o = uncovered_witness(i_unc, cov.witness)
     for h in i_unc:
-        assert h.strictly_outside(o)
+        assert not h.contains(o)
 
 
 def test_witness_single_halfplane():
     inst = make_instance((0, 0, UPPER))
     cov = coverage(dualize(inst))
-    o = uncovered_witness(inst, cov.separator)
+    o = uncovered_witness(inst, cov.witness)
     assert o[1] > 0
 
 
 def test_witness_rejects_covered(i3):
-    from hpcolor.geometry import Line
-
     with pytest.raises(NotActuallyUncovered):
-        uncovered_witness(i3, Line(0, Fraction(1, 2)))
+        uncovered_witness(i3, (0, Fraction(1, 2)))
 
 
 def test_polarize_axis_aligned():
     # boundary y = 1 seen from the origin polarizes to (0, 1)
     inst = make_instance((0, 1, LOWER))
-    scene = polarize(inst, (0, 0))
-    assert scene.points == [(0, 1)]
+    assert polarize(inst, (0, 0)) == [(0, 1)]
 
 
 def test_polarize_example():
     # boundary y = 2x + 4 from the origin: -2x + y = 4 -> (-1/2, 1/4)
     inst = make_instance((2, 4, LOWER))
-    scene = polarize(inst, (0, 0))
-    assert scene.points == [(Fraction(-1, 2), Fraction(1, 4))]
+    assert polarize(inst, (0, 0)) == [(Fraction(-1, 2), Fraction(1, 4))]
 
 
 def test_membership_transfer():
@@ -66,11 +62,11 @@ def test_membership_transfer():
     for _ in range(3000):
         h = HalfPlane(rng.randint(-20, 20), rng.randint(-20, 20), UPPER if rng.random() < 0.5 else LOWER)
         o = (rng.randint(-20, 20), rng.randint(-20, 20))
-        if not h.strictly_outside(o):
+        if h.contains(o):
             continue
         pt = (rng.randint(-20, 20), rng.randint(-20, 20))
         z = (pt[0] - o[0], pt[1] - o[1])
-        (u,) = polarize(Instance([h]), o).points
+        (u,) = polarize(Instance([h]), o)
         assert h.contains(pt) == (u[0] * z[0] + u[1] * z[1] >= 1)
         checked += 1
     assert checked > 1000
@@ -183,7 +179,7 @@ def _convex_polar_points(n, seed):
     origin: n points in convex position."""
     slopes = random.Random(seed).sample(range(-2 * n, 2 * n + 1), n)
     inst = Instance([HalfPlane(a, -a * a - 1, UPPER) for a in slopes])
-    return polarize(inst, (0, 0)).points
+    return polarize(inst, (0, 0))
 
 
 def _point_set(rng, kind, n):
@@ -218,7 +214,7 @@ def _point_set(rng, kind, n):
                  Fraction(rng.randint(-50, 50) * scale, rng.randint(1, 3))) for _ in range(n)]
     inst = generate(GenSpec(n=2 * n, mode="uncovered", seed=rng.randrange(10**6),
                             bound=rng.choice([3, 12, 50])))
-    return polarize(inst, uncovered_witness(inst, coverage(dualize(inst)).separator)).points
+    return polarize(inst, uncovered_witness(inst, coverage(dualize(inst)).witness))
 
 
 def test_sweep_matches_reference_triple_loop():
@@ -333,7 +329,7 @@ def test_color_points_uses_both_colors():
 
 def test_uncovered_solve_end_to_end(i_unc):
     cov = coverage(dualize(i_unc))
-    o = uncovered_witness(i_unc, cov.separator)
+    o = uncovered_witness(i_unc, cov.witness)
     colors = uncovered_solve(i_unc, o)
     assert verify(i_unc, colors, 3) is None
 
@@ -344,13 +340,13 @@ def test_uncovered_instances_verify():
         inst = generate(GenSpec(n=rng.randint(3, 20), mode="uncovered", seed=t, bound=12))
         cov = coverage(dualize(inst))
         assert cov.kind == "separated"
-        o = uncovered_witness(inst, cov.separator)
+        o = uncovered_witness(inst, cov.witness)
         colors = uncovered_solve(inst, o)
         assert verify(inst, colors, 3) is None
 
 
 def test_uncovered_small_trivial():
-    # below the size floor the coloring is trivially all blue
+    # two polar points give no constraint, so the coloring is all blue
     inst = make_instance((1, 0, UPPER), (2, 3, LOWER))
     assert uncovered_solve(inst, (0, 100)) == [BLUE, BLUE]
 
@@ -365,9 +361,9 @@ def test_soundness_bridge():
     for t in range(30):
         inst = generate(GenSpec(n=rng.randint(4, 9), mode="uncovered", seed=400 + t, bound=8))
         cov = coverage(dualize(inst))
-        o = uncovered_witness(inst, cov.separator)
-        scene = polarize(inst, o)
-        edges = enumerate_point_hyperedges(scene.points)
+        o = uncovered_witness(inst, cov.witness)
+        points = polarize(inst, o)
+        edges = enumerate_point_hyperedges(points)
         for pt in arrangement_samples(inst):
             d, covering = depth(inst, pt)
             if d < 3:
@@ -375,7 +371,7 @@ def test_soundness_bridge():
             # the covering set (polar point i is half-plane i) is a closed
             # half-plane cut
             z = (pt[0] - o[0], pt[1] - o[1])
-            cut = {k for k, u in enumerate(scene.points) if u[0] * z[0] + u[1] * z[1] >= 1}
+            cut = {k for k, u in enumerate(points) if u[0] * z[0] + u[1] * z[1] >= 1}
             assert cut == set(covering)
             assert any(set(e) <= cut for e in edges), (t, covering)
             checked += 1
