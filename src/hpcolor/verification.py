@@ -6,25 +6,28 @@ arrangement, so a finite set of exact sample points (vertices, edge
 midpoints and far points, and one point inside every face) decides
 goodness.
 
-``verify`` first certifies from the shape of the coloring.  A violation
-of one color lies in the region outside every half-plane of the other
-color, an open convex region bounded by two envelopes of lines.  Where
-that region is empty the color needs no check; otherwise a walk over
-the envelope lines and the lines of the half-planes that meet the
-region decides it.  When these walks would cover more lines than the
-whole arrangement has, or when one finds a violation, the full walk
-runs: it walks each boundary line with incremental containment counts
-and reports the first violation in its fixed order.  All of it is
-integer arithmetic in homogeneous coordinates; nothing is ever rounded.
-Crossings along a line are ordered by an exact integer key, and
-``Fraction`` coordinates are built only for a reported witness.
+``verify`` decides line by line.  A violation of one color lies in
+the region outside every half-plane of the other color, an open convex
+region bounded by two envelopes of lines.  Where that region is empty
+the color needs no check; otherwise each boundary line of the color
+that crosses the region is cut down to an interval of it, and the most
+half-planes of the color that hold one point of that interval decide
+(see ``_violated`` for the lemma).  Only when a violation exists does
+the full walk run, to report it: it walks each boundary line with
+incremental containment counts and reports the first violation in its
+fixed order.  All of it is integer arithmetic in homogeneous
+coordinates; nothing is ever rounded.  Thresholds and crossings along a
+line are ordered by exact integer keys, and ``Fraction`` coordinates
+are built only for a reported witness.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -273,16 +276,17 @@ def hyperedges(inst: Instance, k: int = 3) -> list[Hyperedge]:
 
 
 # ---------------------------------------------------------------------------
-# goodness checking: the shape certificate, then the arrangement walk
+# goodness checking: the per-line decider, then the arrangement walk
 
 
 def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violation]:
     """None when every depth->=k cell sees both colors, else first Violation.
 
-    ``_shape_path`` first tries to certify the coloring from the regions
-    outside each color class.  When it cannot, ``_walk`` walks every
-    boundary line and the first violation in its deterministic order is
-    reported, as a full walk alone would report it.
+    ``_violated`` decides, one boundary line at a time, whether some
+    point lies in at least k half-planes of one color and in none of the
+    other.  Only when such a point exists does ``_full_walk`` walk every
+    boundary line, to report the first violation in its deterministic
+    order; the walk decides nothing.
     """
     if len(colors) != len(inst):
         raise LengthMismatchError(
@@ -296,7 +300,7 @@ def verify(inst: Instance, colors: Sequence[str], k: int = 3) -> Optional[Violat
         return None
     is_red = [c == RED for c in colors]
     lines, members = _line_table(inst)
-    if _shape_path(lines, members, is_red, k) in ("empty", "walk"):
+    if not _violated(lines, members, is_red, k):
         return None
     return _full_walk(inst, lines, members, is_red, k)
 
@@ -308,11 +312,7 @@ def _check_threshold(k: int) -> None:
 
 def _full_walk(inst: Instance, lines, members, is_red, k: int) -> Optional[Violation]:
     """The first cell of depth >= k with one color, over every line."""
-
-    def mono(nblue: int, nred: int) -> bool:
-        return nblue + nred >= k and (nblue == 0 or nred == 0)
-
-    hit = _walk(lines, members, is_red, mono)
+    hit = _walk(lines, members, is_red, k)
     if hit is None:
         return None
     witness, nblue = hit
@@ -320,50 +320,46 @@ def _full_walk(inst: Instance, lines, members, is_red, k: int) -> Optional[Viola
     return Violation(witness, tuple(covering), RED if nblue == 0 else BLUE)
 
 
-def _shape_path(lines, members, is_red, k: int) -> str:
-    """Decide from the shape of the coloring, and say how.
+def _violated(lines, members, is_red, k: int, tally=None) -> bool:
+    """Whether some point lies in at least k half-planes of one color c
+    and in no half-plane of the other color O.
 
-    Returns "empty" or "walk" when no cell of depth >= k is monochromatic,
-    and "size" or "violation" when only the full walk can decide.
+    The points in no half-plane of O form the open convex region
+    K_c = {F(x) < y < C(x)}: F is the upper envelope of O's upper
+    boundaries (-inf without one), C the lower envelope of O's lower
+    boundaries (+inf without one), so the envelope lines alone bound it.
+    A color with fewer than k half-planes, or with K_c empty, is fine.
+    Otherwise the c half-planes that meet K_c are kept; no other c
+    half-plane holds a point of K_c.  A closed half-plane meets the open
+    convex K_c exactly when its interior meets the closure of K_c, the
+    convex hull of the corners plus the cone of the rays from
+    ``_region``: when its constraint is positive at a corner or its
+    linear part is positive along a ray.
 
-    A violation of color c is a point in at least k half-planes of c and
-    in none of the other color O.  The points in no half-plane of O form
-    the open convex region K_c = {F(x) < y < C(x)}: F is the upper
-    envelope of O's upper boundaries (-inf without one), C the lower
-    envelope of O's lower boundaries (+inf without one).  A point avoids
-    every half-plane of O exactly when it avoids those whose boundary is
-    on F or C, the envelope lines, since F and C are the max and min over
-    the envelope lines alone.  So color c needs no walk when it has fewer
-    than k half-planes or when K_c is empty.
+    Lemma.  c is violated exactly when
+      (a) some c line has a point in K_c that lies in >= k c
+          half-planes, or
+      (b) no c line crosses K_c, and >= k c half-planes meet K_c.
+    Under (b) each half-plane that meets K_c has its line outside the
+    open convex K_c, so it holds all of K_c.  Conversely, let p in K_c
+    lie in a set H of >= k c half-planes.  If each of H holds all of
+    K_c, then (b) holds, or (a) holds at any point of K_c on a c line.
+    Otherwise some q in K_c lies outside one of H; the segment pq lies
+    in K_c, and its last point r in all of H lies on the line of one of
+    H, a c line: (a).  A line with a member of O misses K_c, since that
+    closed half-plane holds its line.
 
-    Otherwise the restricted walk runs ``_walk`` over the envelope lines
-    and the lines of the c half-planes that meet K_c, with every member
-    half-plane of those lines, and flags a cell with no O member in it
-    and at least k members of c.  It is exact.  At a point p outside K_c
-    some envelope half-plane of O holds p, so p is not flagged.  At p in
-    K_c no half-plane of O holds p, and every c half-plane that holds p
-    meets K_c, so its line is walked: p's count of c is exact.  Each
-    cell of the walked arrangement lies wholly inside or wholly outside
-    K_c, since the envelope lines are among its lines, and the walk
-    samples every cell; so it flags a cell exactly when color c is
-    violated.  A closed half-plane h meets the open convex K_c exactly
-    when its interior meets the closure of K_c, which is the convex hull
-    of the corners plus the cone of the rays from ``_region``: exactly
-    when h's constraint is positive at a corner or its linear part is
-    positive along a ray.
-
-    Two restricted walks over fewer lines in all than the arrangement has
-    cost less than the full walk; otherwise this returns "size" at once,
-    first from the envelope sizes alone, before any corner is built.  A
-    restricted walk that finds a violation returns "violation", so that
-    the full walk reports it in its own order.
+    ``_line_depth`` decides (a) on each kept line; counting the kept
+    half-planes decides (b).  `tally`, a Counter when given, counts the
+    branches taken.
     """
-    n = len(is_red)
-    reds = sum(is_red)
-    m = max(q for _p, q, _r in lines) ** 2 + 1
-    todo = []
+    seen = Counter() if tally is None else tally
+    qmax = max(q for _p, q, _r in lines)
+    m_env = qmax**2 + 1
+    # |A| <= 2 * P_max * Q_max for every A of ``_line_depth``
+    m = (2 * max(abs(p) for p, _q, _r in lines) * qmax) ** 2 + 1
     for red in (False, True):
-        if (reds if red else n - reds) < k:
+        if is_red.count(red) < k:
             continue
         floor, ceiling = [], []
         for g, ms in enumerate(members):
@@ -372,40 +368,92 @@ def _shape_path(lines, members, is_red, k: int) -> str:
                 floor.append(g)
             if 1 in sides:
                 ceiling.append(g)
-        if not floor and not ceiling:
-            return "size"  # K_c is the plane: every line would be walked
-        todo.append((red, _envelope(lines, floor, m, 1), _envelope(lines, ceiling, m, -1)))
-    if sum(len(f) + len(c) for _red, f, c in todo) >= len(lines):
-        return "size"
-
-    walks = []
-    for red, floor, ceiling in todo:
+        floor, ceiling = _envelope(lines, floor, m_env, 1), _envelope(lines, ceiling, m_env, -1)
         region = _region([lines[g] for g in floor], [lines[g] for g in ceiling])
         if region is None:
+            seen["region None"] += 1
             continue
         corners, rays = region
-        kept = set(floor) | set(ceiling)
+        kept = {}
         for g, ms in enumerate(members):
             p, q, r = lines[g]
-            for s in {s for hp, s in ms if is_red[hp] == red}:
-                if any(s * (p * x + q * y + r * w) > 0 for x, y, w in corners) or any(
-                    s * (p * dx + q * dy) > 0 for dx, dy in rays
-                ):
-                    kept.add(g)
-                    break
-        walks.append((red, sorted(kept)))
-    if sum(len(kept) for _red, kept in walks) >= len(lines):
-        return "size"
+            held = [
+                s
+                for hp, s in ms
+                if is_red[hp] == red
+                and (
+                    any(s * (p * dx + q * dy) > 0 for dx, dy in rays)
+                    or any(s * (p * x + q * y + r * w) > 0 for x, y, w in corners)
+                )
+            ]
+            if held:
+                kept[g] = held
+        env = [(*lines[g], 1) for g in floor] + [(*lines[g], -1) for g in ceiling]
+        scan = [(*lines[g], signs) for g, signs in kept.items()]
+        crossed = False
+        for g in kept:
+            if any(is_red[hp] != red for hp, _s in members[g]):
+                seen["other-color member"] += 1
+                continue
+            most = _line_depth(lines[g], env, scan, m, seen)
+            if most is not None:
+                crossed = True
+                if most >= k:
+                    return True
+        if not crossed:
+            seen["no crossing line"] += 1
+            if sum(map(len, kept.values())) >= k:
+                return True
+    return False
 
-    for red, kept in walks:
 
-        def own_only(nblue: int, nred: int, red=red) -> bool:
-            own, other = (nred, nblue) if red else (nblue, nred)
-            return other == 0 and own >= k
+def _line_depth(line, env, scan, m: int, seen) -> Optional[int]:
+    """The most `scan` half-planes holding one point of `line` in K_c, or
+    None when `line` misses K_c.
 
-        if _walk([lines[g] for g in kept], [members[g] for g in kept], is_red, own_only) is not None:
-            return "violation"
-    return "walk" if walks else "empty"
+    Along `line` (P, Q, R), Q > 0, line (P', Q', R')'s constraint has the
+    sign of A*x + B, A = P'*Q - Q'*P and B = R'*Q - Q'*R.  The lines of
+    `env`, signed 1 on F and -1 on C, cut `line` to the open interval
+    lo < x < hi of K_c.  A half-plane of `scan` holds a closed half-line
+    [t, oo) or (-oo, t], t = -B/A, or all of `line` or none when A = 0
+    (`line`'s own members have A = B = 0).  The count rises only at the start
+    t of some [t, oo), so the most is reached there or in the leftmost
+    gap.  Thresholds sort by the exact key floor(t * m), m > A**2.
+    """
+    p, q, r = line
+    lows, highs = [], []
+    for ph, qh, rh, sigma in env:
+        a, b = ph * q - qh * p, rh * q - qh * r
+        if a == 0:
+            if sigma * b <= 0:
+                return None
+            continue
+        (lows if sigma * a > 0 else highs).append(-b * m // a)
+    lo, hi = max(lows, default=None), min(highs, default=None)
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    count, rights, lefts = 0, [], []
+    for ph, qh, rh, signs in scan:
+        a, b = ph * q - qh * p, rh * q - qh * r
+        if a == 0:
+            if b:
+                seen["parallel"] += 1
+            count += sum(s * b >= 0 for s in signs)
+            continue
+        t = -b * m // a
+        for s in signs:
+            (rights if s * a > 0 else lefts).append(t)
+    rights.sort()
+    lefts.sort()
+    inside = [t for t in rights if (lo is None or lo < t) and (hi is None or t < hi)]
+    seen["threshold inside" if inside else "constant interval"] += 1
+    nlefts = len(lefts)
+    gap = nlefts
+    if lo is not None:
+        gap += bisect.bisect_right(rights, lo) - bisect.bisect_right(lefts, lo)
+    return count + max(
+        [gap] + [bisect.bisect_right(rights, t) + nlefts - bisect.bisect_left(lefts, t) for t in inside]
+    )
 
 
 def _envelope(lines, group, m: int, sign: int) -> list:
@@ -447,9 +495,11 @@ def _region(floor, ceiling):
     when K is empty.
 
     F is the upper envelope given by the `floor` lines, C the lower one
-    given by the `ceiling` lines, each left to right; one of the two may
-    be empty.  Corners are homogeneous (X, Y, W), W > 0, and rays integer
+    given by the `ceiling` lines, each left to right; either may be
+    empty.  Corners are homogeneous (X, Y, W), W > 0, and rays integer
     directions; the closure is their convex hull plus the rays' cone.
+    With neither envelope, K is the plane: the origin and the four axis
+    directions.
     With one envelope, the closure is an epigraph or a hypograph: its
     corners are the envelope's breakpoints (a point on its line when it
     has none), and its rays run vertically inward and out along the
@@ -462,6 +512,8 @@ def _region(floor, ceiling):
     between two parallel lines has no corner; a point on each line
     stands in for them.
     """
+    if not floor and not ceiling:  # the plane
+        return [(0, 0, 1)], [(1, 0), (-1, 0), (0, 1), (0, -1)]
     if not floor or not ceiling:
         env, up = (floor, 1) if floor else (ceiling, -1)
         corners = _breaks(env) or [_point_on(env[0], 0)]
@@ -521,9 +573,9 @@ def _rightward(line) -> tuple:
     return q, -p
 
 
-def _walk(lines, members, is_red, flagged):
-    """(witness, blue count) at the first sample where ``flagged(nblue,
-    nred)`` holds, or None.
+def _walk(lines, members, is_red, k: int):
+    """(witness, blue count) at the first sample of depth >= k with one
+    color, or None.
 
     Walks every line of `lines` left to right, keeping exact containment
     counts per color of the member half-planes of `lines`; vertices,
@@ -535,6 +587,9 @@ def _walk(lines, members, is_red, flagged):
     """
     n = len(is_red)
     nlines = len(lines)
+
+    def flagged(nblue: int, nred: int) -> bool:
+        return nblue + nred >= k and (nblue == 0 or nred == 0)
 
     # vertices keyed by reduced integer homogeneous triples (X, Y, W), W > 0
     vertex_lines: dict = {}

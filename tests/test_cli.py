@@ -94,6 +94,30 @@ def test_verify_ok_and_violation(tmp_path, i3_file, capsys):
     assert data["covering"] == [0, 1, 2]
 
 
+def test_verify_convex_polar_coloring(tmp_path, capsys):
+    """A convex polar engine coloring, where every line lies on an
+    envelope of the other color, exits 0; with one half-plane flipped it
+    exits 2 and prints the full walk's witness."""
+    slopes = random.Random(128).sample(range(-256, 257), 128)
+    inst = Instance([HalfPlane(a, -a * a - 1, UPPER) for a in slopes])
+    inst_path, colors_path = tmp_path / "polar.json", tmp_path / "colors.json"
+    inst_path.write_text(inst.to_json())
+    assert run_cli("color", str(inst_path), "--out", str(colors_path)) == 0
+    assert run_cli("verify", str(inst_path), str(colors_path)) == 0
+    assert capsys.readouterr().out == "Ok\n"
+    colors = coloring_from_json(colors_path.read_text())
+    lines, members = verification._line_table(inst)
+    for i in range(len(colors)):
+        flipped = colors[:i] + [BLUE if colors[i] == RED else RED] + colors[i + 1:]
+        is_red = [c == RED for c in flipped]
+        if verification._violated(lines, members, is_red, 3):
+            break
+    expected = verification._full_walk(inst, lines, members, is_red, 3)
+    colors_path.write_text(coloring_to_json(flipped))
+    assert run_cli("verify", str(inst_path), str(colors_path)) == 2
+    assert capsys.readouterr().out == expected.to_json()
+
+
 def test_verify_threshold_2_tri2(tmp_path, tri2_file, capsys):
     any_colors = tmp_path / "c.json"
     for colors in ([BLUE, BLUE, RED], [RED, BLUE, RED]):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hpcolor import verification
 from hpcolor.engine import solve
 from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance
 from hpcolor.generate import MODES, GenSpec, generate
@@ -14,8 +15,8 @@ from hpcolor.verification import (
     _full_walk,
     _line_table,
     _sector_directions,
-    _shape_path,
     _sort_rays,
+    _violated,
     arrangement_samples,
     depth,
     good_colorings,
@@ -214,7 +215,7 @@ def test_verify_matches_brute_force():
 
 
 def _shape_case(rng, t):
-    """One (instance, coloring) for the shape certificate's differential test."""
+    """One (instance, coloring) for the decider's differential test."""
     kind = t % 8
     n = rng.randint(3, 22)
     side = lambda: rng.choice([UPPER, LOWER])
@@ -252,54 +253,63 @@ def _shape_case(rng, t):
     return kind, inst, colors
 
 
-def test_shape_certificate_matches_full_walk():
-    """verify returns what the full walk returns, on every path of the
-    shape certificate."""
+def _decides(inst, colors, k, branches):
+    """verify's answer, which must be the full walk's, and the decider's,
+    which must agree with it; the decider's branches go to `branches`."""
+    lines, members = _line_table(inst)
+    is_red = [c == RED for c in colors]
+    expected = _full_walk(inst, lines, members, is_red, k)
+    case = (k, inst.to_json_dict(), colors)
+    assert verify(inst, colors, k) == expected, case
+    assert _violated(lines, members, is_red, k, branches) == (expected is not None), case
+    return expected
+
+
+def test_decider_matches_full_walk():
+    """verify returns what the full walk returns, on every branch of the
+    per-line decider."""
     rng = random.Random(12)
-    paths = Counter()
+    branches = Counter()
     for t in range(600):
-        kind, inst, colors = _shape_case(rng, t)
-        lines, members = _line_table(inst)
-        is_red = [c == RED for c in colors]
+        _kind, inst, colors = _shape_case(rng, t)
         for k in (1, 2, 3, 4):
-            if len(inst) < k:
-                continue
-            expected = _full_walk(inst, lines, members, is_red, k)
-            got = verify(inst, colors, k)
-            path = _shape_path(lines, members, is_red, k)
-            case = (t, kind, k, path, inst.to_json_dict(), colors)
-            assert got == expected, case
-            # the restricted walk is exact: it flags only real violations
-            assert path != "violation" or expected is not None, case
-            paths[path] += 1
-    floors = {"empty": 300, "walk": 60, "violation": 200, "size": 1000}
-    assert all(paths[p] >= floor for p, floor in floors.items()), paths
+            if len(inst) >= k:
+                _decides(inst, colors, k, branches)
+    floors = {
+        "region None": 600,
+        "no crossing line": 80,
+        "threshold inside": 700,
+        "constant interval": 700,
+        "parallel": 500,
+        "other-color member": 80,
+    }
+    assert all(branches[b] >= floor for b, floor in floors.items()), branches
 
 
 def test_strip_region_keeps_its_far_side():
     """Blue y <= 0 and y >= 10 leave the strip 0 < y < 10 for red, a
     region with no corner.  Red's y >= 5, 6, 7 meet it only through the
-    strip's upper side, and (0, 17/2) is a red-only point of depth 3."""
+    strip's upper side, and (0, 17/2) is a red-only point of depth 3.
+    The strip's sides are parallel to the red lines, so each red line
+    crosses the whole strip with a constant count."""
     strip = [(0, 0, UPPER), (0, 10, LOWER), (0, 5, LOWER), (0, 6, LOWER), (0, 7, LOWER)]
     below = [(0, -20 - i, UPPER) for i in range(11)]  # red, outside the strip
     for rows in (strip, strip + below):
         inst = make_instance(*rows)
         colors = [BLUE, BLUE] + [RED] * (len(rows) - 2)
-        lines, members = _line_table(inst)
-        is_red = [c == RED for c in colors]
-        expected = _full_walk(inst, lines, members, is_red, 3)
+        branches = Counter()
+        expected = _decides(inst, colors, 3, branches)
         assert expected is not None and expected.covering == (2, 3, 4)
-        assert verify(inst, colors, 3) == expected
-        assert _shape_path(lines, members, is_red, 3) in ("size", "violation")
-    assert _shape_path(lines, members, is_red, 3) == "violation"
+        assert branches["parallel"] > 0 and branches["constant interval"] > 0, branches
+        assert branches["threshold inside"] == 0, branches
 
 
-def test_shape_certificate_on_strips():
+def test_decider_on_strips():
     """verify returns what the full walk returns when the other color
     leaves a strip between parallel boundaries, with or without one
     crossing line of its own."""
     rng = random.Random(5)
-    paths = Counter()
+    branches = Counter()
     for t in range(200):
         a = rng.choice([0, -2, Fraction(1, 3), 5])
         lo, hi = sorted(rng.sample(range(-10, 11), 2))
@@ -316,14 +326,97 @@ def test_shape_certificate_on_strips():
         rng.shuffle(rows)
         inst = Instance([h for h, _c in rows])
         colors = [c for _h, c in rows]
-        lines, members = _line_table(inst)
-        is_red = [c == RED for c in colors]
         for k in (1, 2, 3, 4):
-            if len(inst) < k:
-                continue
-            path = _shape_path(lines, members, is_red, k)
-            case = (t, k, path, inst.to_json_dict(), colors)
-            assert verify(inst, colors, k) == _full_walk(inst, lines, members, is_red, k), case
-            paths[path] += 1
-    floors = {"empty": 15, "walk": 30, "violation": 350, "size": 120}
-    assert all(paths[p] >= floor for p, floor in floors.items()), paths
+            if len(inst) >= k:
+                _decides(inst, colors, k, branches)
+    floors = {
+        "region None": 100,
+        "no crossing line": 50,
+        "threshold inside": 200,
+        "constant interval": 200,
+        "parallel": 1000,
+        "other-color member": 50,
+    }
+    assert all(branches[b] >= floor for b, floor in floors.items()), branches
+
+
+def _polar(n, seed):
+    """Upper half-planes y <= a*x - a^2 - 1 with distinct slopes: their
+    boundaries are in convex position, and in a balanced coloring every
+    line lies on an envelope of the other color."""
+    slopes = random.Random(seed).sample(range(-2 * n, 2 * n + 1), n)
+    return Instance([HalfPlane(a, -a * a - 1, UPPER) for a in slopes])
+
+
+def test_decider_agrees_with_full_walk():
+    """The decider says violated exactly when the full walk finds a
+    violation: all four modes at thresholds 1 to 4, exact images of each
+    instance (fractional, times 10**40, over 10**40), and good colorings
+    of convex polar sets with one half-plane flipped, whose violations
+    sit on the envelopes."""
+    rng = random.Random(17)
+    answers = Counter()
+    for t in range(240):
+        mode = MODES[t % 4]
+        n = rng.randint(3 if mode == "covered" else 1, 16)
+        inst = generate(GenSpec(n=n, mode=mode, seed=1000 + t, bound=rng.choice([2, 10, 50])))
+        image = t // 4 % 4
+        if image == 1:
+            u, s = Fraction(rng.randint(1, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), 7)
+            c, e = Fraction(rng.randint(-9, 9), 5), Fraction(rng.randint(-9, 9), 3)
+            inst = _affine_image(inst, u, s, c, e)
+        elif image > 1:
+            scale = 10**40 if image == 2 else Fraction(1, 10**40)
+            inst = Instance([HalfPlane(h.a * scale, h.b * scale, h.side) for h in inst])
+        share = rng.choice([0.05, 0.3, 0.5])
+        colors = [RED if rng.random() < share else BLUE for _ in range(n)]
+        for k in (1, 2, 3, 4):
+            if n >= k:
+                answers[mode, _decides(inst, colors, k, Counter()) is not None] += 1
+    for t in range(40):
+        inst = _polar(rng.randint(5, 30), t)
+        colors = solve(inst)
+        i = rng.randrange(len(inst))
+        colors[i] = BLUE if colors[i] == RED else RED
+        answers["polar", _decides(inst, colors, 3, Counter()) is not None] += 1
+    floors = {(mode, bad): 100 if bad else 15 for mode in MODES for bad in (False, True)}
+    floors.update({("polar", False): 10, ("polar", True): 10})
+    assert all(answers[key] >= floor for key, floor in floors.items()), answers
+
+
+def test_good_polar_coloring_needs_no_walk(monkeypatch):
+    """The decider alone certifies a good convex polar coloring."""
+    inst = _polar(64, 64)
+    colors = solve(inst)
+
+    def no_walk(*args):
+        raise AssertionError("the arrangement walk ran on a good coloring")
+
+    monkeypatch.setattr(verification, "_walk", no_walk)
+    assert verify(inst, colors, 3) is None
+
+
+def test_decider_edge_branches():
+    """The lemma's edge branches give the full walk's exact Violation.
+    Red y >= -5, -6, -7 lie under the strip 0 < y < 10 that blue y <= 0
+    and y >= 10 leave: no red line crosses the strip, yet each red
+    half-plane holds all of it.  Red y >= 0 touches the wedge y > |x| that
+    blue y <= x and y <= -x leave only at its corner, where red y <= 3x
+    and y <= -3x hold too; no point of the wedge is in all three.  With
+    one color, its region is the plane."""
+    under = make_instance((0, 0, UPPER), (0, 10, LOWER), (0, -5, LOWER), (0, -6, LOWER), (0, -7, LOWER))
+    branches = Counter()
+    expected = _decides(under, [BLUE, BLUE, RED, RED, RED], 3, branches)
+    assert expected is not None and expected.covering == (2, 3, 4) and expected.color == RED
+    assert branches["no crossing line"] == 1, branches
+    corner = make_instance((1, 0, UPPER), (-1, 0, UPPER), (0, 0, LOWER), (3, 0, UPPER), (-3, 0, UPPER))
+    colors = [BLUE, BLUE, RED, RED, RED]
+    assert _decides(corner, colors, 3, Counter()) is None
+    assert _decides(corner, colors, 2, Counter()).covering in ((2, 3), (2, 4))
+    triangle = make_instance((1, 0, UPPER), (-1, 2, UPPER), (0, 0, LOWER), (0, 5, UPPER))
+    parallel = make_instance((0, 0, UPPER), (0, 1, LOWER), (0, 2, LOWER))  # depth 2 at most
+    for inst, k, bad in ((triangle, 3, True), (triangle, 4, True), (parallel, 2, True), (parallel, 3, False)):
+        branches = Counter()
+        expected = _decides(inst, [RED] * len(inst), k, branches)
+        assert (expected is not None) == bad, (inst, k, expected)
+        assert "region None" not in branches and "no crossing line" not in branches
