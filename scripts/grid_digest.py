@@ -8,7 +8,7 @@ mode = ("covered", "random", "degenerate")[t % 3], bound = choice([3, 5,
 check=False)``, or with ``repr(exc)`` when the solve raises.  The digest
 moves when any coloring, case path, attempt count or error does, so a
 refactor that claims to keep behaviour prints the same line before and
-after.  About 35 s.
+after.  About 6 s on a 2-cpu x86_64 host, Python 3.11.
 
 Run from the repo root:
     python3 scripts/grid_digest.py

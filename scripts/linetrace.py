@@ -60,7 +60,7 @@ KEEP = {
             "scene = dualize(Instance([hp]))",
             "downward = bool(scene.tips_u)",
             "tip_x, tip_y, _ = (scene.tips_u + scene.tips_l)[0]",
-            "value = c * tip_x + d",
+            "value = c * tip_x + d * scene.scale",
             "return value <= tip_y if downward else value >= tip_y",
         ],
     ),
@@ -123,6 +123,7 @@ CLI_CALLS = [
     (["color", "{dir}/bad-unhashable-side.json"], 3),
     (["color", "{dir}/empty.json"], 0),
     (["color", "{dir}/fractions.json"], 0),
+    (["color", "{dir}/coprime.json"], 0),
     (["verify", "{dir}/uncovered.json", "{dir}/colors.json"], 0),
     (["verify", "{dir}/covered.json", "{dir}/all-blue.json"], 2),
     (["verify", "{dir}/covered.json", "{dir}/all-blue.json", "--threshold", "1"], 2),
@@ -185,6 +186,17 @@ def _write_inputs(folder: Path) -> None:
     instance("edge-free.json", [_hp(0, 1, "lower"), _hp(0, -1, "upper"), _hp(2, 0, "lower")])
     instance("fractions.json", [_hp("1/2", 1, "upper"), _hp(-2, "-3/4", "lower"),
                                 _hp(3, " 2 ", "lower"), _hp("-6/4", "5/2", "upper")])
+    # denominators 2**p - 1 for distinct primes p are pairwise coprime, so
+    # their lcm is too long to clear and the tips stay Fractions; the
+    # first two boundaries are parallel, so `perturb` runs on them too
+    def frac(k, p):
+        return f"{k * (2**p - 1) + 1}/{2**p - 1}"
+
+    instance("coprime.json", [
+        _hp(frac(1, 211), frac(0, 223), "upper"), _hp(frac(1, 211), frac(2, 227), "lower"),
+        _hp(frac(-1, 229), frac(1, 233), "lower"), _hp(frac(2, 239), frac(-1, 241), "upper"),
+        _hp(frac(-2, 251), frac(0, 257), "lower"), _hp(frac(0, 263), frac(3, 269), "upper"),
+    ])
     # a duplicate, a parallel pair and three boundaries through (0, 0)
     instance("degenerate.json", [_hp(1, 0, "upper"), _hp(1, 0, "upper"), _hp(1, 2, "lower"),
                                  _hp(-1, 0, "lower"), _hp(3, 0, "upper")])

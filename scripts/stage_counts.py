@@ -13,20 +13,31 @@ per size:
   cases) and of the whole solve over ``--repeats`` solves;
 - the median milliseconds of `read` (`Instance.from_json` on the
   instance's JSON text) and of `write` (`coloring_to_json` on the
-  solve's colors) over ``--repeats`` calls, and of `dualize_perturbed`
-  (`dualize` on ``perturb(inst, 0)``, whose coordinates are Fractions)
-  over at least 15 calls.
+  solve's colors) over ``--repeats`` calls;
+- up to n = 16,384, the perturbed row over at least 15 calls each:
+  `perturb` (``perturb(inst, 0)`` on the parsed instance, whose
+  coordinates come out as Fractions), `dualize_perturbed` (`dualize` on
+  that perturbed instance) and `solve_perturbed` (``solve_detailed(...,
+  check=False)`` on it).  Larger sizes are left out because a solve
+  that runs in `Fraction` arithmetic (before denominators were cleared
+  in `dualize`) takes more than about 1 s per call there: 2.0 s at
+  32,768 and 5.3 s at 65,536, against 0.9 s at 16,384;
+- up to the same size and over as many calls, `solve_coprime`: the read
+  and a ``check=False`` solve of the instance with 1/p added to each
+  value, p a distinct prime above 10**6 per value.  Denominators that
+  many and that large have no common denominator cheap to clear, so the
+  tips stay Fractions (see `model.common_denominator`).
 
-With ``--against DIR`` the `read`, `write` and `dualize_perturbed`
-calls of the hpcolor in DIR/src (another checkout, say the parent
-commit) alternate call by call with this checkout's, each side first in
-every other round, and their medians are written under ``against_ms``.
-The output names the commit of each checkout (``+changes`` if its src/
-differs from that commit) under ``commit`` and ``against``.
+With ``--against DIR`` the `read`, `write` and perturbed calls of the
+hpcolor in DIR/src (another checkout, say the parent commit) alternate
+call by call with this checkout's, each side first in every other
+round, and their medians are written under ``against_ms``.  The output
+names the commit of each checkout (``+changes`` if its src/ differs
+from that commit) under ``commit`` and ``against``.
 
 Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_6.json
-    python3 scripts/stage_counts.py --out BENCH_15.json --against ../parent
+    python3 scripts/stage_counts.py --out BENCH_18.json --against ../parent
 """
 
 import argparse
@@ -39,6 +50,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -46,9 +58,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hpcolor import engine, geometry, model
 from hpcolor.generate import GenSpec, generate
+from hpcolor.rationals import format_scalar
 
 SIZES = [2**k for k in range(10, 18)]
-PERTURBED_CALLS = 15  # fewest dualize_perturbed calls per size
+PERTURBED_CALLS = 15  # fewest calls per size of each perturbed stage
+PERTURBED_MAX_N = 16384  # the largest size with a perturbed row
+FIRST_PRIME = 10**6  # the coprime row's denominators are the primes above
 STAGES = {
     "screen": "cheap_position_ok",
     "dualize": "dualize",
@@ -135,7 +150,8 @@ def checkout_commit(root: Path) -> str:
 
 
 def load_against(root: Path):
-    """`hpcolor.model` of another checkout, imported as `hpcolor_against`."""
+    """`hpcolor.model` and `hpcolor.engine` of another checkout, imported
+    as `hpcolor_against`."""
     pkg = root / "src" / "hpcolor"
     spec = importlib.util.spec_from_file_location(
         "hpcolor_against", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
@@ -143,24 +159,66 @@ def load_against(root: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module("hpcolor_against.model")
+    return tuple(importlib.import_module(f"hpcolor_against.{name}") for name in ("model", "engine"))
+
+
+def primes_above(lo: int, count: int) -> list:
+    """The first `count` primes above `lo`, by a sieve of (lo, lo + 20*count)."""
+    hi = lo + 20 * count
+    alive = bytearray([1]) * (hi - lo)
+    p = 2
+    while p * p < hi:
+        first = max(p * p, (lo // p + 1) * p)
+        alive[first - lo :: p] = bytes(len(range(first - lo, hi - lo, p)))
+        p += 1
+    found = [lo + i for i in range(1, hi - lo) if alive[i]]
+    assert len(found) >= count
+    return found[:count]
+
+
+def coprime_json(inst) -> str:
+    """The JSON text of `inst` with 1/p added to each value, p the primes
+    above FIRST_PRIME, one per value."""
+    primes = iter(primes_above(FIRST_PRIME, 2 * len(inst)))
+    entries = [
+        {"a": format_scalar(h.a + Fraction(1, next(primes))),
+         "b": format_scalar(h.b + Fraction(1, next(primes))), "side": h.side}
+        for h in inst
+    ]
+    return json.dumps({"halfplanes": entries})
+
+
+def read_and_solve(mod, eng, text):
+    return eng.solve_detailed(mod.Instance.from_json(text), check=False)
 
 
 def time_front(inst, colors, repeats, against=None):
-    """Median milliseconds of `read`, `write` and `dualize_perturbed`, for
-    this checkout and, alternating call by call, for `against`."""
+    """Median milliseconds of `read`, `write` and, up to PERTURBED_MAX_N,
+    the perturbed stages, for this checkout and, alternating call by
+    call, for `against`."""
     text = inst.to_json()
-    mods = {"ms": model} if against is None else {"ms": model, "against_ms": against}
+    mods = {"ms": (model, engine)}
+    if against is not None:
+        mods["against_ms"] = against
+    counts = {"read": repeats, "write": repeats}
+    if len(inst) <= PERTURBED_MAX_N:
+        perturbed = ("perturb", "dualize_perturbed", "solve_perturbed", "solve_coprime")
+        counts.update(dict.fromkeys(perturbed, max(repeats, PERTURBED_CALLS)))
+        coprime = coprime_json(inst)
     calls, samples = {}, {}
-    for key, mod in mods.items():
-        pert = mod.perturb(mod.Instance.from_json(text), 0)
+    for key, (mod, eng) in mods.items():
         calls[key] = {
             "read": partial(mod.Instance.from_json, text),
             "write": partial(mod.coloring_to_json, colors),
-            "dualize_perturbed": partial(mod.dualize, pert),
         }
-        samples[key] = {stage: [] for stage in calls[key]}
-    counts = {"read": repeats, "write": repeats, "dualize_perturbed": max(repeats, PERTURBED_CALLS)}
+        if "perturb" in counts:
+            parsed = mod.Instance.from_json(text)
+            pert = mod.perturb(parsed, 0)
+            calls[key]["perturb"] = partial(mod.perturb, parsed, 0)
+            calls[key]["dualize_perturbed"] = partial(mod.dualize, pert)
+            calls[key]["solve_perturbed"] = partial(eng.solve_detailed, pert, check=False)
+            calls[key]["solve_coprime"] = partial(read_and_solve, mod, eng, coprime)
+        samples[key] = {stage: [] for stage in counts}
     for stage, count in counts.items():
         for rep in range(count):
             # alternate which side goes first, so neither always follows
@@ -179,7 +237,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_6.json")
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--against", type=Path, help="another checkout to time read, write and dualize against")
+    ap.add_argument(
+        "--against", type=Path, help="another checkout to time read, write and the perturbed stages against"
+    )
     args = ap.parse_args()
     against = load_against(args.against) if args.against else None
 
@@ -205,7 +265,9 @@ def main() -> int:
         # the checkout compared against is named by its commit, not its path
         "command": command + (" --against DIR" if args.against else ""),
         "commit": checkout_commit(Path(__file__).resolve().parents[1]),
-        "instances": "covered, seed 0, bound max(64, 4n), solve_detailed(check=False)",
+        "instances": "covered, seed 0, bound max(64, 4n), solve_detailed(check=False);"
+        f" the perturbed stages on perturb(inst, 0), n <= {PERTURBED_MAX_N};"
+        f" solve_coprime reads and solves inst + 1/p per value, p distinct primes > {FIRST_PRIME}",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.processor() or 'cpu'}, {os.cpu_count()} cpus",
         "sizes": rows,

@@ -11,7 +11,7 @@ color))``, or ``repr(None)`` when the coloring is good, in call order.
 A change to the verifier that keeps its answers prints the same digest
 before and after.
 
-Run from the repo root (about 25 s on a 2-cpu x86_64 host, Python 3.11):
+Run from the repo root (about 15 s on a 2-cpu x86_64 host, Python 3.11):
     python3 scripts/verify_digest.py
 """
 

@@ -43,6 +43,7 @@ from .model import (
     dualize,
     perturb,
 )
+from .rationals import normalize
 from .uncovered import UncoveredError, uncovered_solve, uncovered_witness
 from .verification import verify
 
@@ -150,25 +151,29 @@ class _Fam:
 
 @dataclass
 class View:
-    """A frame: the upper family `u` and the lower family `l`.  The flips
-    mirror coordinates and keep each tip's index, so a coloring keyed by
-    index holds in every frame."""
+    """A frame: the upper family `u` and the lower family `l`, in the
+    scene's units (`scale`, see `dualize`).  The flips mirror coordinates
+    and keep each tip's index, so a coloring keyed by index holds in
+    every frame."""
 
     u: _Fam
     l: _Fam
+    scale: int
 
     @classmethod
     def of(cls, scene: DualScene) -> "View":
-        return cls(_Fam.build(scene.tips_u, UPPER), _Fam.build(scene.tips_l, LOWER))
+        return cls(
+            _Fam.build(scene.tips_u, UPPER), _Fam.build(scene.tips_l, LOWER), scene.scale
+        )
 
     def x_flip(self) -> "View":
         """The left-right mirror frame, with no hull rebuilt."""
-        return View(self.u.x_flip(), self.l.x_flip())
+        return View(self.u.x_flip(), self.l.x_flip(), self.scale)
 
     def y_flip(self) -> "View":
         """The up-down mirror frame (the families swap roles), with no hull
         rebuilt."""
-        return View(self.l.y_flip(), self.u.y_flip())
+        return View(self.l.y_flip(), self.u.y_flip(), self.scale)
 
 
 @dataclass
@@ -234,22 +239,25 @@ def coverage(scene: DualScene) -> Coverage:
     It is strictly above every upper-family tip and strictly below every
     lower-family tip, so it dualizes back to the uncovered primal point
     (c, d), the witness, which `uncovered_witness` checks by substitution.
+    The scene's tips are scaled by L = `scene.scale`; the witness is in
+    the instance's units, its intercept the scaled line's divided by L.
     """
     view = View.of(scene)
-    cu, cl = view.u.chain, view.l.chain
+    cu, cl, scale = view.u.chain, view.l.chain, scene.scale
 
     # callers pass n >= 3, so at least one family has a chain
     if cu is None or cl is None:
         if cl is None:
-            witness = (0, max(v[1] for v in scene.tips_u) + 1)
+            d = Fraction(max(v[1] for v in scene.tips_u), scale) + 1
         else:
-            witness = (0, min(v[1] for v in scene.tips_l) - 1)
-        return Coverage("separated", witness=witness)
+            d = Fraction(min(v[1] for v in scene.tips_l), scale) - 1
+        return Coverage("separated", witness=(0, normalize(d)))
 
     lo = max(cu.x_min, cl.x_min)
     hi = min(cu.x_max, cl.x_max)
     if lo > hi:
-        return Coverage("separated", witness=_separator_disjoint_spans(cu, cl))
+        c, d = _separator_disjoint_spans(cu, cl)
+        return Coverage("separated", witness=(c, d / scale))
     # tip x values are distinct, so x orders the vertices totally
     cands = [("u", v) for v in cu.vertices if lo <= v[0] <= hi]
     cands += [("l", v) for v in cl.vertices if lo <= v[0] <= hi]
@@ -266,7 +274,8 @@ def coverage(scene: DualScene) -> Coverage:
         if best is None or yu - yl > best[0]:
             best = (yu - yl, x, yu + yl)
     # lo and hi are chain vertices, so `best` is set
-    return Coverage("separated", witness=_separator_overlap(cu, cl, *best))
+    c, d = _separator_overlap(cu, cl, *best)
+    return Coverage("separated", witness=(c, d / scale))
 
 
 def _separator_disjoint_spans(cu, cl) -> tuple:
@@ -569,8 +578,12 @@ def case_b(pv: Pivot, path: list, depth: int = 0, walk: int = 0) -> dict:
 
     succ = next((w for w in layer1 if w[0] > primes[-1][0]), None)
     if succ is None:
-        eps = _min_x_gap(view) / 2
-        succ = (primes[-1][0] + eps, primes[-1][1] - eps * eps)
+        # A synthetic successor (x + eps, y - eps**2) of the last prime,
+        # eps half the least x gap g of the unscaled tips.  Only the ray
+        # to it from the last prime is read, along (1, -eps), that is
+        # (2*L, -g*L) in the scene's units (see `dualize`), so this point
+        # on the same ray, an int one when the tips are, stands in for it.
+        succ = (primes[-1][0] + 2 * view.scale, primes[-1][1] - _min_x_gap(view))
     seq = primes + [succ]
     j = None
     for t in range(len(primes)):
@@ -631,10 +644,10 @@ def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
     return _clears(anchor, q_star, window, (), (q_star[0], pj[0]))
 
 
-def _min_x_gap(view: View) -> Fraction:
-    # ints and Fractions compare natively; Fraction() keeps eps = gap / 2 exact
+def _min_x_gap(view: View):
+    # an int on int tips, a Fraction on Fraction tips (scale 1)
     xs = sorted(p[0] for p in view.u.pts + view.l.pts)
-    return Fraction(min((b - a for a, b in zip(xs, xs[1:])), default=1))
+    return min((b - a for a, b in zip(xs, xs[1:])), default=1)
 
 
 def case_d(pv: Pivot, path: list, depth: int) -> dict:

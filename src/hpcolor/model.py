@@ -7,8 +7,17 @@ downward vertical rays, lower ones upward rays, and the primal point
 (c, d) maps to the line y = c*x + d.  With this convention a point lies
 in a half-plane exactly when its dual line meets the half-plane's ray,
 and "above" in the primal is "below" in the dual.  A tip carries the
-index of its half-plane as a third entry, (-a, b, i), through every
-mirrored frame, so colorings of tips are keyed by half-plane index.
+index of its half-plane as a third entry through every mirrored frame,
+so colorings of tips are keyed by half-plane index.
+
+`dualize` scales the dual plane by L = `DualScene.scale`, a positive
+common denominator of the instance, so the tips (-a*L, b*L, i) are
+plain ints; the primal point (c, d) then maps to the line y = c*x + d*L.
+That holds on int input, on every perturbed instance of it, and on any
+input whose common denominator is small next to its largest one (see
+`common_denominator`); on input with many large coprime denominators
+L = 1 and the tips stay Fractions.  Witnesses that leave the engine
+(`coverage`'s uncovered point) stay in the instance's own units.
 
 An `Instance` stores its half-planes as three columns (slopes,
 intercepts, sides), which is what parsing produces and what the screen,
@@ -19,10 +28,11 @@ an instance is indexed or iterated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter, neg
+from operator import attrgetter, itemgetter, neg
 from typing import Iterator
 
 from .rationals import (
@@ -115,11 +125,16 @@ class Instance:
     line table) read the columns; indexing and iteration build `HalfPlane`
     values on access, equal to the ones the instance was made from but
     not the same objects.
+
+    `_den` is a positive common denominator of both columns when the
+    maker of the instance knows one (the parse of an all-int column pair,
+    `perturb`), else None and `common_denominator` looks for one.
     """
 
     a: list
     b: list
     sides: list
+    _den = None  # not a field: equality and repr see the columns only
 
     def __init__(self, halfplanes):
         hps = list(halfplanes)
@@ -128,11 +143,12 @@ class Instance:
         self.sides = [h.side for h in hps]
 
     @classmethod
-    def _of_columns(cls, a: list, b: list, sides: list) -> "Instance":
+    def _of_columns(cls, a: list, b: list, sides: list, den) -> "Instance":
         """An instance over columns that already hold canonical scalars and
-        valid sides; nothing is checked or copied."""
+        valid sides, with `den` a common denominator of both or None;
+        nothing is checked or copied."""
         inst = cls.__new__(cls)
-        inst.a, inst.b, inst.sides = a, b, sides
+        inst.a, inst.b, inst.sides, inst._den = a, b, sides, den
         return inst
 
     def __len__(self) -> int:
@@ -176,8 +192,8 @@ class Instance:
         if not isinstance(items, list):
             raise InstanceFormatError("'halfplanes' must be a list")
         try:
-            a = _scalar_column(items, "a")
-            b = _scalar_column(items, "b")
+            a, a_ints = _scalar_column(items, "a")
+            b, b_ints = _scalar_column(items, "b")
             sides = list(map(itemgetter("side"), items))
             ok = {*sides} <= {UPPER, LOWER}
         except (KeyError, TypeError, ValueError):
@@ -185,20 +201,20 @@ class Instance:
             ok = False
         if not ok:
             raise _first_bad_entry(items)
-        return cls._of_columns(a, b, sides)
+        return cls._of_columns(a, b, sides, 1 if a_ints and b_ints else None)
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
         return cls.from_json_dict(_load_json(text))
 
 
-def _scalar_column(items: list, key: str) -> list:
-    """Field `key` of every entry, parsed; a column of plain ints (bools
-    are not `int` by type) is kept as it is."""
+def _scalar_column(items: list, key: str) -> tuple[list, bool]:
+    """Field `key` of every entry, parsed, and whether it is all plain
+    ints (bools are not `int` by type), in which case it is kept as it is."""
     column = list(map(itemgetter(key), items))
     if {*map(type, column)} <= {int}:
-        return column
-    return [parse_scalar(v) for v in column]
+        return column, True
+    return [parse_scalar(v) for v in column], False
 
 
 def _first_bad_entry(items: list) -> InstanceFormatError:
@@ -318,57 +334,124 @@ def cheap_position_ok(inst: Instance) -> bool:
     return len(set(inst.a)) == len(inst.a)
 
 
-def perturbation_step(inst: Instance) -> Fraction:
-    """Base step 1 / (2*(1 + M))**3 with M the largest |num|/|den| seen."""
-    m = 1
-    for v in chain(inst.a, inst.b):
-        n, d = num_den(v)
-        m = max(m, abs(n), d)
-    return Fraction(1, (2 * (1 + m)) ** 3)
+# The bits a scanned common denominator may have beyond four times its
+# largest denominator's before `common_denominator` gives it up.  One
+# orientation on 2,048-bit ints costs about what it costs on Fractions
+# with small denominators (20 against 24 us, x86_64, CPython 3.11), so
+# the int tips stay well below that.
+CLEAR_BITS = 1024
+
+
+def common_denominator(inst: Instance) -> int | None:
+    """A positive common denominator of both columns that is cheap to
+    clear, or None.
+
+    It is the one the instance's maker recorded, else the lcm of the
+    Fractions' denominators, unless that lcm has more than
+    4*bits(largest) + CLEAR_BITS bits.  Many large pairwise coprime
+    denominators (k/p_i, distinct primes p_i) make the lcm grow with n,
+    and tips that long would cost more per orientation than the
+    Fractions do; the scan stops at the first lcm past the bound.
+    """
+    if inst._den is not None:
+        return inst._den
+    dens = {v.denominator for v in chain(inst.a, inst.b) if type(v) is not int}
+    limit = 4 * max(dens, default=1).bit_length() + CLEAR_BITS
+    den = 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if den.bit_length() > limit:
+            return None
+    return den
 
 
 def perturb(inst: Instance, attempt: int = 0) -> Instance:
     """Index-keyed deterministic perturbation: (a, b) += delta*kappa*(k, k^2).
 
-    Each attempt shrinks the step by 2**-attempt.  Distinct index keys
+    The base step is 1 / (2*(1 + M))**3, M the largest |num| or den
+    seen, and each attempt shrinks it by 2**-attempt.  Distinct index keys
     mean no two half-planes shift in parallel, so some attempt always
     reaches general position.  The keys are cyclically shifted and the
     sign flipped per attempt: retries then split degeneracies in
     combinatorially different ways, which matters when a coloring valid
     for the perturbed instance fails on the degenerate original.
+
+    delta = dn/dd with dn = +-1, so v + delta*k is the one Fraction
+    (vn*dd + dn*k*vd) / (vd*dd), and dd times the input's common
+    denominator, if it has one, is the result's.
     """
+    den = common_denominator(inst)
+    nums = map(attrgetter("numerator"), chain(inst.a, inst.b))
+    dens = map(attrgetter("denominator"), chain(inst.a, inst.b))
+    m = max(chain(map(abs, nums), dens), default=1)
+    dn, dd = (-1) ** attempt, (2 * (1 + m)) ** 3 << attempt
     n = max(len(inst), 1)
-    delta = perturbation_step(inst) * Fraction((-1) ** attempt, 2**attempt)
     keys = [(i + attempt) % n + 1 for i in range(len(inst))]
     return Instance._of_columns(
-        [normalize(as_fraction(a) + delta * k) for a, k in zip(inst.a, keys)],
-        [normalize(as_fraction(b) + delta * k**2) for b, k in zip(inst.b, keys)],
+        _shifted(inst.a, [dn * k for k in keys], dd),
+        _shifted(inst.b, [dn * k * k for k in keys], dd),
         list(inst.sides),
+        None if den is None else dd * den,
     )
+
+
+def _shifted(column: list, steps: list, dd: int) -> list:
+    """v + step/dd for each v of `column`, canonical."""
+    return [
+        normalize(Fraction(v.numerator * dd + step * v.denominator, v.denominator * dd))
+        for v, step in zip(column, steps)
+    ]
 
 
 @dataclass
 class DualScene:
     """Tips of the dual rays, one family per side, x-sorted.
 
-    A tip is ``(x, y, i)``: the ray's apex and the index of its half-plane
-    in the instance.  tips_u carry downward rays (upper half-planes),
-    tips_l upward rays.
+    A tip is ``(x, y, i)``: the ray's apex, in the dual plane scaled by
+    `scale`, and the index of its half-plane in the instance; half-plane
+    y = a*x + b has the tip (-a*scale, b*scale, i), an int unless scale
+    is 1 on Fraction input (see `dualize`).  tips_u carry
+    downward rays (upper half-planes), tips_l upward rays.
     """
 
     tips_u: list
     tips_l: list
+    scale: int
 
 
 def dualize(inst: Instance) -> DualScene:
-    """Map half-plane i with boundary y = a*x + b to the tip (-a, b, i).
+    """Map half-plane i with boundary y = a*x + b to the tip (-a*L, b*L, i),
+    L = `common_denominator(inst)`, recorded as the scene's `scale`: an
+    int tip.  When the instance has no common denominator cheap to clear,
+    L = 1 and the tip is (-a, b, i), Fractions as given.
 
     Requires pairwise distinct tip x-coordinates (equivalently, no two
     boundaries parallel); collinearity degeneracies are left to callers'
     assertions and the solve retry loop.
+
+    Exactness.  The scaling is the homothety z -> L*z with L > 0.  Every
+    decision of the covered engine is the sign of an orientation
+    determinant (degree 2, scaled by L**2), an x or y comparison (scaled
+    by L), or a slope comparison (unchanged), so every sign, every order
+    and every case path is the one of the unscaled tips.  Only two
+    constants of the engine are not homothetic, and both are written so
+    that they are.  `coverage`'s one-family witness is (0, max(y')/L + 1)
+    (and min(y')/L - 1), y' the scaled tip ordinates.  Case B's synthetic
+    successor (x + eps, y - eps**2) of a tip, eps half the least tip x
+    gap g, is read only through its ray from that tip, of direction
+    (1, -eps), which is (2*L, -g') in scaled units, g' = g*L.  Witnesses
+    leave `coverage` in instance units: a slope c is unchanged and an
+    intercept is d'/L.  So the engine's colorings, case paths and
+    witnesses are those of the unscaled tips, and when L clears every
+    denominator, every point the case machine and the hull scans see is
+    an int point.
     """
-    # slopes are normalized, and ints and Fractions compare natively
-    tips = sorted(zip(map(neg, inst.a), inst.b, range(len(inst))), key=itemgetter(0))
+    scale = common_denominator(inst) or 1
+    if scale == 1:
+        xs, ys = map(neg, inst.a), inst.b
+    else:
+        xs, ys = map(neg, _cleared(inst.a, scale)), _cleared(inst.b, scale)
+    tips = sorted(zip(xs, ys, range(len(inst))), key=itemgetter(0))
     for p, q in zip(tips, tips[1:]):
         if p[0] == q[0]:
             raise GeneralPositionViolation(
@@ -376,17 +459,25 @@ def dualize(inst: Instance) -> DualScene:
             )
     upper = [side == UPPER for side in inst.sides]
     return DualScene(
-        [tip for tip in tips if upper[tip[2]]], [tip for tip in tips if not upper[tip[2]]]
+        [tip for tip in tips if upper[tip[2]]],
+        [tip for tip in tips if not upper[tip[2]]],
+        scale,
     )
+
+
+def _cleared(column: list, scale: int) -> list:
+    """v*scale as an int for each v of `column`; scale is a multiple of
+    every denominator there."""
+    return [v * scale if type(v) is int else v.numerator * (scale // v.denominator) for v in column]
 
 
 def dual_line_meets_ray(pt, hp: HalfPlane) -> bool:
     """Does the dual line of primal point pt intersect hp's dual ray?  The
-    tip is the one `dualize` maps hp to; its family gives the ray's
-    direction."""
+    tip is the one `dualize` maps hp to, in its scene's units, where pt's
+    dual line is y = c*x + d*scale; its family gives the ray's direction."""
     c, d = pt
     scene = dualize(Instance([hp]))
     downward = bool(scene.tips_u)  # upper half-planes carry downward rays
     tip_x, tip_y, _ = (scene.tips_u + scene.tips_l)[0]
-    value = c * tip_x + d
+    value = c * tip_x + d * scene.scale
     return value <= tip_y if downward else value >= tip_y

@@ -582,8 +582,11 @@ def _walk(lines, members, is_red, k: int):
     edges (midpoints and far points), and all faces around each vertex
     are checked.  Vertex and face checks run once, owned by the lowest
     incident line.  Deterministic order: lines as given, then increasing
-    x, then sectors by angle.  Crossings are ordered by an exact integer
-    key, and ``Fraction`` coordinates are built only for the witness.
+    x, then sectors by angle.  A line's crossings, and the lines through
+    each of them, are found when the walk reaches it, so a violation on
+    an early line is reported without the whole arrangement.  Crossings
+    are ordered by an exact integer key, and ``Fraction`` coordinates are
+    built only for the witness.
     """
     n = len(is_red)
     nlines = len(lines)
@@ -591,46 +594,28 @@ def _walk(lines, members, is_red, k: int):
     def flagged(nblue: int, nred: int) -> bool:
         return nblue + nred >= k and (nblue == 0 or nred == 0)
 
-    # vertices keyed by reduced integer homogeneous triples (X, Y, W), W > 0
-    vertex_lines: dict = {}
-    crossings: list[set] = [set() for _ in lines]
-    for g1 in range(nlines):
-        l1 = lines[g1]
-        for g2 in range(g1 + 1, nlines):
-            meet = _meet(l1, lines[g2])
-            if meet is None:
-                continue
-            x, y, w = meet
-            g = math.gcd(x, y, w)
-            vkey = (x // g, y // g, w // g)
-            seen = vertex_lines.get(vkey)
-            if seen is None:
-                vertex_lines[vkey] = {g1, g2}
-            else:
-                seen.update((g1, g2))
-            crossings[g1].add(vkey)
-            crossings[g2].add(vkey)
-    for vkey, incident in vertex_lines.items():
-        vertex_lines[vkey] = sorted(incident)
-
-    # Two distinct abscissae X1/W1 != X2/W2 differ by at least
-    # 1/(W1*W2) >= 1/wmax**2, so scaled by m > wmax**2 they differ by
-    # more than 1 and their floors keep their order: X*m // W is an exact
-    # sort key.  (A line is never vertical, so its crossings have
-    # distinct abscissae.)
-    wmax = max((vkey[2] for vkey in vertex_lines), default=1)
-    m = wmax * wmax + 1
-
-    def x_key(vkey) -> int:
-        return vkey[0] * m // vkey[2]
-
     def vertex_point(vkey) -> tuple:
         x, y, w = vkey
         return Fraction(x, w), Fraction(y, w)
 
     for g in range(nlines):
         p, q, r = lines[g]
-        xs = sorted(crossings[g], key=x_key)
+        # g's vertices, keyed by reduced integer homogeneous triples
+        # (X, Y, W), W > 0, each with its other incident lines in order
+        at: dict = {}
+        for h in range(nlines):
+            if h != g and (meet := _meet(lines[g], lines[h])) is not None:
+                x, y, w = meet
+                d = math.gcd(x, y, w)
+                at.setdefault((x // d, y // d, w // d), []).append(h)
+        # Two distinct abscissae X1/W1 != X2/W2 differ by at least
+        # 1/(W1*W2) >= 1/wmax**2, so scaled by m > wmax**2 they differ by
+        # more than 1 and their floors keep their order: X*m // W is an
+        # exact sort key.  (A line is never vertical, so its crossings
+        # have distinct abscissae.)
+        wmax = max((vkey[2] for vkey in at), default=1)
+        m = wmax * wmax + 1
+        xs = sorted(at, key=lambda vkey: vkey[0] * m // vkey[2])
 
         def y_at(x: Fraction, p=p, q=q, r=r) -> Fraction:
             return Fraction(-(p * x + r), q)
@@ -657,8 +642,7 @@ def _walk(lines, members, is_red, k: int):
             return (x0, y_at(x0)), cnt[0]
 
         for pos, vkey in enumerate(xs):
-            all_inc = vertex_lines[vkey]
-            incident = [h for h in all_inc if h != g]
+            incident = at[vkey]
             # vertex sample: every incident half-plane becomes contained
             dblue = dred = 0
             for h in incident:
@@ -668,7 +652,8 @@ def _walk(lines, members, is_red, k: int):
                             dred += 1
                         else:
                             dblue += 1
-            if all_inc[0] == g:  # this line owns the vertex
+            if g < incident[0]:  # this line owns the vertex
+                all_inc = [g] + incident
                 onv_blue = cnt[0] + dblue
                 onv_red = cnt[1] + dred
                 if flagged(onv_blue, onv_red):

@@ -12,6 +12,28 @@ def make_instance(*triples) -> Instance:
     return Instance([HalfPlane(a, b, side) for a, b, side in triples])
 
 
+def primes_from(lo: int):
+    """The primes >= lo, in order, by trial division."""
+    p = max(lo, 2)
+    while True:
+        if all(p % q for q in range(2, int(p**0.5) + 1)):
+            yield p
+        p += 1
+
+
+def coprime_image(inst: Instance, first: int = 211) -> Instance:
+    """`inst` with 1/(2**p - 1) added to each value, p running through the
+    primes from `first`, one per value: the denominators are pairwise
+    coprime (gcd(2**p - 1, 2**q - 1) = 2**gcd(p, q) - 1), so their lcm
+    grows with n."""
+    primes = primes_from(first)
+
+    def shift(v):
+        return v + Fraction(1, 2 ** next(primes) - 1)
+
+    return Instance([HalfPlane(shift(h.a), shift(h.b), h.side) for h in inst])
+
+
 def instance_from_tips(upper_tips, lower_tips) -> Instance:
     """Instance whose dual tips are exactly the given points.
 

@@ -199,7 +199,7 @@ def test_criterion_6_observation_suites():
         if cov.kind != "covered":
             continue
         pv = find_pivot(cov)
-        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts))
+        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.scale))
         if view.u.chain.vertex_index(pv.p) is None or not region_contains(view.l.chain, pv.p):
             ok = False
             break

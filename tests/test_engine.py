@@ -40,7 +40,7 @@ from hpcolor.rationals import normalize
 from hpcolor.uncovered import uncovered_witness
 from hpcolor.verification import oracle, verify
 
-from conftest import instance_from_tips, make_instance, observe
+from conftest import coprime_image, instance_from_tips, make_instance, observe
 
 
 def scene_of(upper_tips, lower_tips):
@@ -53,6 +53,7 @@ def x_mirror(scene):
     return DualScene(
         [(-x, y, i) for x, y, i in reversed(scene.tips_u)],
         [(-x, y, i) for x, y, i in reversed(scene.tips_l)],
+        scene.scale,
     )
 
 
@@ -62,6 +63,7 @@ def y_mirror(scene):
     return DualScene(
         [(x, -y, i) for x, y, i in scene.tips_l],
         [(x, -y, i) for x, y, i in scene.tips_u],
+        scene.scale,
     )
 
 
@@ -124,9 +126,10 @@ def test_coverage_matches_pointwise_reference():
             seen["touch"] += chain_eval(cu if side == "l" else cl, v[0]) == v[1]
             continue
         assert cov.kind == "separated"
+        # the witness is in instance units, the tips in the scene's
         c, d = cov.witness
-        assert all(v[1] < c * v[0] + d for v in scene.tips_u), t
-        assert all(v[1] > c * v[0] + d for v in scene.tips_l), t
+        assert all(v[1] < c * v[0] + d * scene.scale for v in scene.tips_u), t
+        assert all(v[1] > c * v[0] + d * scene.scale for v in scene.tips_l), t
         uncovered_witness(inst, cov.witness)
         if cu is None or cl is None:
             seen["one family"] += 1
@@ -136,6 +139,95 @@ def test_coverage_matches_pointwise_reference():
             seen["overlap"] += 1
     floors = {"u": 400, "l": 380, "touch": 10, "one family": 100, "disjoint": 50, "overlap": 530}
     assert all(seen[k] >= floor for k, floor in floors.items()), seen
+
+
+def _unscaled_witness(scene):
+    """The witness by the formulas of the unscaled dual plane, on the
+    scene's tips divided by its scale: (0, max y + 1) or (0, min y - 1)
+    with one family, else a line through the narrowest vertical gap (the
+    first maximum of the gap, in x order) or across the x-gap of the
+    spans."""
+    u, l = ([(Fraction(x, scene.scale), Fraction(y, scene.scale), i) for x, y, i in tips]
+            for tips in (scene.tips_u, scene.tips_l))
+    if not l:
+        return "one family", (0, normalize(max(v[1] for v in u) + 1))
+    if not u:
+        return "one family", (0, normalize(min(v[1] for v in l) - 1))
+    cu, cl = hull_from_sorted(u, UPPER), hull_from_sorted(l, LOWER)
+    lo, hi = max(cu.x_min, cl.x_min), min(cu.x_max, cl.x_max)
+    if lo > hi:
+        return "disjoint", E._separator_disjoint_spans(cu, cl)
+    best = None
+    for v in sorted(cu.vertices + cl.vertices):
+        if lo <= v[0] <= hi:
+            yu, yl = chain_eval(cu, v[0]), chain_eval(cl, v[0])
+            if best is None or yu - yl > best[0]:
+                best = (yu - yl, v[0], yu + yl)
+    return "overlap", E._separator_overlap(cu, cl, *best)
+
+
+def test_coverage_witness_in_instance_units():
+    """On Fraction input, where the tips are scaled, `coverage`'s witness
+    is the one the unscaled tips give, value and type, in each of its
+    three branches."""
+    rng = random.Random(18)
+    seen = Counter()
+    for t in range(900):
+        mode = ("uncovered", "random")[t % 2]
+        inst = generate(GenSpec(n=rng.randint(3, 12), mode=mode, seed=t, bound=rng.choice([3, 25])))
+        if t % 3:
+            f = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            inst = make_instance(*[(h.a * f, h.b * f, h.side) for h in inst])
+        else:
+            inst = E.perturb(inst, t % 4)
+        try:
+            scene = dualize(inst)
+        except GeneralPositionViolation:
+            continue
+        cov = coverage(scene)
+        if cov.kind == "covered" or scene.scale == 1:
+            continue
+        branch, want = _unscaled_witness(scene)
+        assert cov.witness == want and list(map(type, cov.witness)) == list(map(type, want)), t
+        uncovered_witness(inst, cov.witness)
+        seen[branch] += 1
+    assert seen["one family"] >= 100 and seen["disjoint"] >= 60 and seen["overlap"] >= 200, seen
+
+
+def test_fraction_tips_solve_as_cleared_ones():
+    """Where no common denominator is cleared (many large coprime ones) the
+    tips stay Fractions at scale 1, and the covered solve gives the
+    colors and case path of the same instance times the lcm L of its
+    denominators, whose tips are ints and L times as large; with
+    ``check=True`` the coloring is certified on the original on every
+    generator mode, perturbed or not."""
+    rng = random.Random(20)
+    paths = Counter()
+    for t in range(40):
+        inst = coprime_image(
+            generate(GenSpec(n=rng.randint(5, 14), mode="covered", seed=t, bound=25))
+        )
+        lcm = 1
+        for v in inst.a + inst.b:
+            lcm *= v.denominator
+        ints = make_instance(*[(h.a * lcm, h.b * lcm, h.side) for h in inst])
+        scene, int_scene = dualize(inst), dualize(ints)
+        assert scene.scale == int_scene.scale == 1
+        for tips, int_tips in ((scene.tips_u, int_scene.tips_u), (scene.tips_l, int_scene.tips_l)):
+            assert int_tips == [(x * lcm, y * lcm, i) for x, y, i in tips]
+        got, want = solve_detailed(inst, check=False), solve_detailed(ints, check=False)
+        if got.case_path == ["uncovered"]:
+            continue
+        assert (got.colors, got.case_path) == (want.colors, want.case_path), t
+        paths[got.case_path[0]] += 1
+    assert sum(paths.values()) >= 30 and len(paths) >= 3, paths
+    for t in range(16):
+        mode = ("covered", "random", "uncovered", "degenerate")[t % 4]
+        inst = coprime_image(generate(GenSpec(n=rng.randint(5, 10), mode=mode, seed=t)))
+        triples = [(h.a, h.b, h.side) for h in inst]
+        if t % 2:  # a parallel pair: the screen fails and the solve perturbs
+            triples[1] = (triples[0][0],) + triples[1][1:]
+        solve_and_check(make_instance(*triples))
 
 
 def test_find_pivot_i3(i3):
@@ -162,7 +254,7 @@ def test_find_pivot_postcondition_fuzz():
         if cov.kind != "covered":
             continue
         pv = find_pivot(cov)
-        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts))
+        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.scale))
         assert view.u.chain.vertex_index(pv.p) is not None
         assert region_contains(view.l.chain, pv.p)
         assert pv.l_L[0] < pv.p[0] < pv.r_L[0]
@@ -251,7 +343,7 @@ def test_mirror_frame_fuzz(monkeypatch):
             assert getattr(twice, f.name) == getattr(pv, f.name), f.name
         if pv.r_U is not None:
             # the mirror is the configuration a rebuilt mirror frame gives
-            frame = DualScene(pv.view.u.pts, pv.view.l.pts)
+            frame = DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.scale)
             assert mv == build_pivot(View.of(x_mirror(frame)), mv.p)
             compared += 1
         pivots += 1
@@ -435,6 +527,35 @@ def test_case_b_interior_second_layer():
     )
     res = solve_and_check(inst)
     assert res.case_path[0] in ("B", "A", "C", "D")
+
+
+def test_case_b_synthetic_successor_on_fraction_input(monkeypatch):
+    """Case B on Fraction input (tips in thirds, so the scene's scale is
+    3) where the lower second layer ends inside the window, so its
+    successor is synthetic; the colors and the path are the ones the
+    solver gave before it cleared denominators."""
+    inst = make_instance(
+        (Fraction(20, 3), 3, UPPER),
+        (Fraction(26, 3), 4, LOWER),
+        (3, Fraction(-20, 3), LOWER),
+        (Fraction(28, 3), Fraction(20, 3), UPPER),
+        (Fraction(34, 3), Fraction(4, 3), LOWER),
+    )
+    assert dualize(inst).scale == 3
+    gaps = []
+    raw = E._min_x_gap
+
+    def counted(view):
+        gaps.append(raw(view))
+        return gaps[-1]
+
+    monkeypatch.setattr(E, "_min_x_gap", counted)
+    for check in (True, False):
+        res = solve_detailed(inst, check=check)
+        assert (res.colors, res.case_path, res.attempts) == (
+            [RED, RED, RED, BLUE, BLUE], ["B"], 0
+        )
+    assert gaps == [2, 2]  # the least x gap, 2/3, in the scene's units
 
 
 def test_solve_i3(i3):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hpcolor.model import (
     BLUE,
     LOWER,
     RED,
+    CLEAR_BITS,
     UPPER,
     GeneralPositionViolation,
     HalfPlane,
@@ -19,14 +21,15 @@ from hpcolor.model import (
     cheap_position_ok,
     coloring_from_json,
     coloring_to_json,
+    common_denominator,
     dual_line_meets_ray,
     dualize,
     perturb,
     validate,
 )
-from hpcolor.rationals import parse_scalar
+from hpcolor.rationals import normalize, parse_scalar
 
-from conftest import make_instance
+from conftest import coprime_image, make_instance, primes_from
 
 
 def test_validate_examples(i3):
@@ -76,6 +79,29 @@ def test_perturb_attempts_differ_combinatorially():
     conc = make_instance((1, 0, UPPER), (-1, 0, UPPER), (0, 0, LOWER))
     p1, p2 = perturb(conc, 1), perturb(conc, 2)
     assert [h.a for h in p1] != [h.a for h in p2]
+
+
+def test_perturb_matches_its_formula():
+    """Each value is a + delta*k and b + delta*k**2, canonical, with
+    delta = (-1)**attempt / (2**attempt * (2*(1 + M))**3), M the largest
+    |numerator| or denominator, and k the shifted index key."""
+    rng = random.Random(5)
+    for trial in range(60):
+        inst = generate(GenSpec(n=rng.randint(3, 20), mode=MODES[trial % 4], seed=trial))
+        if trial % 2:
+            f = Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9))
+            inst = make_instance(*[(h.a * f, h.b * f, h.side) for h in inst])
+        fracs = list(map(Fraction, inst.a + inst.b))
+        big = max([1] + [max(abs(v.numerator), v.denominator) for v in fracs])
+        for attempt in range(4):
+            delta = Fraction((-1) ** attempt, 2**attempt * (2 * (1 + big)) ** 3)
+            keys = [(i + attempt) % len(inst) + 1 for i in range(len(inst))]
+            pert = perturb(inst, attempt)
+            want_a = [normalize(Fraction(a) + delta * k) for a, k in zip(inst.a, keys)]
+            want_b = [normalize(Fraction(b) + delta * k * k) for b, k in zip(inst.b, keys)]
+            assert pert.a == want_a and pert.b == want_b
+            assert [type(v) for v in pert.a + pert.b] == [type(v) for v in want_a + want_b]
+            assert pert.sides == inst.sides
 
 
 def test_dualize_i3(i3):
@@ -142,7 +168,89 @@ def test_dualize_matches_reference():
                     dualize(case)
                 continue
             scene = dualize(case)
-            assert (scene.tips_u, scene.tips_l) == expected
+            assert (scene.tips_u, scene.tips_l) == _scaled(expected, scene.scale)
+
+
+def _scaled(families, scale):
+    """Reference tips in a scene's units: both coordinates times `scale`."""
+    return tuple([(x * scale, y * scale, i) for x, y, i in tips] for tips in families)
+
+
+def test_dualize_clears_denominators():
+    """On every input the tips are ints, L = `scene.scale` times the
+    Fraction reference tips, whichever way L is found: recorded by
+    `perturb` or by the parse, or scanned for by `dualize`."""
+    rng = random.Random(18)
+    seen = Counter()
+    for trial in range(80):
+        mode = MODES[trial % len(MODES)]
+        inst = generate(
+            GenSpec(n=rng.randint(3, 24), mode=mode, seed=trial, bound=rng.choice([3, 8, 40]))
+        )
+        big, small = 10**40, Fraction(1, 10**40)
+        images = [
+            make_instance(*[(h.a * f, h.b * f, h.side) for h in inst]) for f in (big, small)
+        ]
+        for case in [inst, *images] + [perturb(c, k) for c in (inst, *images) for k in range(4)]:
+            try:
+                expected = _dualize_reference(case)
+            except GeneralPositionViolation:
+                continue
+            for made in (case, Instance.from_json(case.to_json()), Instance(list(case))):
+                scene = dualize(made)
+                tips = scene.tips_u + scene.tips_l
+                assert scene.scale > 0
+                assert all(type(v) is int for x, y, _ in tips for v in (x, y))
+                assert (scene.tips_u, scene.tips_l) == _scaled(expected, scene.scale)
+            seen["fractional" if scene.scale > 1 else "int"] += 1
+    assert seen["fractional"] >= 800 and seen["int"] >= 80, seen
+
+
+def test_common_denominator_bound():
+    """The lcm of k pairwise coprime denominators 2**p - 1 is found while it
+    has at most 4*bits(largest) + CLEAR_BITS bits, and past that none is,
+    on an instance built through the API and on its parse."""
+    primes = primes_from(61)
+    dens = [2 ** next(primes) - 1 for _ in range(24)]
+    seen = Counter()
+    for k in range(1, len(dens) + 1):
+        inst = make_instance(*[(Fraction(1, d), 0, UPPER) for d in dens[:k]])
+        lcm = 1
+        for d in dens[:k]:
+            lcm *= d
+        fits = lcm.bit_length() <= 4 * dens[k - 1].bit_length() + CLEAR_BITS
+        for made in (inst, Instance.from_json(inst.to_json())):
+            assert common_denominator(made) == (lcm if fits else None), k
+        seen[fits] += 1
+    assert seen[True] >= 5 and seen[False] >= 5, seen
+
+
+def test_dualize_keeps_fractions_past_the_bound():
+    """With many large pairwise coprime denominators no common denominator
+    is cleared: the scale is 1 and the tips are the Fraction reference
+    tips, on the instance and on its perturbations, whichever way it is
+    built.  (Perturbing multiplies every denominator by one shared step
+    denominator, which moves the bound up with them, so the instances
+    here are big enough to stay past it.)"""
+    rng = random.Random(19)
+    seen = Counter()
+    for trial in range(24):
+        mode = MODES[trial % len(MODES)]
+        inst = coprime_image(generate(GenSpec(n=rng.randint(18, 24), mode=mode, seed=trial)))
+        for case in [inst] + [perturb(inst, k) for k in range(4)]:
+            assert common_denominator(case) is None
+            try:
+                expected = _dualize_reference(case)
+            except GeneralPositionViolation:
+                continue
+            for made in (case, Instance.from_json(case.to_json()), Instance(list(case))):
+                scene = dualize(made)
+                tips = scene.tips_u + scene.tips_l
+                assert scene.scale == 1
+                assert all(type(v) is Fraction for x, y, _ in tips for v in (x, y))
+                assert (scene.tips_u, scene.tips_l) == expected
+            seen[mode] += 1
+    assert all(seen[mode] >= 10 for mode in MODES), seen
 
 
 def test_dualize_empty():
