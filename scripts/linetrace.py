@@ -57,10 +57,11 @@ KEEP = {
         " (acceptance criterion 5)",
         [
             "c, d = pt",
-            "scene = dualize(Instance([hp]))",
+            "inst = Instance([hp])",
+            "scene = dualize(inst)",
             "downward = bool(scene.tips_u)",
             "tip_x, tip_y, _ = (scene.tips_u + scene.tips_l)[0]",
-            "value = c * tip_x + d * scene.scale",
+            "value = c * tip_x + d * (common_denominator(inst) or 1)",
             "return value <= tip_y if downward else value >= tip_y",
         ],
     ),

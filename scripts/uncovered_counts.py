@@ -4,8 +4,8 @@
 For convex polar sets (upper half-planes y <= a*x - a^2 - 1 with n
 distinct integer slopes a from ``Random(n).sample(range(-2n, 2n + 1), n)``)
 at n = 64, 128, 256 and for generated ``uncovered`` instances (seed 0,
-bound 50) at n = 128, 1200, it polarizes the instance at the witness
-that `coverage` finds, as the solve does, and writes per set:
+bound 50) at n = 128, 1200, it polarizes the dual scene at the witness
+line that `coverage` finds, as the solve does, and writes per set:
 
 - m, the number of candidates on the first three weak hull layers;
 - the number of enumerated edges and the sha256 of ``repr`` of the
@@ -66,8 +66,9 @@ def main() -> int:
     rows = []
     for family, n in SETS:
         inst = instance(family, n)
-        witness = uncovered_witness(inst, coverage(dualize(inst)).witness)
-        points = polarize(inst, witness)
+        scene = dualize(inst)
+        witness = uncovered_witness(scene, coverage(scene).witness)
+        points = polarize(scene, witness)
         edges = enumerate_point_hyperedges(points)
         rows.append(
             {

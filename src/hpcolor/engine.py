@@ -43,7 +43,6 @@ from .model import (
     dualize,
     perturb,
 )
-from .rationals import normalize
 from .uncovered import UncoveredError, uncovered_solve, uncovered_witness
 from .verification import verify
 
@@ -152,28 +151,25 @@ class _Fam:
 @dataclass
 class View:
     """A frame: the upper family `u` and the lower family `l`, in the
-    scene's units (`scale`, see `dualize`).  The flips mirror coordinates
-    and keep each tip's index, so a coloring keyed by index holds in
-    every frame."""
+    scene's tip units.  The flips mirror coordinates and keep each tip's
+    index, so a coloring keyed by index holds in every frame."""
 
     u: _Fam
     l: _Fam
-    scale: int
+    gap: int | Fraction  # the scene's `gap`, for case B's synthetic successor
 
     @classmethod
     def of(cls, scene: DualScene) -> "View":
-        return cls(
-            _Fam.build(scene.tips_u, UPPER), _Fam.build(scene.tips_l, LOWER), scene.scale
-        )
+        return cls(_Fam.build(scene.tips_u, UPPER), _Fam.build(scene.tips_l, LOWER), scene.gap)
 
     def x_flip(self) -> "View":
         """The left-right mirror frame, with no hull rebuilt."""
-        return View(self.u.x_flip(), self.l.x_flip(), self.scale)
+        return View(self.u.x_flip(), self.l.x_flip(), self.gap)
 
     def y_flip(self) -> "View":
         """The up-down mirror frame (the families swap roles), with no hull
         rebuilt."""
-        return View(self.l.y_flip(), self.u.y_flip(), self.scale)
+        return View(self.l.y_flip(), self.u.y_flip(), self.gap)
 
 
 @dataclass
@@ -199,7 +195,7 @@ class Pivot:
 @dataclass
 class Coverage:
     kind: str  # "covered" | "separated"
-    # separated: the primal point (c, d) dual to a separating line y = c*x + d
+    # separated: (c, d), the separating line y = c*x + d of the scene
     witness: Optional[tuple] = None
     view: Optional[View] = None  # covered: the scene's hulls
     # covered: (side, vertex), the first overlap vertex by x with gap >= 0
@@ -237,27 +233,23 @@ def coverage(scene: DualScene) -> Coverage:
     inside the other family's region (closed) and is the hit.  Else a
     separating line y = c*x + d passes through the first maximum of g.
     It is strictly above every upper-family tip and strictly below every
-    lower-family tip, so it dualizes back to the uncovered primal point
-    (c, d), the witness, which `uncovered_witness` checks by substitution.
-    The scene's tips are scaled by L = `scene.scale`; the witness is in
-    the instance's units, its intercept the scaled line's divided by L.
+    lower-family tip, so it dualizes back to an uncovered primal point.
+    The line (c, d), in the scene's tip units, is the witness, which
+    `uncovered_witness` checks against every tip.
     """
     view = View.of(scene)
-    cu, cl, scale = view.u.chain, view.l.chain, scene.scale
+    cu, cl = view.u.chain, view.l.chain
 
     # callers pass n >= 3, so at least one family has a chain
     if cu is None or cl is None:
         if cl is None:
-            d = Fraction(max(v[1] for v in scene.tips_u), scale) + 1
-        else:
-            d = Fraction(min(v[1] for v in scene.tips_l), scale) - 1
-        return Coverage("separated", witness=(0, normalize(d)))
+            return Coverage("separated", witness=(0, max(v[1] for v in scene.tips_u) + 1))
+        return Coverage("separated", witness=(0, min(v[1] for v in scene.tips_l) - 1))
 
     lo = max(cu.x_min, cl.x_min)
     hi = min(cu.x_max, cl.x_max)
     if lo > hi:
-        c, d = _separator_disjoint_spans(cu, cl)
-        return Coverage("separated", witness=(c, d / scale))
+        return Coverage("separated", witness=_separator_disjoint_spans(cu, cl))
     # tip x values are distinct, so x orders the vertices totally
     cands = [("u", v) for v in cu.vertices if lo <= v[0] <= hi]
     cands += [("l", v) for v in cl.vertices if lo <= v[0] <= hi]
@@ -274,8 +266,7 @@ def coverage(scene: DualScene) -> Coverage:
         if best is None or yu - yl > best[0]:
             best = (yu - yl, x, yu + yl)
     # lo and hi are chain vertices, so `best` is set
-    c, d = _separator_overlap(cu, cl, *best)
-    return Coverage("separated", witness=(c, d / scale))
+    return Coverage("separated", witness=_separator_overlap(cu, cl, *best))
 
 
 def _separator_disjoint_spans(cu, cl) -> tuple:
@@ -578,12 +569,11 @@ def case_b(pv: Pivot, path: list, depth: int = 0, walk: int = 0) -> dict:
 
     succ = next((w for w in layer1 if w[0] > primes[-1][0]), None)
     if succ is None:
-        # A synthetic successor (x + eps, y - eps**2) of the last prime,
-        # eps half the least x gap g of the unscaled tips.  Only the ray
-        # to it from the last prime is read, along (1, -eps), that is
-        # (2*L, -g*L) in the scene's units (see `dualize`), so this point
-        # on the same ray, an int one when the tips are, stands in for it.
-        succ = (primes[-1][0] + 2 * view.scale, primes[-1][1] - _min_x_gap(view))
+        # A synthetic successor of the last prime, along (2, -gap), the
+        # unscaled ray's image (gap: see `dualize`).  Only the loop's last
+        # `_below` reads it; either outcome gives j = len(primes) - 1, so
+        # it decides only whether r_L on its ray raises, as unscaled.
+        succ = (primes[-1][0] + 2, primes[-1][1] - view.gap)
     seq = primes + [succ]
     j = None
     for t in range(len(primes)):
@@ -642,12 +632,6 @@ def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
     if not _below(other, anchor, q_star) or not _below(pj, anchor, q_star):
         raise ExhaustivenessViolation("split-point wedge line misses its anchors")
     return _clears(anchor, q_star, window, (), (q_star[0], pj[0]))
-
-
-def _min_x_gap(view: View):
-    # an int on int tips, a Fraction on Fraction tips (scale 1)
-    xs = sorted(p[0] for p in view.u.pts + view.l.pts)
-    return min((b - a for a, b in zip(xs, xs[1:])), default=1)
 
 
 def case_d(pv: Pivot, path: list, depth: int) -> dict:
@@ -970,8 +954,8 @@ def solve_detailed(inst: Instance, *, check: bool = True) -> SolveResult:
                 cmap, path = color_covered(cov)
                 colors = [cmap[i] for i in range(n)]
             else:
-                witness = uncovered_witness(pert, cov.witness)
-                colors = uncovered_solve(pert, witness)
+                witness = uncovered_witness(scene, cov.witness)
+                colors = uncovered_solve(scene, witness)
                 path = ["uncovered"]
         except (
             GeometryError, GeneralPositionViolation, EngineError, UncoveredError

@@ -10,14 +10,15 @@ and "above" in the primal is "below" in the dual.  A tip carries the
 index of its half-plane as a third entry through every mirrored frame,
 so colorings of tips are keyed by half-plane index.
 
-`dualize` scales the dual plane by L = `DualScene.scale`, a positive
-common denominator of the instance, so the tips (-a*L, b*L, i) are
-plain ints; the primal point (c, d) then maps to the line y = c*x + d*L.
-That holds on int input, on every perturbed instance of it, and on any
-input whose common denominator is small next to its largest one (see
+`dualize` scales the dual plane by a positive common denominator L of
+the instance, which only it knows, so the tips (-a*L, b*L, i) are plain
+ints; the primal point (c, d) then maps to the line y = c*x + d*L.  That
+holds on int input, on every perturbed instance of it, and on any input
+whose common denominator is small next to its largest one (see
 `common_denominator`); on input with many large coprime denominators
-L = 1 and the tips stay Fractions.  Witnesses that leave the engine
-(`coverage`'s uncovered point) stay in the instance's own units.
+L = 1 and the tips stay Fractions.  Everything past `dualize` works in
+these tip units, `coverage`'s witness (a line y = c*x + d of the scaled
+dual plane) and the uncovered path included.
 
 An `Instance` stores its half-planes as three columns (slopes,
 intercepts, sides), which is what parsing produces and what the screen,
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, itemgetter, neg
+from operator import attrgetter, itemgetter, neg, sub
 from typing import Iterator
 
 from .rationals import (
@@ -408,43 +409,38 @@ class DualScene:
     """Tips of the dual rays, one family per side, x-sorted.
 
     A tip is ``(x, y, i)``: the ray's apex, in the dual plane scaled by
-    `scale`, and the index of its half-plane in the instance; half-plane
-    y = a*x + b has the tip (-a*scale, b*scale, i), an int unless scale
-    is 1 on Fraction input (see `dualize`).  tips_u carry
-    downward rays (upper half-planes), tips_l upward rays.
+    the instance's common denominator (see `dualize`), and the index of
+    its half-plane in the instance.  tips_u carry downward rays (upper
+    half-planes), tips_l upward rays.  `gap` is the least gap between two
+    slopes of the instance, in its own units (1 with fewer than two).
     """
 
     tips_u: list
     tips_l: list
-    scale: int
+    gap: Scalar
 
 
 def dualize(inst: Instance) -> DualScene:
     """Map half-plane i with boundary y = a*x + b to the tip (-a*L, b*L, i),
-    L = `common_denominator(inst)`, recorded as the scene's `scale`: an
-    int tip.  When the instance has no common denominator cheap to clear,
-    L = 1 and the tip is (-a, b, i), Fractions as given.
+    L = `common_denominator(inst)`, an int tip; only `dualize` knows L.
+    Without a common denominator cheap to clear, L = 1 and the tip is
+    (-a, b, i), Fractions as given.
 
     Requires pairwise distinct tip x-coordinates (equivalently, no two
     boundaries parallel); collinearity degeneracies are left to callers'
     assertions and the solve retry loop.
 
-    Exactness.  The scaling is the homothety z -> L*z with L > 0.  Every
-    decision of the covered engine is the sign of an orientation
-    determinant (degree 2, scaled by L**2), an x or y comparison (scaled
-    by L), or a slope comparison (unchanged), so every sign, every order
-    and every case path is the one of the unscaled tips.  Only two
-    constants of the engine are not homothetic, and both are written so
-    that they are.  `coverage`'s one-family witness is (0, max(y')/L + 1)
-    (and min(y')/L - 1), y' the scaled tip ordinates.  Case B's synthetic
-    successor (x + eps, y - eps**2) of a tip, eps half the least tip x
-    gap g, is read only through its ray from that tip, of direction
-    (1, -eps), which is (2*L, -g') in scaled units, g' = g*L.  Witnesses
-    leave `coverage` in instance units: a slope c is unchanged and an
-    intercept is d'/L.  So the engine's colorings, case paths and
-    witnesses are those of the unscaled tips, and when L clears every
-    denominator, every point the case machine and the hull scans see is
-    an int point.
+    Exactness.  The scene is the unscaled dualization of S(inst), S the
+    map (x, y) -> (x, L*y): it keeps each half-plane's side (L > 0) and
+    which half-planes cover which point, all that the statement asks.
+    In the dual plane S is the homothety z -> L*z.  Every decision of the
+    covered engine is the sign of an orientation determinant, an x or y
+    comparison or a slope comparison, so every sign, order and case path
+    is the one of the unscaled tips.  The one step that is not homothetic,
+    the ray of case B's synthetic successor, is taken along the scene's
+    `gap`, which is in the instance's units, so it is the unscaled ray's
+    image.  `coverage`'s separating lines are S of the unscaled ones, and
+    `uncovered.polarize` proves the uncovered colors unscaled too.
     """
     scale = common_denominator(inst) or 1
     if scale == 1:
@@ -452,16 +448,17 @@ def dualize(inst: Instance) -> DualScene:
     else:
         xs, ys = map(neg, _cleared(inst.a, scale)), _cleared(inst.b, scale)
     tips = sorted(zip(xs, ys, range(len(inst))), key=itemgetter(0))
-    for p, q in zip(tips, tips[1:]):
-        if p[0] == q[0]:
-            raise GeneralPositionViolation(
-                f"half-planes {p[2]} and {q[2]} have parallel boundaries"
-            )
+    gaps = list(map(sub, map(itemgetter(0), tips[1:]), map(itemgetter(0), tips)))
+    if 0 in gaps:
+        raise GeneralPositionViolation(
+            f"half-planes {tips[gaps.index(0)][2]} and {tips[gaps.index(0) + 1][2]}"
+            " have parallel boundaries"
+        )
     upper = [side == UPPER for side in inst.sides]
     return DualScene(
         [tip for tip in tips if upper[tip[2]]],
         [tip for tip in tips if not upper[tip[2]]],
-        scale,
+        normalize(Fraction(min(gaps, default=1), scale)),
     )
 
 
@@ -473,11 +470,13 @@ def _cleared(column: list, scale: int) -> list:
 
 def dual_line_meets_ray(pt, hp: HalfPlane) -> bool:
     """Does the dual line of primal point pt intersect hp's dual ray?  The
-    tip is the one `dualize` maps hp to, in its scene's units, where pt's
-    dual line is y = c*x + d*scale; its family gives the ray's direction."""
+    tip is the one `dualize` maps hp to, in the dual plane scaled by
+    L = `common_denominator`, where pt's dual line is y = c*x + d*L; its
+    family gives the ray's direction."""
     c, d = pt
-    scene = dualize(Instance([hp]))
+    inst = Instance([hp])
+    scene = dualize(inst)
     downward = bool(scene.tips_u)  # upper half-planes carry downward rays
     tip_x, tip_y, _ = (scene.tips_u + scene.tips_l)[0]
-    value = c * tip_x + d * scene.scale
+    value = c * tip_x + d * (common_denominator(inst) or 1)
     return value <= tip_y if downward else value >= tip_y

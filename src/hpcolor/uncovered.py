@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import BLUE, RED, Instance, ModelError, halfplane_contains
+from .model import BLUE, RED, DualScene, ModelError
 from .nae import solve_nae
-from .rationals import as_fraction, num_den
+from .rationals import num_den
 
 
 class UncoveredError(ModelError):
@@ -35,31 +35,47 @@ class SearchExhausted(UncoveredError):
     """The constraint search failed; contradicts the coloring theorem."""
 
 
-def uncovered_witness(inst: Instance, pt: tuple) -> tuple:
-    """`pt`, the primal point dual to a separating line, checked by
-    substitution to lie in no half-plane of `inst`."""
-    for i, row in enumerate(zip(inst.a, inst.b, inst.sides)):
-        if halfplane_contains(*row, pt):
-            raise NotActuallyUncovered(f"witness lies in half-plane {i}")
-    return pt
+def uncovered_witness(scene: DualScene, line: tuple) -> tuple:
+    """`line` = (c, d), the line y = c*x + d of the scene's dual plane,
+    checked to pass strictly above every upper tip and strictly below
+    every lower tip, so that its primal point lies in no half-plane."""
+    c, d = line
+    for tips, sign in ((scene.tips_u, -1), (scene.tips_l, 1)):
+        for x, y, i in tips:
+            if (y - c * x - d) * sign <= 0:
+                raise NotActuallyUncovered(f"witness lies in half-plane {i}")
+    return line
 
 
-def polarize(inst: Instance, origin) -> list:
+def polarize(scene: DualScene, line) -> list:
     """Translate the witness to the origin and map boundaries to points.
 
-    After translation every boundary misses the origin, so it has a form
-    <u, x> = 1; u is the polar point.  Membership transfers: translated
-    point z lies in the half-plane iff <u, z> >= 1.  Returns the polar
-    points, exact rational pairs; point i is half-plane i's.
+    The scene dualizes S(inst), S: (x, y) -> (x, L*y) (see `dualize`):
+    there tip (x, y) is the boundary Y = -x*X + y, and the witness `line`
+    (c, d) is the point (c, d), in no half-plane.  Seen from it the
+    boundary reads x*X + Y = s, s = y - c*x - d != 0, so its polar point
+    is u = (x/s, 1/s), stored at the tip's index: translated point z lies
+    in the half-plane iff <u, z> >= 1.
+
+    The colors are the unscaled plane's: `enumerate_point_hyperedges`
+    reads only orientation signs and coincidences (weak hull layers, and
+    the triples a line cuts off), and both are kept.
+    - A separating line is S of the unscaled one, so s is L times the
+      unscaled s: the polar points are the unscaled ones times
+      diag(1, 1/L), a linear map of positive determinant.
+    - The one-family witness is another point of the one uncovered cell
+      than S of the unscaled one.  The cell is convex, and moving the
+      origin within it multiplies each homogeneous polar point (x, 1, s)
+      by one matrix of determinant 1 while every s keeps its sign (no
+      boundary meets the cell).
     """
-    ox, oy = origin
-    points = []
-    for i, (a, b) in enumerate(zip(inst.a, inst.b)):
-        shift = as_fraction(a) * ox + b - oy  # boundary intercept at the origin
-        if shift == 0:
+    c, d = line
+    points = [None] * (len(scene.tips_u) + len(scene.tips_l))
+    for x, y, i in scene.tips_u + scene.tips_l:
+        s = y - c * x - d
+        if s == 0:
             raise NotActuallyUncovered(f"boundary {i} passes through the witness")
-        u = (-as_fraction(a) / shift, Fraction(1, 1) / shift)
-        points.append(u)
+        points[i] = (Fraction(x, s), Fraction(1, s))
     return points
 
 
@@ -240,6 +256,6 @@ def color_points_vs_halfplanes(points) -> list:
     return [RED if v else BLUE for v in assignment]
 
 
-def uncovered_solve(inst: Instance, witness) -> list:
+def uncovered_solve(scene: DualScene, witness) -> list:
     """Color via the polar reduction; indices align with the instance."""
-    return color_points_vs_halfplanes(polarize(inst, witness))
+    return color_points_vs_halfplanes(polarize(scene, witness))

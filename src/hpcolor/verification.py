@@ -472,18 +472,18 @@ def _envelope(lines, group, m: int, sign: int) -> list:
         p, q, r = lines[g]
         return -sign * p * m // q, -sign * r * m // q
 
-    hull: list = []
-    for g in sorted(group, key=key):
-        if hull and key(hull[-1])[0] == key(g)[0]:
+    hull: list = []  # (slope key, line); `group` ascends, so ties keep its order
+    for (slope, _intercept), g in sorted(zip(map(key, group), group)):
+        if hull and hull[-1][0] == slope:
             hull.pop()
         while len(hull) >= 2:
-            x, y, w = _meet(lines[hull[-2]], lines[g])
-            p, q, r = lines[hull[-1]]
+            x, y, w = _meet(lines[hull[-2][1]], lines[g])
+            p, q, r = lines[hull[-1][1]]
             if sign * (p * x + q * y + r * w) < 0:
                 break
             hull.pop()
-        hull.append(g)
-    return hull
+        hull.append((slope, g))
+    return [g for _slope, g in hull]
 
 
 def _sign(v: int) -> int:

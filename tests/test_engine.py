@@ -34,6 +34,7 @@ from hpcolor.model import (
     DualScene,
     GeneralPositionViolation,
     Instance,
+    common_denominator,
     dualize,
 )
 from hpcolor.rationals import normalize
@@ -53,7 +54,7 @@ def x_mirror(scene):
     return DualScene(
         [(-x, y, i) for x, y, i in reversed(scene.tips_u)],
         [(-x, y, i) for x, y, i in reversed(scene.tips_l)],
-        scene.scale,
+        scene.gap,
     )
 
 
@@ -63,7 +64,7 @@ def y_mirror(scene):
     return DualScene(
         [(x, -y, i) for x, y, i in scene.tips_l],
         [(x, -y, i) for x, y, i in scene.tips_u],
-        scene.scale,
+        scene.gap,
     )
 
 
@@ -126,11 +127,11 @@ def test_coverage_matches_pointwise_reference():
             seen["touch"] += chain_eval(cu if side == "l" else cl, v[0]) == v[1]
             continue
         assert cov.kind == "separated"
-        # the witness is in instance units, the tips in the scene's
+        # the witness is a line of the scene, in its tip units
         c, d = cov.witness
-        assert all(v[1] < c * v[0] + d * scene.scale for v in scene.tips_u), t
-        assert all(v[1] > c * v[0] + d * scene.scale for v in scene.tips_l), t
-        uncovered_witness(inst, cov.witness)
+        assert all(v[1] < c * v[0] + d for v in scene.tips_u), t
+        assert all(v[1] > c * v[0] + d for v in scene.tips_l), t
+        uncovered_witness(scene, cov.witness)
         if cu is None or cl is None:
             seen["one family"] += 1
         elif max(cu.x_min, cl.x_min) > min(cu.x_max, cl.x_max):
@@ -141,35 +142,41 @@ def test_coverage_matches_pointwise_reference():
     assert all(seen[k] >= floor for k, floor in floors.items()), seen
 
 
-def _unscaled_witness(scene):
-    """The witness by the formulas of the unscaled dual plane, on the
-    scene's tips divided by its scale: (0, max y + 1) or (0, min y - 1)
-    with one family, else a line through the narrowest vertical gap (the
-    first maximum of the gap, in x order) or across the x-gap of the
-    spans."""
-    u, l = ([(Fraction(x, scene.scale), Fraction(y, scene.scale), i) for x, y, i in tips]
+def _unscaled_witness(scene, scale):
+    """The witness in tip units by the formulas of the unscaled dual plane,
+    on the scene's tips divided by the common denominator `scale`: with
+    one family, (0, max y + 1) or (0, min y - 1) there, moved to
+    (0, scale * max y + 1) (another point of the same uncovered cell);
+    else a line through the narrowest vertical gap (the first maximum of
+    the gap, in x order) or across the x-gap of the spans, whose
+    intercept scales by `scale`."""
+    u, l = ([(Fraction(x, scale), Fraction(y, scale), i) for x, y, i in tips]
             for tips in (scene.tips_u, scene.tips_l))
     if not l:
-        return "one family", (0, normalize(max(v[1] for v in u) + 1))
+        return "one family", (0, normalize(max(v[1] for v in u) * scale + 1))
     if not u:
-        return "one family", (0, normalize(min(v[1] for v in l) - 1))
+        return "one family", (0, normalize(min(v[1] for v in l) * scale - 1))
     cu, cl = hull_from_sorted(u, UPPER), hull_from_sorted(l, LOWER)
     lo, hi = max(cu.x_min, cl.x_min), min(cu.x_max, cl.x_max)
     if lo > hi:
-        return "disjoint", E._separator_disjoint_spans(cu, cl)
+        c, d = E._separator_disjoint_spans(cu, cl)
+        return "disjoint", (c, d * scale)
     best = None
     for v in sorted(cu.vertices + cl.vertices):
         if lo <= v[0] <= hi:
             yu, yl = chain_eval(cu, v[0]), chain_eval(cl, v[0])
             if best is None or yu - yl > best[0]:
                 best = (yu - yl, v[0], yu + yl)
-    return "overlap", E._separator_overlap(cu, cl, *best)
+    c, d = E._separator_overlap(cu, cl, *best)
+    return "overlap", (c, d * scale)
 
 
-def test_coverage_witness_in_instance_units():
-    """On Fraction input, where the tips are scaled, `coverage`'s witness
-    is the one the unscaled tips give, value and type, in each of its
-    three branches."""
+def test_coverage_witness_in_tip_units():
+    """On Fraction input, where the tips are scaled by the common
+    denominator L, `coverage`'s witness is a line of the scaled dual
+    plane: the one the unscaled tips give, mapped by (x, y) -> (x, L*y),
+    value and type, in each of its three branches (the one-family
+    witness at max y + 1 in tip units)."""
     rng = random.Random(18)
     seen = Counter()
     for t in range(900):
@@ -185,11 +192,12 @@ def test_coverage_witness_in_instance_units():
         except GeneralPositionViolation:
             continue
         cov = coverage(scene)
-        if cov.kind == "covered" or scene.scale == 1:
+        scale = common_denominator(inst) or 1
+        if cov.kind == "covered" or scale == 1:
             continue
-        branch, want = _unscaled_witness(scene)
+        branch, want = _unscaled_witness(scene, scale)
         assert cov.witness == want and list(map(type, cov.witness)) == list(map(type, want)), t
-        uncovered_witness(inst, cov.witness)
+        uncovered_witness(scene, cov.witness)
         seen[branch] += 1
     assert seen["one family"] >= 100 and seen["disjoint"] >= 60 and seen["overlap"] >= 200, seen
 
@@ -212,7 +220,7 @@ def test_fraction_tips_solve_as_cleared_ones():
             lcm *= v.denominator
         ints = make_instance(*[(h.a * lcm, h.b * lcm, h.side) for h in inst])
         scene, int_scene = dualize(inst), dualize(ints)
-        assert scene.scale == int_scene.scale == 1
+        assert (common_denominator(inst) or 1) == (common_denominator(ints) or 1) == 1
         for tips, int_tips in ((scene.tips_u, int_scene.tips_u), (scene.tips_l, int_scene.tips_l)):
             assert int_tips == [(x * lcm, y * lcm, i) for x, y, i in tips]
         got, want = solve_detailed(inst, check=False), solve_detailed(ints, check=False)
@@ -254,7 +262,7 @@ def test_find_pivot_postcondition_fuzz():
         if cov.kind != "covered":
             continue
         pv = find_pivot(cov)
-        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.scale))
+        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.gap))
         assert view.u.chain.vertex_index(pv.p) is not None
         assert region_contains(view.l.chain, pv.p)
         assert pv.l_L[0] < pv.p[0] < pv.r_L[0]
@@ -343,7 +351,7 @@ def test_mirror_frame_fuzz(monkeypatch):
             assert getattr(twice, f.name) == getattr(pv, f.name), f.name
         if pv.r_U is not None:
             # the mirror is the configuration a rebuilt mirror frame gives
-            frame = DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.scale)
+            frame = DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.gap)
             assert mv == build_pivot(View.of(x_mirror(frame)), mv.p)
             compared += 1
         pivots += 1
@@ -530,10 +538,10 @@ def test_case_b_interior_second_layer():
 
 
 def test_case_b_synthetic_successor_on_fraction_input(monkeypatch):
-    """Case B on Fraction input (tips in thirds, so the scene's scale is
-    3) where the lower second layer ends inside the window, so its
-    successor is synthetic; the colors and the path are the ones the
-    solver gave before it cleared denominators."""
+    """Case B on Fraction input (tips in thirds, so the common
+    denominator is 3) where the lower second layer ends inside the
+    window, so its successor is synthetic; the colors and the path are
+    the ones the solver gave before it cleared denominators."""
     inst = make_instance(
         (Fraction(20, 3), 3, UPPER),
         (Fraction(26, 3), 4, LOWER),
@@ -541,21 +549,22 @@ def test_case_b_synthetic_successor_on_fraction_input(monkeypatch):
         (Fraction(28, 3), Fraction(20, 3), UPPER),
         (Fraction(34, 3), Fraction(4, 3), LOWER),
     )
-    assert dualize(inst).scale == 3
+    assert (common_denominator(inst) or 1) == 3
     gaps = []
-    raw = E._min_x_gap
+    raw = E._below
 
-    def counted(view):
-        gaps.append(raw(view))
-        return gaps[-1]
+    def counted(pt, a, b):
+        if len(b) == 2:  # the synthetic successor, the one point with no index
+            gaps.append(a[1] - b[1])
+        return raw(pt, a, b)
 
-    monkeypatch.setattr(E, "_min_x_gap", counted)
+    monkeypatch.setattr(E, "_below", counted)
     for check in (True, False):
         res = solve_detailed(inst, check=check)
         assert (res.colors, res.case_path, res.attempts) == (
             [RED, RED, RED, BLUE, BLUE], ["B"], 0
         )
-    assert gaps == [2, 2]  # the least x gap, 2/3, in the scene's units
+    assert gaps == [Fraction(2, 3)] * 2  # the least slope gap, 2/3
 
 
 def test_solve_i3(i3):

@@ -168,16 +168,17 @@ def test_dualize_matches_reference():
                     dualize(case)
                 continue
             scene = dualize(case)
-            assert (scene.tips_u, scene.tips_l) == _scaled(expected, scene.scale)
+            assert (scene.tips_u, scene.tips_l) == _scaled(expected, common_denominator(case) or 1)
 
 
 def _scaled(families, scale):
-    """Reference tips in a scene's units: both coordinates times `scale`."""
+    """Reference tips in a scene's units: both coordinates times `scale`,
+    the instance's common denominator."""
     return tuple([(x * scale, y * scale, i) for x, y, i in tips] for tips in families)
 
 
 def test_dualize_clears_denominators():
-    """On every input the tips are ints, L = `scene.scale` times the
+    """On every input the tips are ints, L = `common_denominator` times the
     Fraction reference tips, whichever way L is found: recorded by
     `perturb` or by the parse, or scanned for by `dualize`."""
     rng = random.Random(18)
@@ -197,12 +198,12 @@ def test_dualize_clears_denominators():
             except GeneralPositionViolation:
                 continue
             for made in (case, Instance.from_json(case.to_json()), Instance(list(case))):
-                scene = dualize(made)
+                scene, scale = dualize(made), common_denominator(made) or 1
                 tips = scene.tips_u + scene.tips_l
-                assert scene.scale > 0
+                assert scale > 0
                 assert all(type(v) is int for x, y, _ in tips for v in (x, y))
-                assert (scene.tips_u, scene.tips_l) == _scaled(expected, scene.scale)
-            seen["fractional" if scene.scale > 1 else "int"] += 1
+                assert (scene.tips_u, scene.tips_l) == _scaled(expected, scale)
+            seen["fractional" if scale > 1 else "int"] += 1
     assert seen["fractional"] >= 800 and seen["int"] >= 80, seen
 
 
@@ -246,7 +247,7 @@ def test_dualize_keeps_fractions_past_the_bound():
             for made in (case, Instance.from_json(case.to_json()), Instance(list(case))):
                 scene = dualize(made)
                 tips = scene.tips_u + scene.tips_l
-                assert scene.scale == 1
+                assert (common_denominator(made) or 1) == 1
                 assert all(type(v) is Fraction for x, y, _ in tips for v in (x, y))
                 assert (scene.tips_u, scene.tips_l) == expected
             seen[mode] += 1

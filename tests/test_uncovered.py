@@ -7,7 +7,18 @@ import pytest
 from hpcolor.engine import coverage
 from hpcolor.generate import GenSpec, generate
 from hpcolor.geometry import orientation
-from hpcolor.model import BLUE, LOWER, RED, UPPER, HalfPlane, Instance, dualize
+from hpcolor.model import (
+    BLUE,
+    LOWER,
+    RED,
+    UPPER,
+    GeneralPositionViolation,
+    HalfPlane,
+    Instance,
+    common_denominator,
+    dualize,
+    perturb,
+)
 from hpcolor.nae import nae_solutions, solve_nae
 from hpcolor.uncovered import (
     NotActuallyUncovered,
@@ -21,39 +32,40 @@ from hpcolor.uncovered import (
 )
 from hpcolor.verification import verify
 
-from conftest import make_instance
+from conftest import coprime_image, make_instance
 
 
 def test_witness_from_separator(i_unc):
-    cov = coverage(dualize(i_unc))
+    scene = dualize(i_unc)
+    cov = coverage(scene)
     assert cov.kind == "separated"
-    o = uncovered_witness(i_unc, cov.witness)
+    o = uncovered_witness(scene, cov.witness)
     for h in i_unc:
         assert not h.contains(o)
 
 
 def test_witness_single_halfplane():
-    inst = make_instance((0, 0, UPPER))
-    cov = coverage(dualize(inst))
-    o = uncovered_witness(inst, cov.witness)
+    scene = dualize(make_instance((0, 0, UPPER)))
+    cov = coverage(scene)
+    o = uncovered_witness(scene, cov.witness)
     assert o[1] > 0
 
 
 def test_witness_rejects_covered(i3):
     with pytest.raises(NotActuallyUncovered):
-        uncovered_witness(i3, (0, Fraction(1, 2)))
+        uncovered_witness(dualize(i3), (0, Fraction(1, 2)))
 
 
 def test_polarize_axis_aligned():
     # boundary y = 1 seen from the origin polarizes to (0, 1)
     inst = make_instance((0, 1, LOWER))
-    assert polarize(inst, (0, 0)) == [(0, 1)]
+    assert polarize(dualize(inst), (0, 0)) == [(0, 1)]
 
 
 def test_polarize_example():
     # boundary y = 2x + 4 from the origin: -2x + y = 4 -> (-1/2, 1/4)
     inst = make_instance((2, 4, LOWER))
-    assert polarize(inst, (0, 0)) == [(Fraction(-1, 2), Fraction(1, 4))]
+    assert polarize(dualize(inst), (0, 0)) == [(Fraction(-1, 2), Fraction(1, 4))]
 
 
 def test_membership_transfer():
@@ -66,7 +78,7 @@ def test_membership_transfer():
             continue
         pt = (rng.randint(-20, 20), rng.randint(-20, 20))
         z = (pt[0] - o[0], pt[1] - o[1])
-        (u,) = polarize(Instance([h]), o)
+        (u,) = polarize(dualize(Instance([h])), o)
         assert h.contains(pt) == (u[0] * z[0] + u[1] * z[1] >= 1)
         checked += 1
     assert checked > 1000
@@ -179,7 +191,7 @@ def _convex_polar_points(n, seed):
     origin: n points in convex position."""
     slopes = random.Random(seed).sample(range(-2 * n, 2 * n + 1), n)
     inst = Instance([HalfPlane(a, -a * a - 1, UPPER) for a in slopes])
-    return polarize(inst, (0, 0))
+    return polarize(dualize(inst), (0, 0))
 
 
 def _point_set(rng, kind, n):
@@ -214,7 +226,8 @@ def _point_set(rng, kind, n):
                  Fraction(rng.randint(-50, 50) * scale, rng.randint(1, 3))) for _ in range(n)]
     inst = generate(GenSpec(n=2 * n, mode="uncovered", seed=rng.randrange(10**6),
                             bound=rng.choice([3, 12, 50])))
-    return polarize(inst, uncovered_witness(inst, coverage(dualize(inst)).witness))
+    scene = dualize(inst)
+    return polarize(scene, uncovered_witness(scene, coverage(scene).witness))
 
 
 def test_sweep_matches_reference_triple_loop():
@@ -327,10 +340,98 @@ def test_color_points_uses_both_colors():
             assert len({idx[colors[v]] for v in e}) == 2
 
 
+def _reference_polarize(inst, origin) -> list:
+    """The polar reduction in the instance's own units: translate the
+    witness, a primal point, to the origin; boundary y = a*x + b then
+    reads -a*x + y = shift, and its polar point is (-a, 1) / shift."""
+    ox, oy = origin
+    points = []
+    for a, b in zip(inst.a, inst.b):
+        shift = Fraction(a) * ox + b - oy  # boundary intercept at the origin
+        assert shift != 0
+        points.append((-Fraction(a) / shift, Fraction(1) / shift))
+    return points
+
+
+def _instance_witness(scene, line, scale):
+    """The witness as a primal point in the instance's own units: with one
+    family (0, max y + 1) or (0, min y - 1) of the unscaled tips, else the
+    separating line (c, d) of the scaled plane with d over `scale`."""
+    if not scene.tips_l:
+        return 0, Fraction(max(y for _x, y, _i in scene.tips_u), scale) + 1
+    if not scene.tips_u:
+        return 0, Fraction(min(y for _x, y, _i in scene.tips_l), scale) - 1
+    return line[0], Fraction(line[1], scale)
+
+
+def _image(inst, kind, rng):
+    """An instance with other coefficients than `inst`: an exact affine
+    image, a and b times or over 10**40, every half-plane on one side,
+    `perturb`'s output, or pairwise coprime denominators (Fraction tips)."""
+    rows = list(zip(inst.a, inst.b, inst.sides))
+    if kind == "fractional":  # (x, y) -> (u*x + c, s*y + e), u, s > 0
+        u, s = Fraction(rng.randint(1, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), 7)
+        c, e = Fraction(rng.randint(-9, 9), 5), Fraction(rng.randint(-9, 9), 3)
+        rows = [(s * a / u, s * b - s * a * c / u + e, side) for a, b, side in rows]
+    elif kind in ("times 10**40", "over 10**40"):
+        f = 10**40 if kind == "times 10**40" else Fraction(1, 10**40)
+        rows = [(a * f, b * f, side) for a, b, side in rows]
+    elif kind == "one family":
+        side = rng.choice([UPPER, LOWER])
+        rows = [(a, b, side) for a, b, _side in rows]
+    elif kind == "perturbed":
+        return perturb(inst, rng.randint(0, 3))
+    elif kind == "coprime":
+        return coprime_image(inst)
+    return make_instance(*rows)
+
+
+def test_polarize_in_tip_units_matches_instance_units():
+    """On separated scenes the polar points of the scene, seen from its
+    witness line, give the same constraint list as the instance's own
+    polar points seen from the witness in instance units, on int,
+    fractional, 10**40, 10**-40, one-family, perturbed and coprime input,
+    in each of `coverage`'s three witness branches."""
+    rng = random.Random(24)
+    kinds = ("int", "fractional", "times 10**40", "over 10**40", "one family",
+             "perturbed", "coprime")
+    seen = Counter()
+    for t in range(3500):
+        kind = kinds[t % len(kinds)]
+        mode = ("uncovered", "uncovered", "random")[t // len(kinds) % 3]
+        n = rng.randint(3, 6 if kind == "coprime" else 16)  # coprime values have ~250 bits
+        inst = _image(generate(GenSpec(n=n, mode=mode, seed=t, bound=rng.choice([3, 12, 50]))),
+                      kind, rng)
+        try:
+            scene = dualize(inst)
+        except GeneralPositionViolation:
+            continue
+        cov = coverage(scene)
+        if cov.kind == "covered":
+            continue
+        scale = common_denominator(inst) or 1
+        line = uncovered_witness(scene, cov.witness)
+        got = enumerate_point_hyperedges(polarize(scene, line))
+        want = enumerate_point_hyperedges(
+            _reference_polarize(inst, _instance_witness(scene, line, scale))
+        )
+        assert got == want, (t, kind)
+        seen[kind] += 1
+        if not scene.tips_u or not scene.tips_l:
+            seen["one-family witness"] += 1
+        elif max(scene.tips_u)[0] < min(scene.tips_l)[0] or max(scene.tips_l)[0] < min(scene.tips_u)[0]:
+            seen["disjoint spans"] += 1
+        else:
+            seen["overlapping spans"] += 1
+        seen["scaled"] += scale > 1
+    assert sum(seen[k] for k in kinds) >= 2000, seen
+    assert min(seen.values()) >= 150, seen
+
+
 def test_uncovered_solve_end_to_end(i_unc):
-    cov = coverage(dualize(i_unc))
-    o = uncovered_witness(i_unc, cov.witness)
-    colors = uncovered_solve(i_unc, o)
+    scene = dualize(i_unc)
+    o = uncovered_witness(scene, coverage(scene).witness)
+    colors = uncovered_solve(scene, o)
     assert verify(i_unc, colors, 3) is None
 
 
@@ -338,17 +439,18 @@ def test_uncovered_instances_verify():
     rng = random.Random(21)
     for t in range(60):
         inst = generate(GenSpec(n=rng.randint(3, 20), mode="uncovered", seed=t, bound=12))
-        cov = coverage(dualize(inst))
+        scene = dualize(inst)
+        cov = coverage(scene)
         assert cov.kind == "separated"
-        o = uncovered_witness(inst, cov.witness)
-        colors = uncovered_solve(inst, o)
+        o = uncovered_witness(scene, cov.witness)
+        colors = uncovered_solve(scene, o)
         assert verify(inst, colors, 3) is None
 
 
 def test_uncovered_small_trivial():
     # two polar points give no constraint, so the coloring is all blue
     inst = make_instance((1, 0, UPPER), (2, 3, LOWER))
-    assert uncovered_solve(inst, (0, 100)) == [BLUE, BLUE]
+    assert uncovered_solve(dualize(inst), (0, 100)) == [BLUE, BLUE]
 
 
 def test_soundness_bridge():
@@ -360,9 +462,9 @@ def test_soundness_bridge():
     checked = 0
     for t in range(30):
         inst = generate(GenSpec(n=rng.randint(4, 9), mode="uncovered", seed=400 + t, bound=8))
-        cov = coverage(dualize(inst))
-        o = uncovered_witness(inst, cov.witness)
-        points = polarize(inst, o)
+        scene = dualize(inst)
+        o = uncovered_witness(scene, coverage(scene).witness)
+        points = polarize(scene, o)
         edges = enumerate_point_hyperedges(points)
         for pt in arrangement_samples(inst):
             d, covering = depth(inst, pt)
