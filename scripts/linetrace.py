@@ -74,9 +74,11 @@ KEEP = {
         ['print(f"verification failed: {exc}", file=sys.stderr)', "return EXIT_VIOLATION"],
     ),
     ("uncovered.py", "enumerate_point_hyperedges"): (
-        "the rules for fewer than 3 points and for coincident points, kept for direct"
-        " callers: `solve` passes neither",
-        ["return []", "edges.add(tuple(sorted(cand[:3])))", "continue", "return sorted(edges)"],
+        "kept for direct callers: `return []`, the rule for fewer than 3 points, since"
+        " `solve` colors n < 3 without a search; `sorted(cand[:3])`, the rule for"
+        " coincident points, since `dualize` rejects equal slopes and distinct"
+        " boundaries have distinct polar points",
+        ["return []", "edges.add(tuple(sorted(cand[:3])))"],
     ),
     ("geometry.py", "segments_intersect"): (
         "the contact of the second segment's last end with the first segment: the engine"
@@ -125,6 +127,7 @@ CLI_CALLS = [
     (["color", "{dir}/empty.json"], 0),
     (["color", "{dir}/fractions.json"], 0),
     (["color", "{dir}/coprime.json"], 0),
+    (["color", "{dir}/concurrent.json"], 0),
     (["verify", "{dir}/uncovered.json", "{dir}/colors.json"], 0),
     (["verify", "{dir}/covered.json", "{dir}/all-blue.json"], 2),
     (["verify", "{dir}/covered.json", "{dir}/all-blue.json", "--threshold", "1"], 2),
@@ -183,6 +186,9 @@ def _write_inputs(folder: Path) -> None:
     uncovered = generate(GenSpec(n=7, mode="uncovered", seed=1, bound=5))
     (folder / "uncovered.json").write_text(uncovered.to_json())
     instance("empty.json", [])
+    # three boundaries through (0, 1) and (0, 9) in none of them: the polar
+    # points are collinear, a segment hull whose middle point is left alone
+    instance("concurrent.json", [_hp(a, 1, "upper") for a in (-1, 0, 2)])
     # y >= 1 and y <= -1 are disjoint, so no point is covered three times
     instance("edge-free.json", [_hp(0, 1, "lower"), _hp(0, -1, "upper"), _hp(2, 0, "lower")])
     instance("fractions.json", [_hp("1/2", 1, "upper"), _hp(-2, "-3/4", "lower"),

@@ -3,20 +3,20 @@
 
 For convex polar sets (upper half-planes y <= a*x - a^2 - 1 with n
 distinct integer slopes a from ``Random(n).sample(range(-2n, 2n + 1), n)``)
-at n = 64, 128, 256 and for generated ``uncovered`` instances (seed 0,
-bound 50) at n = 128, 1200, it polarizes the dual scene at the witness
-line that `coverage` finds, as the solve does, and writes per set:
+at n = 64, 128, 256, 1024, 4096 and for generated ``uncovered`` instances
+(seed 0, bound 50) at n = 128, 1200, 4096, it polarizes the dual scene at
+the witness line that `coverage` finds, as the solve does, and writes per
+set:
 
 - m, the number of candidates on the first three weak hull layers;
 - the number of enumerated edges and the sha256 of ``repr`` of the
   edge list, which any two versions that claim the same constraints
   must share;
-- the median milliseconds of the peel (`_homogeneous` plus
-  `_first_layers`) and of the whole `enumerate_point_hyperedges` call,
-  peel included, over five calls.
+- the median milliseconds of the peel (`_first_layers`) and of the
+  whole `enumerate_point_hyperedges` call, peel included, over five calls.
 
-Prints the JSON; run from the repo root (about 5 s):
-    python3 scripts/uncovered_counts.py > BENCH_11.json
+Prints the JSON; run from the repo root (a few seconds):
+    python3 scripts/uncovered_counts.py > BENCH_20.json
 """
 
 import hashlib
@@ -36,14 +36,14 @@ from hpcolor.generate import GenSpec, generate
 from hpcolor.model import UPPER, HalfPlane, Instance, dualize
 from hpcolor.uncovered import (
     _first_layers,
-    _homogeneous,
     enumerate_point_hyperedges,
     polarize,
     uncovered_witness,
 )
 
 REPEATS = 5
-SETS = [("convex polar", n) for n in (64, 128, 256)] + [("uncovered", n) for n in (128, 1200)]
+SETS = [("convex polar", n) for n in (64, 128, 256, 1024, 4096)]
+SETS += [("uncovered", n) for n in (128, 1200, 4096)]
 
 
 def instance(family: str, n: int) -> Instance:
@@ -74,17 +74,17 @@ def main() -> int:
             {
                 "family": family,
                 "n": n,
-                "m": len(_first_layers(_homogeneous(points))),
+                "m": sum(map(len, _first_layers(points))),
                 "edges": len(edges),
                 "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest(),
                 "median_ms": {
-                    "peel": median_ms(lambda p: _first_layers(_homogeneous(p)), points),
+                    "peel": median_ms(_first_layers, points),
                     "enumerate": median_ms(enumerate_point_hyperedges, points),
                 },
             }
         )
     out = {
-        "command": "python3 scripts/uncovered_counts.py > BENCH_11.json",
+        "command": "python3 scripts/uncovered_counts.py > BENCH_20.json",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} cpus",
         "repeats": REPEATS,

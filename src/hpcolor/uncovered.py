@@ -8,15 +8,19 @@ polar point set along closed half-planes, so a 2-coloring of the polar
 points with no monochromatic half-plane cut of size three and up settles
 the original instance.  The search is exact over the top-3 sets of
 generic directions among the points on the first three convex layers (a
-cut of size three and up contains the top-3 set of its own direction):
-m sets for m points in convex position, and at most m on the generated
-uncovered instances measured.
+cut of size three and up contains the top-3 set of its own direction).
+For m >= 4 points in convex position these are the m cyclically
+consecutive triples, since a line cuts the vertices of a convex polygon
+into two arcs.  For m >= 7 distinct points there are at most 3m of them:
+each is a set of three points that a line cuts off, and a line cuts off
+at most k*m sets of at most k points for k < m/2 (Alon and Gyori, JCTA
+1986).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from fractions import Fraction
 
 from .model import BLUE, RED, DualScene, ModelError
 from .nae import solve_nae
@@ -35,14 +39,22 @@ class SearchExhausted(UncoveredError):
     """The constraint search failed; contradicts the coloring theorem."""
 
 
+def _over_common(line) -> tuple:
+    """(cn, dn, q), q > 0, with `line` = (cn/q, dn/q)."""
+    cn, cd = num_den(line[0])
+    dn, dd = num_den(line[1])
+    q = math.lcm(cd, dd)
+    return cn * (q // cd), dn * (q // dd), q
+
+
 def uncovered_witness(scene: DualScene, line: tuple) -> tuple:
     """`line` = (c, d), the line y = c*x + d of the scene's dual plane,
     checked to pass strictly above every upper tip and strictly below
     every lower tip, so that its primal point lies in no half-plane."""
-    c, d = line
+    cn, dn, q = _over_common(line)
     for tips, sign in ((scene.tips_u, -1), (scene.tips_l, 1)):
         for x, y, i in tips:
-            if (y - c * x - d) * sign <= 0:
+            if (q * y - cn * x - dn) * sign <= 0:
                 raise NotActuallyUncovered(f"witness lies in half-plane {i}")
     return line
 
@@ -55,7 +67,10 @@ def polarize(scene: DualScene, line) -> list:
     (c, d) is the point (c, d), in no half-plane.  Seen from it the
     boundary reads x*X + Y = s, s = y - c*x - d != 0, so its polar point
     is u = (x/s, 1/s), stored at the tip's index: translated point z lies
-    in the half-plane iff <u, z> >= 1.
+    in the half-plane iff <u, z> >= 1.  With (c, d) = (cn/q, dn/q), q > 0,
+    u is the integer homogeneous point +-(q*x, q, q*y - cn*x - dn) =
+    (X, Y, W), W > 0, u = (X/W, Y/W) (times the tip's denominators when
+    they are Fractions).
 
     The colors are the unscaled plane's: `enumerate_point_hyperedges`
     reads only orientation signs and coincidences (weak hull layers, and
@@ -69,188 +84,267 @@ def polarize(scene: DualScene, line) -> list:
       by one matrix of determinant 1 while every s keeps its sign (no
       boundary meets the cell).
     """
-    c, d = line
+    cn, dn, q = _over_common(line)
     points = [None] * (len(scene.tips_u) + len(scene.tips_l))
     for x, y, i in scene.tips_u + scene.tips_l:
-        s = y - c * x - d
-        if s == 0:
+        xn, xd = num_den(x)
+        yn, yd = num_den(y)
+        w = q * yn * xd - (cn * xn + dn * xd) * yd
+        if w == 0:
             raise NotActuallyUncovered(f"boundary {i} passes through the witness")
-        points[i] = (Fraction(x, s), Fraction(1, s))
+        sign = 1 if w > 0 else -1
+        points[i] = (sign * q * xn * yd, sign * q * xd * yd, sign * w)
     return points
 
 
-def _homogeneous(points) -> list:
-    """Integer homogeneous coordinates (X, Y, W), W > 0, per point."""
-    out = []
-    for x, y in points:
-        xn, xd = num_den(x)
-        yn, yd = num_den(y)
-        out.append((xn * yd, yn * xd, xd * yd))
-    return out
+def _det(p, q, r) -> int:
+    """The sign-carrying orientation of three homogeneous points: the
+    integer determinant equals cross(q - p, r - p) times Wp*Wq*Wr > 0."""
+    xp, yp, wp = p
+    xq, yq, wq = q
+    xr, yr, wr = r
+    return xp * (yq * wr - yr * wq) - yp * (xq * wr - xr * wq) + wp * (xq * yr - xr * yq)
 
 
-def _first_layers(hom) -> list:
-    """Indices of the points on the first three weak convex hull layers.
-
-    `hom` holds the points' `_homogeneous` triples.  The weak hull keeps
-    collinear boundary points and duplicates, which keeps layer peeling
-    conservative.  One (x, y, index) sort serves every layer, and a turn
-    is the sign of the integer determinant of three triples: it equals
-    cross(a - o, b - o) times Wo*Wa*Wb > 0.  Each layer is listed in
-    index order.
-    """
-    # distinct x/w values differ by at least 1/(w1*w2) >= 1/s, so the
-    # floors of s*x/w keep every strict order and every tie
-    s = max(w for _x, _y, w in hom) ** 2
-    keys = [(x * s // w, y * s // w) for x, y, w in hom]
-    remaining = sorted(range(len(hom)), key=keys.__getitem__)  # stable
-    out: list[int] = []
-    for _ in range(3):
-        layer = set(_weak_chain(hom, remaining, 1)) | set(_weak_chain(hom, remaining, -1))
-        out.extend(sorted(layer))
-        remaining = [i for i in remaining if i not in layer]
-    return out
+def _xsorted(hom, seq) -> list:
+    """`seq` sorted by (x, y), ties kept in order: distinct x/w values
+    differ by at least 1/(w1*w2) >= 1/s, so the floors of s*x/w keep
+    every strict order and every tie."""
+    s = max(hom[i][2] for i in seq) ** 2
+    return sorted(seq, key=lambda i: (hom[i][0] * s // hom[i][2], hom[i][1] * s // hom[i][2]))
 
 
-def _weak_chain(hom, seq, pop: int) -> list:
-    """Monotone scan over x-sorted indices, popping strict turns of sign
-    `pop` (+1: upper chain, -1: lower chain)."""
+def _chain(hom, seq, pop: int, weak: bool) -> list:
+    """Monotone scan over x-sorted indices, popping turns of sign `pop`
+    (+1: upper chain, -1: lower chain); a weak chain keeps collinear
+    points and duplicates, a strict one pops them too."""
     out: list[int] = []
     for i in seq:
         xb, yb, wb = hom[i]
         while len(out) > 1:
             xo, yo, wo = hom[out[-2]]
             xa, ya, wa = hom[out[-1]]
-            det = xo * (ya * wb - yb * wa) - yo * (xa * wb - xb * wa) + wo * (xa * yb - xb * ya)
-            if det * pop <= 0:
+            # `_det`, inlined: the peel's hot loop
+            turn = (xo * (ya * wb - yb * wa) - yo * (xa * wb - xb * wa) + wo * (xa * yb - xb * ya)) * pop
+            if turn < 0 or (turn == 0 and weak):
                 break
             out.pop()
         out.append(i)
     return out
 
 
-def _runs(ps) -> list:
-    """Maximal runs of consecutive integers in sorted `ps`, as (lo, hi)."""
-    out = []
-    lo = ps[0]
-    for prev, p in zip(ps, ps[1:]):
-        if p != prev + 1:
-            out.append((lo, prev))
-            lo = p
-    out.append((lo, ps[-1]))
-    return out
+def _hull(hom, seq) -> list:
+    """The strict hull of distinct x-sorted points `seq` as a
+    counter-clockwise cycle: one point, the two ends of a segment, or the
+    vertices of a polygon."""
+    return _chain(hom, seq, -1, False) + _chain(hom, seq, 1, False)[-2:0:-1]
 
 
-def _past(u, h, block) -> list:
-    """`block` (positions into h) in descending order just past direction
-    u, counter-clockwise: by u.p, then perp(u).p, then position."""
-    ux, uy = u
-    lcm = math.lcm(*(h[c][2] for c in block))
-    keyed = []
-    for c in block:
-        x, y, w = h[c]
-        f = lcm // w
-        keyed.append((-(ux * x + uy * y) * f, (uy * x - ux * y) * f, c))
-    keyed.sort()
-    return [c for _a, _b, c in keyed]
+def _first_layers(hom) -> list:
+    """The first three weak convex hull layers, each as x-sorted indices.
 
-
-def enumerate_point_hyperedges(points) -> list:
-    """Sorted, deduplicated half-plane cuts sufficient for the 2-coloring
-    search: the top-3 sets over the candidates `cand` (the first three
-    weak hull layers, where every top-3 member lies) in every generic
-    direction.  A cut of size >= 3 contains the top-3 set of its own
-    direction, so bichromatic top-3 sets make every such cut bichromatic.
-
-    This equals the list of the exact triple loop it replaced: for every
-    ordered candidate pair (i, j), d = p_j - p_i, u = perp(d) and t = +-1,
-    the top 3 of `cand` by (u.p, t*d.p) descending, full ties by position
-    in `cand`.  Proof: for p_i != p_j that key is the order in direction
-    u + t*eps*d, since u and d span the plane and only coincident points
-    tie on both.  Two points change order only where their difference is
-    normal to the direction, so the critical directions u (which come in
-    +- pairs) cut the circle into arcs of constant order, and the two
-    signs give the orders of the arcs on either side of u: every arc's,
-    and nothing else.  For p_i == p_j every key is (0, 0) and the loop
-    emits `sorted(cand[:3])`, the one other rule kept here.  `solve`
-    never passes coincident points: `dualize` rejects equal slopes, and
-    distinct boundaries have distinct polar points.  The rule is kept for
-    direct callers.
-
-    The sweep visits the critical directions in exact angle order from
-    the order just past the first.  At each one, the points tied on a
-    line normal to it hold consecutive positions and tie with no other
-    point, so re-sorting each run of tied positions by the order just
-    past the direction leaves every other rank in place, and the top 3
-    can change only when a run starts within it.  O(m^2 log m) for m
-    candidates, where the loop was O(m^3).
+    `hom` holds integer homogeneous points (X, Y, W), W > 0.  The weak
+    hull keeps collinear boundary points and duplicates, which keeps
+    layer peeling conservative.  One sort serves every layer.
     """
-    if len(points) < 3:  # no cut of size 3, where the sweep would emit a pair
+    remaining = _xsorted(hom, range(len(hom)))
+    layers = []
+    for _ in range(3):
+        on = set(_chain(hom, remaining, 1, True)) | set(_chain(hom, remaining, -1, True))
+        layers.append([i for i in remaining if i in on])
+        remaining = [i for i in remaining if i not in on]
+    return layers
+
+
+def _normal(p, q) -> tuple:
+    """Outer normal of the edge p -> q of a counter-clockwise cycle
+    (q - p turned clockwise, times Wp*Wq)."""
+    xp, yp, wp = p
+    xq, yq, wq = q
+    return yq * wp - yp * wq, xp * wq - xq * wp
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _starts_in(u, arc) -> bool:
+    """Whether direction u lies in [lo, hi) for the arc (lo, hi)."""
+    lo, hi = arc
+    c = _cross(lo, u)
+    return c > 0 and _cross(u, hi) > 0 or c == 0 and lo[0] * u[0] + lo[1] * u[1] > 0
+
+
+def _clip(arc, parent):
+    """The open arc arc & parent, or None if it is empty.  An arc (lo, hi)
+    holds the directions counter-clockwise from lo to hi, both left out,
+    and turns at most half a turn, so two arcs meet in at most one arc,
+    which starts at the start of one that lies in the other."""
+    if _starts_in(parent[0], arc):
+        lo = parent[0]
+    elif _starts_in(arc[0], parent):
+        lo = arc[0]
+    else:
+        return None
+    # both ends lie within half a turn past lo: the first one ends the arc
+    return lo, parent[1] if _cross(arc[1], parent[1]) < 0 else arc[1]
+
+
+def _remove(hom, at, size: int, j: int, pool) -> tuple:
+    """The strict hull cycle left when vertex at(j) is removed from the
+    counter-clockwise cycle t -> at(t mod size).  `pool` holds every
+    location the removal exposes, and may hold others.
+
+    Returns (at', size', k): the new cycle, whose first k vertices are
+    the chain that replaces at(j), from a = at(j - 1) to b = at(j + 1).
+    When a != b the exposed points are those strictly beyond the chord ab,
+    and the chain is the hull of them and a, b, which has the edge b -> a.
+    When a == b the cycle was a segment, the rest lies on it, and the
+    chain, the whole new cycle, is the hull of the pool and a.
+    """
+    a, b = at(j - 1), at(j + 1)
+    if a == b:
+        ends, exposed = [a], [q for q in pool if q != a]
+    else:
+        ends, exposed = [a, b], [q for q in pool if _det(hom[a], hom[b], hom[q]) < 0]
+    chain = ends
+    if exposed:
+        cycle = _hull(hom, _xsorted(hom, ends + exposed))
+        k = cycle.index(a)
+        chain = cycle[k:] + cycle[:k]
+    size2 = len(chain) + max(size - 3, 0)  # a segment leaves the chain alone
+
+    def at2(t):
+        t %= size2
+        return chain[t] if t < len(chain) else at(j + 2 + t - len(chain))
+
+    return at2, size2, len(chain)
+
+
+def enumerate_point_hyperedges(hom) -> list:
+    """Sorted, deduplicated half-plane cuts sufficient for the 2-coloring
+    search over the homogeneous points `hom` (X, Y, W), W > 0: the top-3
+    sets over the candidates `cand` (the first three weak hull layers,
+    where every top-3 member lies) in every generic direction, one normal
+    to no difference of two distinct points.  A cut of size >= 3 contains
+    the top-3 set of its own direction, so bichromatic top-3 sets make
+    every such cut bichromatic.  In a generic direction only coincident
+    points tie, and the tie goes to the lower position in `cand`.  When
+    two candidates coincide `sorted(cand[:3])` is added too, the one
+    other rule of the rotational sweep this replaced (kept in the tests
+    as the reference), so the list is the sweep's.  `solve` never passes
+    coincident points: `dualize` rejects equal slopes, and distinct
+    boundaries have distinct polar points.  The rule is kept for direct
+    callers.
+
+    Iterated extremes.  Group the candidates by location, each group by
+    position.  In a generic direction u the locations are strictly
+    ordered, so the top-3 set is the first three of the groups of l1, l2,
+    l3, where l_k is the top location of the candidates less l1..l(k-1):
+    a removal takes the lowest position in a group, and its twins keep
+    the same directions.  Let R be a set of locations and its strict hull
+    a counter-clockwise cycle.  A generic u has its strict top at vertex x
+    exactly in x's open normal cone: between the outer normals of its two
+    edges, half a turn at either end of a segment, the whole circle at a
+    single location.  So within an open arc P (the directions where the
+    tops so far are fixed) the next top takes exactly the values x whose
+    cone meets P, on the arc where it does (`_clip`), and an open arc
+    holds generic directions.  The walk follows these arcs to depth 3.
+
+    Removal.  Let w be the top of R + {w} in P, a, b its neighbours on the
+    cycle of R + {w}.  If a == b that cycle is the segment aw, and R lies
+    on it.  Otherwise the points of R on the closed far side of the chord
+    ab lie in the polygon of the other vertices, in which only a, b and
+    points on ab can be top in w's cone (every other vertex keeps its cone,
+    and those are disjoint from w's); no generic direction ties a with b.
+    So in P the top of R is a vertex of the chain from a to b of the hull
+    of a, b and the points strictly beyond the chord, and the cycle of R is
+    the old one with w replaced by that chain: the chain lies in the
+    triangle a w b, so a and b stay strict vertices (`_remove`).  In
+    convex position nothing lies beyond a chord, and the walk takes O(1)
+    steps per vertex, emitting the m consecutive triples.
+
+    Pools.  Let H be the cycle of all candidates, the inner locations those
+    off its vertices, and a', b' the second neighbours of v on H.  Removing
+    v exposes points in the triangle (a, v, b).  The second removal takes
+    w from the cycle of the candidates less v.  If w lies on v's chain
+    between a and b, the points it exposes lie in the triangle of w and
+    its chain neighbours, inside (a, v, b).  If w = a, with neighbours a'
+    and c (the next chain vertex), they lie in the triangle (a', a, c),
+    inside the polygon (a', a, v, b); likewise for b.  So every point the
+    walk below v exposes lies in the closed part of H beyond the chord
+    a'b', the polygon (a', a, v, b, b'), and `pools[v]` lists the inner
+    locations there (all of them when H has fewer than five vertices).
+    To fill the pools, a bisection on the fan of H from H[0] finds the
+    fan triangle (H[0], H[k-1], H[k]) holding an inner point (and the one
+    before it, when the point lies on their common side).  The polygon of
+    H[j] lies in the fan triangles from H[j-2] H[j-1] to H[j+1] H[j+2]
+    unless it has H[0] as a vertex, so only j = k-3 .. k+1 and j = -2 ..
+    2 are tested, each exactly.
+
+    O(m log m) for m candidates, plus for each chain of a first removal
+    its length times its pool, short on the sets measured.
+    """
+    if len(hom) < 3:  # no cut of size 3
         return []
-    hom = _homogeneous(points)
-    # n >= 3 leaves >= 3 candidates: a hull has >= 3 vertices unless every
-    # point is collinear, and the weak scan then keeps them all
-    cand = _first_layers(hom)
-    h = [hom[c] for c in cand]
-    m = len(h)
+    layers = _first_layers(hom)
+    cand = [i for layer in layers for i in sorted(layer)]
+    at_location = {}  # lowest terms -> indices, by position
+    for i in cand:
+        x, y, w = hom[i]
+        g = math.gcd(x, y, w)
+        at_location.setdefault((x // g, y // g, w // g), []).append(i)
+    group = {same[0]: same for same in at_location.values()}  # keyed by the first
     edges = set()
-    if len({points[c] for c in cand}) < m:
+    if len(group) < len(cand):
         edges.add(tuple(sorted(cand[:3])))
-    # Critical directions by angle, exactly: v = +-perp(d), taken in the
-    # half [0, pi) (v.y > 0, or v.y == 0 < v.x), has r = -floor(s*v.x/q)
-    # with q = |v.x| + |v.y|; v.x/q falls strictly as the angle grows, and
-    # -v's angle in [pi, 2*pi) grows with the same r.  Ratios with
-    # denominators up to Q differ by at least 1/Q**2, so s >= Q**2 keeps
-    # every order and every tie; |dx|, |dy| <= 2*big**2 gives Q <= 4*big**2.
-    big = max(max(abs(x), abs(y), w) for x, y, w in h)
-    s = 16 * big**4
-    events: dict = {}  # r -> [v, then the positions of the pairs normal to v]
-    for a in range(m):
-        xa, ya, wa = h[a]
-        for b in range(a + 1, m):
-            xb, yb, wb = h[b]
-            dx = xb * wa - xa * wb
-            dy = yb * wa - ya * wb
-            if dx == 0 and dy == 0:
-                continue
-            v = (-dy, dx) if dx > 0 or (dx == 0 and dy < 0) else (dy, -dx)
-            r = -(v[0] * s // (abs(dx) + abs(dy)))
-            ev = events.get(r)
-            if ev is None:
-                events[r] = [v, a, b]
-            else:
-                ev += (a, b)
-    if not events:
-        return sorted(edges)
-    rs = sorted(events)
-    sweep = [(events[r], 1) for r in rs] + [(events[r], -1) for r in rs]
-    order = _past(events[rs[0]][0], h, range(m))
-    where = [0] * m
-    for p, c in enumerate(order):
-        where[c] = p
-    edges.add(tuple(sorted(cand[c] for c in order[:3])))
-    for (v, *tied), sign in sweep[1:]:
-        if len(tied) == 2:
-            lo = min(where[tied[0]], where[tied[1]])
-            runs = [(lo, lo + 1)]
+    hull = _hull(hom, [i for i in layers[0] if i in group])
+    h = len(hull)
+    pools = {v: [] for v in hull}
+    for q in group.keys() - pools.keys():
+        if h < 5:
+            near = range(h)
         else:
-            runs = _runs(sorted({where[c] for c in tied}))
-        for lo, hi in runs:
-            if hi == lo + 1:  # one pair of distinct points: it swaps
-                order[lo], order[hi] = order[hi], order[lo]
-            else:
-                order[lo : hi + 1] = _past((sign * v[0], sign * v[1]), h, order[lo : hi + 1])
-            for p in range(lo, hi + 1):
-                where[order[p]] = p
-        if runs[0][0] < 3:
-            edges.add(tuple(sorted(cand[c] for c in order[:3])))
+            o, p = hom[hull[0]], hom[q]
+            k = 1 + bisect.bisect_left(range(1, h), True, key=lambda t: _det(o, hom[hull[t]], p) < 0)
+            near = {t % h for t in (*range(k - 3, k + 2), -2, -1, 0, 1, 2)}
+        for j in near:
+            if h < 5 or _det(hom[hull[j - 2]], hom[hull[(j + 2) % h]], hom[q]) <= 0:
+                pools[hull[j]].append(q)
+
+    # the vertices' cones, the arcs between their edges' outer normals (on
+    # one location, h = 1, its group fills the set and no arc is read)
+    normals = [_normal(hom[p], hom[q]) for p, q in zip(hull, hull[1:] + hull[:1])]
+
+    def cycle(t):
+        return hull[t % h]
+
+    # (taken so far, v = at(j), the top in `arc` of what `taken` leaves, the
+    # cycle at and its size, v's position j, the pool of the hull vertex
+    # removed first, arc)
+    stack = [([], hull[j], cycle, h, j, pools[hull[j]], (normals[j - 1], normals[j])) for j in range(h)]
+    while stack:
+        taken, v, at, size, j, pool, arc = stack.pop()
+        taken = taken + group[v][: 3 - len(taken)]
+        if len(taken) == 3:
+            edges.add(tuple(sorted(taken)))
+            continue
+        at, size, k = _remove(hom, at, size, j, [q for q in pool if q != v])
+        around = [at(t) for t in range(-1, k + 1)]
+        normals = [_normal(hom[p], hom[q]) for p, q in zip(around, around[1:])]
+        for t in range(k):
+            # the top of a single location is fixed throughout `arc`
+            sub = arc if around[t] == around[t + 1] else _clip(normals[t : t + 2], arc)
+            if sub is not None:
+                stack.append((taken, around[t + 1], at, size, t, pool, sub))
     return sorted(edges)
 
 
-def color_points_vs_halfplanes(points) -> list:
-    """2-color points so no closed half-plane cut of size >= 3 is one color."""
-    edges = enumerate_point_hyperedges(points)
-    assignment = solve_nae(len(points), edges)
+def color_points_vs_halfplanes(hom) -> list:
+    """2-color homogeneous points (X, Y, W), W > 0, so no closed half-plane
+    cut of size >= 3 is one color."""
+    edges = enumerate_point_hyperedges(hom)
+    assignment = solve_nae(len(hom), edges)
     if assignment is None:
         raise SearchExhausted("no 2-coloring over the enumerated constraints")
     return [RED if v else BLUE for v in assignment]

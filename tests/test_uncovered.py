@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,10 +21,10 @@ from hpcolor.model import (
     perturb,
 )
 from hpcolor.nae import nae_solutions, solve_nae
+from hpcolor.rationals import num_den
 from hpcolor.uncovered import (
     NotActuallyUncovered,
     _first_layers,
-    _homogeneous,
     color_points_vs_halfplanes,
     enumerate_point_hyperedges,
     polarize,
@@ -56,16 +57,28 @@ def test_witness_rejects_covered(i3):
         uncovered_witness(dualize(i3), (0, Fraction(1, 2)))
 
 
+def _homogeneous(points) -> list:
+    """Integer homogeneous coordinates (X, Y, W), W > 0, in lowest terms,
+    per point."""
+    out = []
+    for x, y in points:
+        xn, xd = num_den(x)
+        yn, yd = num_den(y)
+        g = math.gcd(xd, yd)
+        out.append((xn * (yd // g), yn * (xd // g), xd * yd // g))
+    return out
+
+
 def test_polarize_axis_aligned():
     # boundary y = 1 seen from the origin polarizes to (0, 1)
     inst = make_instance((0, 1, LOWER))
-    assert polarize(dualize(inst), (0, 0)) == [(0, 1)]
+    assert polarize(dualize(inst), (0, 0)) == [(0, 1, 1)]
 
 
 def test_polarize_example():
     # boundary y = 2x + 4 from the origin: -2x + y = 4 -> (-1/2, 1/4)
     inst = make_instance((2, 4, LOWER))
-    assert polarize(dualize(inst), (0, 0)) == [(Fraction(-1, 2), Fraction(1, 4))]
+    assert polarize(dualize(inst), (0, 0)) == [(-2, 1, 4)]
 
 
 def test_membership_transfer():
@@ -78,21 +91,21 @@ def test_membership_transfer():
             continue
         pt = (rng.randint(-20, 20), rng.randint(-20, 20))
         z = (pt[0] - o[0], pt[1] - o[1])
-        (u,) = polarize(dualize(Instance([h])), o)
-        assert h.contains(pt) == (u[0] * z[0] + u[1] * z[1] >= 1)
+        ((x, y, w),) = polarize(dualize(Instance([h])), o)
+        assert h.contains(pt) == (x * z[0] + y * z[1] >= w)
         checked += 1
     assert checked > 1000
 
 
 def test_enumerate_small_cases():
-    assert enumerate_point_hyperedges([(0, 0), (1, 1)]) == []
-    triple = enumerate_point_hyperedges([(0, 0), (2, 0), (1, 2)])
+    assert enumerate_point_hyperedges(_homogeneous([(0, 0), (1, 1)])) == []
+    triple = enumerate_point_hyperedges(_homogeneous([(0, 0), (2, 0), (1, 2)]))
     assert (0, 1, 2) in triple
 
 
 def test_enumerate_square_arcs():
     pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
-    edges = set(enumerate_point_hyperedges(pts))
+    edges = set(enumerate_point_hyperedges(_homogeneous(pts)))
     # contiguous arcs of size 3 around the hull
     assert {(0, 1, 2), (1, 2, 3), (0, 2, 3), (0, 1, 3)} == edges
 
@@ -106,7 +119,7 @@ def test_enumerate_prefixes_cover_realizable_cuts():
              Fraction(rng.randint(-30, 30), rng.randint(1, 4)))
             for _ in range(n)
         ]
-        edges = set(enumerate_point_hyperedges(pts))
+        edges = set(enumerate_point_hyperedges(_homogeneous(pts)))
         # oracle: every half-plane cut through a perturbed pair direction
         for _ in range(60):
             i, j = rng.sample(range(n), 2)
@@ -142,9 +155,14 @@ def _reference_first_layers(points) -> list:
             return kept
 
         layer = sorted(set(chain(True)) | set(chain(False)))
-        out.extend(layer)
+        out.append(layer)
         remaining = [i for i in remaining if i not in layer]
     return out
+
+
+def _affine(hom) -> list:
+    """The points (X/W, Y/W) of homogeneous triples, as Fractions."""
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in hom]
 
 
 def _reference_hyperedges(points) -> list:
@@ -156,7 +174,7 @@ def _reference_hyperedges(points) -> list:
     """
     if len(points) < 3:
         return []
-    cand = _reference_first_layers(points)
+    cand = sum(_reference_first_layers(points), [])
     hom = _homogeneous(points)
     edges = set()
     for ii, i in enumerate(cand):
@@ -186,9 +204,112 @@ def _reference_hyperedges(points) -> list:
     return sorted(edges)
 
 
+def _runs(ps) -> list:
+    """Maximal runs of consecutive integers in sorted `ps`, as (lo, hi)."""
+    out = []
+    lo = ps[0]
+    for prev, p in zip(ps, ps[1:]):
+        if p != prev + 1:
+            out.append((lo, prev))
+            lo = p
+    out.append((lo, ps[-1]))
+    return out
+
+
+def _past(u, h, block) -> list:
+    """`block` (positions into h) in descending order just past direction
+    u, counter-clockwise: by u.p, then perp(u).p, then position."""
+    ux, uy = u
+    lcm = math.lcm(*(h[c][2] for c in block))
+    keyed = []
+    for c in block:
+        x, y, w = h[c]
+        f = lcm // w
+        keyed.append((-(ux * x + uy * y) * f, (uy * x - ux * y) * f, c))
+    keyed.sort()
+    return [c for _a, _b, c in keyed]
+
+
+def _reference_sweep(hom) -> list:
+    """The O(m^2 log m) rotational sweep the pocket walk replaced, on
+    homogeneous points: the top-3 sets over the candidates (the first
+    three weak hull layers, each in index order) in every generic
+    direction, full ties by position, plus `sorted(cand[:3])` when two
+    candidates coincide.
+
+    Two points change order only where their difference is normal to the
+    direction, so these critical directions cut the circle into arcs of
+    constant order, and the sweep emits the top 3 of every arc.  It
+    visits the critical directions in exact angle order from the order
+    just past the first.  At each one, the points tied on a line normal to it hold
+    consecutive positions and tie with no other point, so re-sorting each
+    run of tied positions by the order just past the direction leaves
+    every other rank in place, and the top 3 can change only when a run
+    starts within it.
+    """
+    if len(hom) < 3:
+        return []
+    points = _affine(hom)
+    cand = [i for layer in _first_layers(hom) for i in sorted(layer)]
+    h = [hom[c] for c in cand]
+    m = len(h)
+    edges = set()
+    if len({points[c] for c in cand}) < m:
+        edges.add(tuple(sorted(cand[:3])))
+    # Critical directions by angle, exactly: v = +-perp(d), taken in the
+    # half [0, pi) (v.y > 0, or v.y == 0 < v.x), has r = -floor(s*v.x/q)
+    # with q = |v.x| + |v.y|; v.x/q falls strictly as the angle grows, and
+    # -v's angle in [pi, 2*pi) grows with the same r.  Ratios with
+    # denominators up to Q differ by at least 1/Q**2, so s >= Q**2 keeps
+    # every order and every tie; |dx|, |dy| <= 2*big**2 gives Q <= 4*big**2.
+    big = max(max(abs(x), abs(y), w) for x, y, w in h)
+    s = 16 * big**4
+    events: dict = {}  # r -> [v, then the positions of the pairs normal to v]
+    for a in range(m):
+        xa, ya, wa = h[a]
+        for b in range(a + 1, m):
+            xb, yb, wb = h[b]
+            dx = xb * wa - xa * wb
+            dy = yb * wa - ya * wb
+            if dx == 0 and dy == 0:
+                continue
+            v = (-dy, dx) if dx > 0 or (dx == 0 and dy < 0) else (dy, -dx)
+            r = -(v[0] * s // (abs(dx) + abs(dy)))
+            ev = events.get(r)
+            if ev is None:
+                events[r] = [v, a, b]
+            else:
+                ev += (a, b)
+    if not events:
+        return sorted(edges)
+    rs = sorted(events)
+    sweep = [(events[r], 1) for r in rs] + [(events[r], -1) for r in rs]
+    order = _past(events[rs[0]][0], h, range(m))
+    where = [0] * m
+    for p, c in enumerate(order):
+        where[c] = p
+    edges.add(tuple(sorted(cand[c] for c in order[:3])))
+    for (v, *tied), sign in sweep[1:]:
+        if len(tied) == 2:
+            lo = min(where[tied[0]], where[tied[1]])
+            runs = [(lo, lo + 1)]
+        else:
+            runs = _runs(sorted({where[c] for c in tied}))
+        for lo, hi in runs:
+            if hi == lo + 1:  # one pair of distinct points: it swaps
+                order[lo], order[hi] = order[hi], order[lo]
+            else:
+                order[lo : hi + 1] = _past((sign * v[0], sign * v[1]), h, order[lo : hi + 1])
+            for p in range(lo, hi + 1):
+                where[order[p]] = p
+        if runs[0][0] < 3:
+            edges.add(tuple(sorted(cand[c] for c in order[:3])))
+    return sorted(edges)
+
+
 def _convex_polar_points(n, seed):
     """Polar points of y <= a*x - a^2 - 1 (distinct a) seen from the
-    origin: n points in convex position."""
+    origin: n homogeneous points in convex position."""
     slopes = random.Random(seed).sample(range(-2 * n, 2 * n + 1), n)
     inst = Instance([HalfPlane(a, -a * a - 1, UPPER) for a in slopes])
     return polarize(dualize(inst), (0, 0))
@@ -224,35 +345,123 @@ def _point_set(rng, kind, n):
         scale = 10**40
         return [(rng.randint(-50, 50) * scale + rng.randint(-3, 3),
                  Fraction(rng.randint(-50, 50) * scale, rng.randint(1, 3))) for _ in range(n)]
+    if kind == "obtuse":
+        # wide coordinates over many denominators: pockets whose exposed
+        # points project past the chord's ends
+        return [(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)),
+                 Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))) for _ in range(n)]
     inst = generate(GenSpec(n=2 * n, mode="uncovered", seed=rng.randrange(10**6),
                             bound=rng.choice([3, 12, 50])))
     scene = dualize(inst)
-    return polarize(scene, uncovered_witness(scene, coverage(scene).witness))
+    return _affine(polarize(scene, uncovered_witness(scene, coverage(scene).witness)))
+
+
+def _seen_degeneracies(seen, pts, hom) -> None:
+    """Count the cases the walk must get exactly right."""
+    seen["coincident pair"] += len(set(pts)) < len(pts)
+    locations = sorted(set(pts))
+    if all(orientation(locations[0], p, q) == 0 for p in locations for q in locations):
+        seen["one location" if len(locations) == 1 else "all collinear"] += 1
+        return
+
+    def strict_chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and orientation(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    vertices = len(strict_chain(locations)) + len(strict_chain(locations[::-1]))
+    first = {pts[i] for i in _first_layers(hom)[0]}
+    seen["collinear hull point"] += len(first) > vertices
 
 
 def test_sweep_matches_reference_triple_loop():
-    """The sweep returns the triple loop's edge list, list for list."""
+    """The sweep, the walk's reference, returns the triple loop's edge
+    list, list for list."""
     rng = random.Random(11)
     kinds = ("fraction", "collinear", "all-collinear", "coincident", "huge", "generated")
     seen = Counter()
     for t in range(3000):
         kind = kinds[t % len(kinds)]
         pts = _point_set(rng, kind, rng.randint(3, 11))
-        got = enumerate_point_hyperedges(pts)
+        got = _reference_sweep(_homogeneous(pts))
         assert got == _reference_hyperedges(pts), (t, kind, pts)
         seen["coincident pair"] += len(set(pts)) < len(pts)
         seen["all collinear"] += all(orientation(pts[0], p, q) == 0 for p in pts for q in pts)
     for n in (4, 5, 8, 16, 33, 64):
-        pts = _convex_polar_points(n, n)
-        got = enumerate_point_hyperedges(pts)
-        assert got == _reference_hyperedges(pts), n
+        hom = _convex_polar_points(n, n)
+        got = _reference_sweep(hom)
+        assert got == _reference_hyperedges(_affine(hom)), n
         assert len(got) == n  # the n arcs of three consecutive hull points
     assert min(seen.values()) >= 500, seen
 
 
+def test_pocket_walk_matches_sweep():
+    """The pocket walk returns the sweep's edge list, list for list, on
+    every point-set family, obtuse pockets and the degenerate cases
+    included: collinear hull points, all-collinear sets (two hull
+    vertices, or one location) and coincident points."""
+    rng = random.Random(31)
+    kinds = ("fraction", "collinear", "all-collinear", "coincident", "huge", "generated", "obtuse")
+    seen = Counter()
+    for t in range(3500):
+        kind = kinds[t % len(kinds)]
+        pts = _point_set(rng, kind, rng.randint(3, 24))
+        if kind == "all-collinear" and t % 3 == 0:
+            pts = [pts[0]] * len(pts)
+        hom = _homogeneous(pts)
+        assert enumerate_point_hyperedges(hom) == _reference_sweep(hom), (t, kind, pts)
+        seen[kind] += 1
+        _seen_degeneracies(seen, pts, hom)
+    assert min(seen[k] for k in kinds) >= 500, seen
+    assert min(seen.values()) >= 150, seen
+
+
+def test_pocket_walk_in_convex_position():
+    """On convex polar sets up to n = 1,024 the walk returns the sweep's
+    list, the n triples of consecutive hull vertices."""
+    for n in (3, 4, 5, 8, 33, 64, 256, 1024):
+        hom = _convex_polar_points(n, n)
+        got = enumerate_point_hyperedges(hom)
+        assert got == _reference_sweep(hom), n
+        assert len(got) == (n if n > 3 else 1)
+
+
+def test_pocket_walk_matches_sweep_on_polar_images():
+    """The walk returns the sweep's list on the tip-unit polar points of
+    every separated scene of the four generator modes, as given, with
+    every half-plane on one side, as `perturb` makes them and with
+    pairwise coprime denominators."""
+    rng = random.Random(32)
+    modes = ("random", "covered", "uncovered", "degenerate")
+    kinds = ("as given", "one family", "perturbed", "coprime")
+    seen = Counter()
+    for t in range(1800):
+        mode = modes[t % 4]
+        kind = kinds[t // 4 % 4]
+        n = rng.randint(3, 6 if kind == "coprime" else 40)
+        inst = generate(GenSpec(n=n, mode=mode, seed=t, bound=rng.choice([3, 12, 50])))
+        if kind != "as given":
+            inst = _image(inst, kind, rng)
+        try:
+            scene = dualize(inst)
+        except GeneralPositionViolation:
+            continue
+        cov = coverage(scene)
+        if cov.kind == "covered":
+            continue
+        hom = polarize(scene, uncovered_witness(scene, cov.witness))
+        assert enumerate_point_hyperedges(hom) == _reference_sweep(hom), (t, mode, kind)
+        seen[mode] += 1
+        seen[kind] += 1
+    assert min(seen.values()) >= 60, seen
+
+
 def test_integer_peel_matches_fraction_peel():
     """The integer peel lists the same indices as the Fraction peel,
-    duplicates and collinear hull points included."""
+    layer by layer, duplicates and collinear hull points included."""
     rng = random.Random(12)
     seen = Counter()
     for t in range(1500):
@@ -260,9 +469,10 @@ def test_integer_peel_matches_fraction_peel():
         pts = _point_set(rng, kind, rng.randint(3, 40))
         if t % 3 == 0:
             pts = pts + [pts[rng.randrange(len(pts))] for _ in range(rng.randint(1, 3))]
-        got = _first_layers(_homogeneous(pts))
+        layers = [sorted(layer) for layer in _first_layers(_homogeneous(pts))]
         want = _reference_first_layers(pts)
-        assert got == want, (t, pts)
+        assert layers == want, (t, pts)
+        got = sum(layers, [])
         seen["duplicates kept"] += len({pts[i] for i in got}) < len(got)
         seen["some peeled off"] += len(got) < len(pts)
     assert min(seen.values()) >= 200, seen
@@ -331,7 +541,7 @@ def test_color_points_uses_both_colors():
     rng = random.Random(6)
     for _ in range(30):
         n = rng.randint(3, 12)
-        pts = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(n)]
+        pts = [(rng.randint(-50, 50), rng.randint(-50, 50), 1) for _ in range(n)]
         colors = color_points_vs_halfplanes(pts)
         assert set(colors) == {BLUE, RED}
         edges = enumerate_point_hyperedges(pts)
@@ -413,7 +623,7 @@ def test_polarize_in_tip_units_matches_instance_units():
         line = uncovered_witness(scene, cov.witness)
         got = enumerate_point_hyperedges(polarize(scene, line))
         want = enumerate_point_hyperedges(
-            _reference_polarize(inst, _instance_witness(scene, line, scale))
+            _homogeneous(_reference_polarize(inst, _instance_witness(scene, line, scale)))
         )
         assert got == want, (t, kind)
         seen[kind] += 1
@@ -473,7 +683,7 @@ def test_soundness_bridge():
             # the covering set (polar point i is half-plane i) is a closed
             # half-plane cut
             z = (pt[0] - o[0], pt[1] - o[1])
-            cut = {k for k, u in enumerate(points) if u[0] * z[0] + u[1] * z[1] >= 1}
+            cut = {k for k, (x, y, w) in enumerate(points) if x * z[0] + y * z[1] >= w}
             assert cut == set(covering)
             assert any(set(e) <= cut for e in edges), (t, covering)
             checked += 1
