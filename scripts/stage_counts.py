@@ -28,16 +28,18 @@ per size:
   many and that large have no common denominator cheap to clear, so the
   tips stay Fractions (see `model.common_denominator`).
 
-With ``--against DIR`` the `read`, `write` and perturbed calls of the
-hpcolor in DIR/src (another checkout, say the parent commit) alternate
-call by call with this checkout's, each side first in every other
-round, and their medians are written under ``against_ms``.  The output
+With ``--against DIR`` the solves, the `read`, `write` and perturbed
+calls of the hpcolor in DIR/src (another checkout, say the parent
+commit) alternate call by call with this checkout's, each side first in
+every other round, and their medians, the stage medians included, are
+written under ``against_ms``.  The output
 names the commit of each checkout (``+changes`` if its src/ differs
 from that commit) under ``commit`` and ``against``.
 
 Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_6.json
     python3 scripts/stage_counts.py --out BENCH_18.json --against ../parent
+    python3 scripts/stage_counts.py --out BENCH_21.json --against ../parent
 """
 
 import argparse
@@ -104,10 +106,12 @@ def count_hulls(inst):
     return result, hulls
 
 
-def time_stages(inst, repeats):
-    """Median milliseconds per stage and per solve over `repeats` solves."""
-    spent = {stage: [] for stage in STAGES}
-    solve_ms = []
+def time_stages(inst, repeats, engines):
+    """Median milliseconds per stage and per solve over `repeats` solves
+    with each of `engines` ({key: (model, engine)}), alternating solve by
+    solve, each side first in every other round."""
+    spent = {key: {stage: [] for stage in STAGES} for key in engines}
+    solve_ms = {key: [] for key in engines}
     current = Counter()
 
     def make(stage):
@@ -123,19 +127,26 @@ def time_stages(inst, repeats):
 
         return wrap
 
-    saved = [_patch(engine, name, make(stage)) for stage, name in STAGES.items()]
+    text = inst.to_json()
+    parsed = {key: mod.Instance.from_json(text) for key, (mod, _eng) in engines.items()}
+    saved = [
+        _patch(eng, name, make(stage)) for _mod, eng in engines.values() for stage, name in STAGES.items()
+    ]
     try:
-        for _ in range(repeats):
-            current.clear()
-            t0 = time.perf_counter()
-            engine.solve_detailed(inst, check=False)
-            solve_ms.append((time.perf_counter() - t0) * 1e3)
-            for stage in STAGES:
-                spent[stage].append(current[stage] * 1e3)
+        for rep in range(repeats):
+            for key in list(engines)[:: 1 if rep % 2 == 0 else -1]:
+                current.clear()
+                t0 = time.perf_counter()
+                engines[key][1].solve_detailed(parsed[key], check=False)
+                solve_ms[key].append((time.perf_counter() - t0) * 1e3)
+                for stage in STAGES:
+                    spent[key][stage].append(current[stage] * 1e3)
     finally:
         _restore(saved)
-    out = {stage: round(statistics.median(v), 3) for stage, v in spent.items()}
-    out["solve"] = round(statistics.median(solve_ms), 3)
+    out = {}
+    for key in engines:
+        out[key] = {stage: round(statistics.median(v), 3) for stage, v in spent[key].items()}
+        out[key]["solve"] = round(statistics.median(solve_ms[key]), 3)
     return out
 
 
@@ -238,10 +249,13 @@ def main() -> int:
     ap.add_argument("--out", default="BENCH_6.json")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument(
-        "--against", type=Path, help="another checkout to time read, write and the perturbed stages against"
+        "--against", type=Path, help="another checkout to time the solves, read, write and the perturbed stages against"
     )
     args = ap.parse_args()
     against = load_against(args.against) if args.against else None
+    engines = {"ms": (model, engine)}
+    if against is not None:
+        engines["against_ms"] = against
 
     rows = []
     for n in SIZES:
@@ -253,11 +267,13 @@ def main() -> int:
             "attempts": result.attempts,
             "hull_calls": hulls["calls"],
             "hull_points": hulls["points"],
-            "median_ms": time_stages(inst, args.repeats),
         }
+        timed = time_stages(inst, args.repeats, engines)
         front = time_front(inst, result.colors, args.repeats, against)
-        row["median_ms"].update(front.pop("ms"))
-        row.update(front)
+        for key in engines:
+            timed[key].update(front[key])
+        row["median_ms"] = timed.pop("ms")
+        row.update(timed)
         rows.append(row)
         print(json.dumps(row), flush=True)
     command = f"python3 scripts/stage_counts.py --out {args.out} --repeats {args.repeats}"

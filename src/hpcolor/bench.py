@@ -4,11 +4,12 @@ Timing covers the coloring computation only; verification is excluded
 (the uncovered path's constraint search carries no n log n guarantee, so
 the benchmark sticks to covered instances).  A covered solve is one
 hash pass over the slopes (the screen), dualize's one slope sort, and
-linear scans.  Up to about 8,192 half-planes the two hull scans in
-coverage take the largest share; from 16,384 up dualize and coverage are
-about even (each about a third of the solve at 131,072), ahead of the
-case machine and the screen.  `scripts/stage_counts.py` prints the stage
-medians per size.
+linear scans.  Each hull build drops the points inside two chords
+before its scan, so dualize is the largest stage at every size (40-51%
+of the solve from 16,384 up), ahead of coverage.  The case machine
+copies no family; it stays below coverage except at 8,192, whose
+crossing case scans both families with exact line tests.
+`scripts/stage_counts.py` prints the stage medians per size.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 from . import geometry as geo
@@ -49,6 +51,8 @@ from .verification import verify
 MAX_ATTEMPTS = 8
 MAX_REDUCTIONS = 6
 
+by_index = itemgetter(2)  # a tip's half-plane index
+
 
 class EngineError(Exception):
     pass
@@ -79,80 +83,160 @@ def _below(pt, a, b) -> bool:
 
 
 def _clears(a, b, lows, ups, skip) -> bool:
-    """Does line(a, b) pass strictly below every point of `lows` and
-    strictly above every point of `ups`, leaving out the points whose x
-    is in `skip`?
+    """Does line(a, b) pass strictly below every tip of the family `lows`
+    and strictly above every tip of the family `ups`, leaving out the
+    tips whose x is in `skip`?  Each family is a `_Fam` of the frame that
+    a, b and `skip` are in, or None for none.
 
-    Scans `lows`, then `ups`, each in list order: returns False at the
-    first point strictly on the wrong side and raises
+    Scans `lows`, then `ups`, each in frame order: returns False at the
+    first tip strictly on the wrong side and raises
     GeneralPositionViolation at the first collinear one, so the scan
     order is behaviour.  Tips have pairwise distinct x in every frame,
-    so skipping by x skips exactly those points, and a.x != b.x.
+    so skipping by x skips exactly those tips, and a.x != b.x.
+
+    A family is read in its own list's coordinates: the frame's side
+    test s = dx*(w.y - a.y) - dy*(w.x - a.x), on mirrored coordinates
+    (sx*x, sy*y), is cx*(y - sy*a.y) - cy*(x - sx*a.x) on the list's,
+    with cx = sy*dx and cy = sx*dy.
     """
-    ax, ay = a[0], a[1]
-    dx, dy = b[0] - ax, b[1] - ay
+    dx, dy = b[0] - a[0], b[1] - a[1]
     if dx < 0:  # orient the line left to right: s > 0 means above
         dx, dy = -dx, -dy
-    for pts in (lows, ups):
-        for w in pts:
-            wx = w[0]
-            if wx in skip:
-                continue
-            s = dx * (w[1] - ay) - dy * (wx - ax)
-            if s <= 0:
-                if s == 0:
-                    raise _collinear(a, b, w)
-                return False
-        dx, dy = -dx, -dy  # the upper points must lie below
+    for fam in (lows, ups):
+        if fam is not None:
+            sx, sy = fam.sx, fam.sy
+            ax, ay, cx, cy = sx * a[0], sy * a[1], sy * dx, sx * dy
+            xs = [sx * x for x in skip]
+            for w in fam.order():
+                wx = w[0]
+                if wx in xs:
+                    continue
+                s = cx * (w[1] - ay) - cy * (wx - ax)
+                if s <= 0:
+                    if s == 0:
+                        raise _collinear(a, b, fam.map(w))
+                    return False
+        dx, dy = -dx, -dy  # the upper tips must lie below
     return True
 
 
 @dataclass
 class _Fam:
-    pts: list  # x-sorted tips
+    """One family as a frame reads it, with no point copied.
+
+    `tips` is a list of tips x-sorted in its own coordinates: the scene's
+    own list, shared by every frame, or an observation's sub-scene.  The
+    frame's mirror (sx, sy), each +1 or -1, makes the frame see tip
+    (x, y, i) as (sx*x, sy*y, i), in reverse list order when sx < 0, so
+    frame order is again x order.  A frame position k is the k-th tip in
+    that order.  Lookups answer in ranges of frame positions, painting
+    reads the indices of a range straight off `tips`, and a scan reads
+    `tips` in frame order with its query mapped into the list's
+    coordinates (the mirror is its own inverse).  `chain`, the frame's
+    hull, is in frame coordinates: it is O(hull), so a flip maps it.
+    """
+
+    tips: list
     chain: Optional[HullChain]
+    sx: int = 1
+    sy: int = 1
 
     @classmethod
-    def build(cls, pts, side):
-        return cls(pts, hull_from_sorted(pts, side) if pts else None)
+    def build(cls, tips, side):
+        return cls(tips, hull_from_sorted(tips, side) if tips else None)
 
-    def between(self, x1, x2) -> list:
-        """Points with x strictly inside (x1, x2)."""
-        i = bisect.bisect_right(self.pts, x1, key=by_x)
-        j = bisect.bisect_left(self.pts, x2, key=by_x)
-        return self.pts[i:j]
+    def __len__(self) -> int:
+        return len(self.tips)
 
-    def left_of(self, x) -> list:
-        return self.pts[: bisect.bisect_left(self.pts, x, key=by_x)]
+    def map(self, t):
+        """A tip between list and frame coordinates, either way."""
+        return (self.sx * t[0], self.sy * t[1], t[2])
 
-    def right_of(self, x) -> list:
-        return self.pts[bisect.bisect_right(self.pts, x, key=by_x) :]
+    def order(self):
+        """The tips in frame order, in list coordinates."""
+        return reversed(self.tips) if self.sx < 0 else self.tips
 
-    def x_flip(self) -> "_Fam":
-        """This family in the left-right mirror; the hull is flipped with
-        the points, not rebuilt."""
+    def at(self, k):
+        """The tip at frame position k (k < 0 counts from the end)."""
+        return self.map(self.tips[k if self.sx > 0 else -1 - k])
+
+    def position(self, t) -> int:
+        """The frame position of the frame tip t, which the family holds."""
+        i = bisect.bisect_left(self.tips, self.sx * t[0], key=by_x)
+        return i if self.sx > 0 else len(self.tips) - 1 - i
+
+    def _cut(self, x, after: bool) -> int:
+        """The frame position of the first tip whose frame x is > x
+        (after) or >= x."""
+        if self.sx > 0:
+            return (bisect.bisect_right if after else bisect.bisect_left)(self.tips, x, key=by_x)
+        find = bisect.bisect_left if after else bisect.bisect_right
+        return len(self.tips) - find(self.tips, -x, key=by_x)
+
+    def between(self, x1, x2) -> range:
+        """Frame positions of the tips with frame x strictly inside (x1, x2)."""
+        return range(self._cut(x1, True), self._cut(x2, False))
+
+    def left_of(self, x) -> range:
+        return range(self._cut(x, False))
+
+    def right_of(self, x) -> range:
+        return range(self._cut(x, True), len(self.tips))
+
+    def _slice(self, r: range) -> list:
+        """The tips at the frame positions of r, in list order."""
+        if self.sx > 0:
+            return self.tips[r.start : r.stop]
+        n = len(self.tips)
+        return self.tips[n - r.stop : n - r.start] if r else []
+
+    def take(self, r: range) -> list:
+        """The frame tips at the positions of r, in frame order (a copy)."""
+        part, sx, sy = self._slice(r), self.sx, self.sy
+        return [(sx * x, sy * y, i) for x, y, i in (reversed(part) if sx < 0 else part)]
+
+    def around(self, before: list, r: range, after: list, chain: HullChain) -> "_Fam":
+        """A sub-family in this frame, with the given chain: the frame tips
+        `before`, the tips at the frame positions of r, then the frame tips
+        `after`.  Only the named tips are mapped."""
+        if self.sx < 0:
+            before, after = after[::-1], before[::-1]
+        tips = [*map(self.map, before), *self._slice(r), *map(self.map, after)]
+        return _Fam(tips, chain, self.sx, self.sy)
+
+    def paint(self, colors: dict, r: range, color: str) -> None:
+        """Give every tip at the frame positions of r the color."""
+        colors.update(zip(map(by_index, self._slice(r)), repeat(color)))
+
+    def second_layer(self) -> list:
+        """The frame's second hull layer: `second_layer` of the list under
+        the chain mapped back into the list's coordinates, mapped into the
+        frame."""
+        layer = second_layer(self.tips, self.mirrored(self.sx, self.sy).chain)
+        return [self.map(v) for v in (reversed(layer) if self.sx < 0 else layer)]
+
+    def mirrored(self, fx: int, fy: int) -> "_Fam":
+        """This family in the frame mirrored by (fx, fy).  Only the chain
+        is mapped, not rebuilt: a mirror maps the hull onto the mirrored
+        tips' hull, negating x reverses the chain, and negating y turns a
+        lower chain into an upper one."""
         chain = self.chain
         if chain is not None:
-            chain = HullChain(chain.side, _xrot(chain.vertices))
-        return _Fam(_xrot(self.pts), chain)
-
-    def y_flip(self) -> "_Fam":
-        """This family in the up-down mirror, where it plays the other
-        side's role: negating y turns a lower chain into the upper chain of
-        the mirrored points (the scan makes the same pops), so the hull is
-        flipped with the points, not rebuilt."""
-        chain = self.chain
-        if chain is not None:
-            side = UPPER if chain.side == LOWER else LOWER
-            chain = HullChain(side, [(x, -y, i) for x, y, i in chain.vertices])
-        return _Fam([(x, -y, i) for x, y, i in self.pts], chain)
+            verts = [(fx * x, fy * y, i) for x, y, i in chain.vertices]
+            if fx < 0:
+                verts.reverse()
+            side = chain.side if fy > 0 else (UPPER if chain.side == LOWER else LOWER)
+            chain = HullChain(side, verts)
+        return _Fam(self.tips, chain, self.sx * fx, self.sy * fy)
 
 
 @dataclass
 class View:
     """A frame: the upper family `u` and the lower family `l`, in the
-    scene's tip units.  The flips mirror coordinates and keep each tip's
-    index, so a coloring keyed by index holds in every frame."""
+    scene's tip units.  Both read the scene's own tip lists through the
+    frame's mirror (see `_Fam`), so a flip maps the two chains and no tip.
+    The mirrors keep each tip's index, so a coloring keyed by index holds
+    in every frame."""
 
     u: _Fam
     l: _Fam
@@ -163,13 +247,12 @@ class View:
         return cls(_Fam.build(scene.tips_u, UPPER), _Fam.build(scene.tips_l, LOWER), scene.gap)
 
     def x_flip(self) -> "View":
-        """The left-right mirror frame, with no hull rebuilt."""
-        return View(self.u.x_flip(), self.l.x_flip(), self.gap)
+        """The left-right mirror frame."""
+        return View(self.u.mirrored(-1, 1), self.l.mirrored(-1, 1), self.gap)
 
     def y_flip(self) -> "View":
-        """The up-down mirror frame (the families swap roles), with no hull
-        rebuilt."""
-        return View(self.l.y_flip(), self.u.y_flip(), self.gap)
+        """The up-down mirror frame, where the families swap roles."""
+        return View(self.l.mirrored(1, -1), self.u.mirrored(1, -1), self.gap)
 
 
 @dataclass
@@ -326,7 +409,7 @@ def build_pivot(view: View, pivot) -> Pivot:
     flips left-right, so the hull predecessor l_U always exists unless
     the upper family is a single point.
     """
-    if len(view.u.pts) > 1 and pivot == view.u.pts[0]:
+    if len(view.u) > 1 and pivot == view.u.at(0):
         view, pivot = view.x_flip(), (-pivot[0], pivot[1], pivot[2])
     cu, cl = view.u.chain, view.l.chain
     iu = cu.vertex_index(pivot)
@@ -334,7 +417,7 @@ def build_pivot(view: View, pivot) -> Pivot:
         raise InternalError("pivot is not an upper hull vertex")
     l_U = cu.vertices[iu - 1] if iu > 0 else None
     r_U = cu.vertices[iu + 1] if iu + 1 < len(cu.vertices) else None
-    if l_U is None and len(view.u.pts) > 1:
+    if l_U is None and len(view.u) > 1:
         raise InternalError("pivot left-normalization failed")
     j = bisect.bisect_right(cl.vertices, pivot[0], key=by_x)
     if not 0 < j < len(cl.vertices):
@@ -385,14 +468,9 @@ def classify(pv: Pivot) -> str:
 
 def _fill_rest(view: View, colors: dict, default: str) -> dict:
     # a frame holds every tip, and `dualize` indexes them 0..n-1
-    for i in range(len(view.u.pts) + len(view.l.pts)):
+    for i in range(len(view.u) + len(view.l)):
         colors.setdefault(i, default)
     return colors
-
-
-def _paint(colors: dict, pts, color: str) -> None:
-    for pt in pts:
-        colors[pt[2]] = color
 
 
 def _merge(colors: dict, sub: dict, fixed=()) -> None:
@@ -408,50 +486,46 @@ def _merge(colors: dict, sub: dict, fixed=()) -> None:
         colors[i] = c
 
 
-def _xrot(pts) -> list:
-    return [(-x, y, i) for x, y, i in reversed(pts)]
-
-
-def _rot180(pts) -> list:
-    return [(-p[0], -p[1], p[2]) for p in reversed(pts)]
-
-
 # ---------------------------------------------------------------------------
 # observations (the separated-hull subroutines)
 
 
-def _observe(pv: Pivot, u_act: list, l_act: list, path: list) -> dict:
+def _observe(pv: Pivot, u_ends: list, l_ends: list, path: list) -> dict:
     """obs_separated on a sub-scene of pv's frame with p rightmost above
-    and r_L leftmost below.
+    and r_L leftmost below: above, the upper tips left of u_ends[0], then
+    the frame tips u_ends, ending at p; below, the frame tips l_ends,
+    starting at r_L, then the lower tips right of l_ends[-1].
 
-    u_act keeps every upper hull vertex up to p and l_act every lower hull
-    vertex from r_L on (the points left out lie inside the hulls), so the
-    sub-hulls are the prefix of the frame's upper chain ending at p and the
-    suffix of its lower chain starting at r_L.
+    The upper part keeps every upper hull vertex up to p and the lower
+    part every lower hull vertex from r_L on (the points left out lie
+    inside the hulls), so the sub-hulls are the prefix of the frame's
+    upper chain ending at p and the suffix of its lower chain starting at
+    r_L.
     """
-    cu, cl = pv.view.u.chain, pv.view.l.chain
-    u_hull = cu.vertices[: cu.vertex_index(pv.p) + 1]
-    l_hull = cl.vertices[cl.vertex_index(pv.r_L) :]
-    return obs_separated(u_act, l_act, u_hull, l_hull, pv.p, pv.r_L, path)
+    u, l = pv.view.u, pv.view.l
+    u_hull = HullChain(UPPER, u.chain.vertices[: u.chain.vertex_index(pv.p) + 1])
+    l_hull = HullChain(LOWER, l.chain.vertices[l.chain.vertex_index(pv.r_L) :])
+    u_act = u.around([], u.left_of(u_ends[0][0]), u_ends, u_hull)
+    l_act = l.around(l_ends, l.right_of(l_ends[-1][0]), [], l_hull)
+    return obs_separated(u_act, l_act, pv.p, pv.r_L, path)
 
 
-def obs_separated(
-    u_act: list, l_act: list, u_hull: list, l_hull: list, p, q, path: list, _depth=0
-) -> dict:
+def obs_separated(u_act: _Fam, l_act: _Fam, p, q, path: list, _depth=0) -> dict:
     """Color an active sub-scene with p rightmost above, q leftmost below.
 
-    u_hull and l_hull are the vertices of the upper hull of u_act and of
-    the lower hull of l_act.  Implements both observations: the
+    The chains of u_act and l_act are the upper hull of u_act's tips and
+    the lower hull of l_act's.  Implements both observations: the
     non-crossing case colors left of p red and right of q blue; the
     crossing / missing-neighbour case colors the window after q blue, the
     rest red, and decides q's hull successor by the exact tangent rule
     against the second hull layer.  The mirror variant runs through a
-    half-turn.
+    half-turn, which maps the two chains and the named tips only.
     """
     if _depth > 1:
         raise InternalError("observation mirror recursed")
-    if u_act[-1] != p or l_act[0] != q:
+    if u_act.at(-1) != p or l_act.at(0) != q:
         raise InternalError("observation scene not separated around (p, q)")
+    u_hull, l_hull = u_act.chain.vertices, l_act.chain.vertices
     if u_hull[-1] != p or l_hull[0] != q:
         raise InternalError("p / q not extreme hull vertices")
     l_u = u_hull[-2] if len(u_hull) > 1 else None
@@ -468,63 +542,65 @@ def obs_separated(
     colors: dict = {p[2]: BLUE, q[2]: RED}
     if l_u is not None and q_s is not None and not cross_l and not cross_lp:
         path.append("obs2")
-        _paint(colors, u_act[:-1], RED)
-        _paint(colors, l_act[1:], BLUE)
+        u_act.paint(colors, range(len(u_act) - 1), RED)
+        l_act.paint(colors, range(1, len(l_act)), BLUE)
         return colors
 
     if l_u is None or cross_lp:
         path.append("obs3")
-        _paint(colors, u_act[:-1], RED)
+        u_act.paint(colors, range(len(u_act) - 1), RED)
         if q_s is None:
             return colors
-        j = l_act.index(q_s)
-        _paint(colors, l_act[1:j], BLUE)
-        _paint(colors, l_act[j + 1 :], RED)
-        colors[q_s[2]] = _tangent_rule_color(u_act, l_act, l_hull, p, q, q_s)
+        j = l_act.position(q_s)
+        l_act.paint(colors, range(1, j), BLUE)
+        l_act.paint(colors, range(j + 1, len(l_act)), RED)
+        colors[q_s[2]] = _tangent_rule_color(u_act, l_act, p, q, q_s)
         return colors
 
     # mirror: q's side plays p's role after a half-turn; colors swap back
     path.append("obs3x")
     q_rot, p_rot = (-q[0], -q[1], q[2]), (-p[0], -p[1], p[2])
     sub = obs_separated(
-        _rot180(l_act), _rot180(u_act), _rot180(l_hull), _rot180(u_hull),
-        q_rot, p_rot, path, _depth + 1,
+        l_act.mirrored(-1, -1), u_act.mirrored(-1, -1), q_rot, p_rot, path, _depth + 1
     )
     return {i: (RED if c == BLUE else BLUE) for i, c in sub.items()}
 
 
-def _tangent_rule_color(u_act, l_act, l_hull, p, q, q_s) -> str:
+def _tangent_rule_color(u_act: _Fam, l_act: _Fam, p, q, q_s) -> str:
     """Red iff the tangent from q to the second lower layer touches inside
     the (q, q_succ) window, stays below every other lower point except
     q_succ, and above every upper point except p (scan order: `_clears`).
     """
-    touch = _tangent_touch(l_act, l_hull, q)
+    touch = _tangent_touch(l_act, q)
     if touch is None or not touch[0] < q_s[0]:
         return BLUE
     skip = (q_s[0], touch[0], q[0], p[0])
     return RED if _clears(q, touch, l_act, u_act, skip) else BLUE
 
 
-def _tangent_touch(l_act, l_hull, q):
+def _tangent_touch(l_act: _Fam, q):
     """Where the tangent from q touches the second lower layer, or None.
 
     q is leftmost, so the touch is the minimum-slope point from q among
-    the points of l_act off its first layer `l_hull`; on a tie it is the
-    leftmost one, which is still a second-layer vertex.
+    the tips of l_act off its first layer, its chain; on a tie it is the
+    leftmost one, which is still a second-layer vertex.  The tips are
+    read in frame order in their list's coordinates, where a mirror by
+    one axis reverses every turn (`sign`).
     """
-    qx, qy = q[0], q[1]
-    hull_xs = iter([v[0] for v in l_hull] + [None])
+    sx, sy = l_act.sx, l_act.sy
+    qx, qy, sign = sx * q[0], sy * q[1], sx * sy
+    hull_xs = iter([sx * v[0] for v in l_act.chain.vertices] + [None])
     next_x = next(hull_xs)
     touch = None
-    for w in l_act:
+    for w in l_act.order():
         wx = w[0]
         if wx == next_x:  # a first-layer vertex; tip x values are distinct
             next_x = next(hull_xs)
             continue
-        # cross(touch - q, w - q) < 0: w has the smaller slope from q
+        # cross(touch - q, w - q) < 0 in the frame: w has the smaller slope from q
         if touch is None or dx * (w[1] - qy) - dy * (wx - qx) < 0:
-            touch, dx, dy = w, wx - qx, w[1] - qy
-    return touch
+            touch, dx, dy = w, sign * (wx - qx), sign * (w[1] - qy)
+    return None if touch is None else l_act.map(touch)
 
 
 # ---------------------------------------------------------------------------
@@ -548,23 +624,24 @@ def case_b(pv: Pivot, path: list, depth: int = 0, walk: int = 0) -> dict:
         # does not, l_U provably lies inside the lower hull region, so the
         # machine restarts there (a finite leftward pivot walk).
         path.append("B^")
-        if walk > 2 * len(view.u.pts) + 4:
+        if walk > 2 * len(view.u) + 4:
             raise InternalError("pivot walk exceeded its budget")
         return _dispatch(build_pivot(view, l_U), path, depth, walk + 1)
+    u, l = view.u, view.l
     colors = {p[2]: BLUE, r_L[2]: BLUE, l_U[2]: RED, l_L[2]: RED}
-    _paint(colors, view.u.left_of(l_U[0]), RED)
-    _paint(colors, view.l.right_of(r_L[0]), RED)
-    _paint(colors, view.u.right_of(p[0]), BLUE)
-    _paint(colors, view.l.left_of(l_L[0]), BLUE)
-    _paint(colors, view.u.between(l_U[0], p[0]), RED)  # the free choice
+    u.paint(colors, u.left_of(l_U[0]), RED)
+    l.paint(colors, l.right_of(r_L[0]), RED)
+    u.paint(colors, u.right_of(p[0]), BLUE)
+    l.paint(colors, l.left_of(l_L[0]), BLUE)
+    u.paint(colors, u.between(l_U[0], p[0]), RED)  # the free choice
 
-    window = view.l.between(l_L[0], r_L[0])
+    window = l.between(l_L[0], r_L[0])
     if not window:
         return colors
-    layer1 = second_layer(view.l.pts, view.l.chain)
+    layer1 = l.second_layer()
     primes = [w for w in layer1 if l_L[0] < w[0] < r_L[0]]
     if not primes:
-        _paint(colors, window, BLUE)
+        l.paint(colors, window, BLUE)
         return colors
 
     succ = next((w for w in layer1 if w[0] > primes[-1][0]), None)
@@ -584,36 +661,32 @@ def case_b(pv: Pivot, path: list, depth: int = 0, walk: int = 0) -> dict:
         # the second layer never clears r_L: the split degenerates to the
         # last second-layer point (everything left of it keeps blue)
         j = len(primes) - 1
-    pj = primes[j]
-    for w in window:
-        if w == pj:
-            continue
-        colors[w[2]] = BLUE if w[0] < pj[0] else RED
-    colors[pj[2]] = _case_b_prime_color(window, l_L, r_L, pj)
+    k = l.position(primes[j])
+    l.paint(colors, range(window.start, k), BLUE)
+    l.paint(colors, range(k + 1, window.stop), RED)
+    colors[primes[j][2]] = _case_b_prime_color(l, window, l_L, r_L, k)
     return colors
 
 
-def _case_b_prime_color(window, l_L, r_L, pj) -> str:
-    """The split point keeps blue exactly when some line through r_L and a
-    window point right of it passes above l_L and the split point and
-    below every other window point."""
-    if _case_b_wedge(window, r_L, l_L, pj, right_side=True):
+def _case_b_prime_color(l: _Fam, window: range, l_L, r_L, k: int) -> str:
+    """The split point, the lower tip at frame position k of the window,
+    keeps blue exactly when some line through r_L and a window point
+    right of it passes above l_L and the split point and below every
+    other window point."""
+    pj, tips = l.at(k), l.around([], window, [], None)
+    if _case_b_wedge(tips, l.take(range(k + 1, window.stop)), r_L, l_L, pj, right_side=True):
         # the mirror wedge through l_L cannot coexist: two distinct
         # lines would share more than one point
-        if _case_b_wedge(window, l_L, r_L, pj, right_side=False):
+        if _case_b_wedge(tips, l.take(range(window.start, k)), l_L, r_L, pj, right_side=False):
             raise ExhaustivenessViolation("both split-point wedges present")
         return BLUE
     return RED
 
 
-def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
+def _case_b_wedge(window: _Fam, cands: list, anchor, other, pj, right_side: bool) -> bool:
     """Is there a line through `anchor` and a window point beyond the split
-    point that passes above `other` and the split point and below every
-    remaining window point?"""
-    if right_side:
-        cands = [w for w in window if w[0] > pj[0]]
-    else:
-        cands = [w for w in window if w[0] < pj[0]]
+    point (`cands`, in frame order) that passes above `other` and the
+    split point and below every remaining window point?"""
     if not cands:
         return False
     q_star = cands[0]
@@ -631,7 +704,7 @@ def _case_b_wedge(window, anchor, other, pj, right_side: bool) -> bool:
     # line(l_L, q_star) runs above R, and so above pj and r_L.
     if not _below(other, anchor, q_star) or not _below(pj, anchor, q_star):
         raise ExhaustivenessViolation("split-point wedge line misses its anchors")
-    return _clears(anchor, q_star, window, (), (q_star[0], pj[0]))
+    return _clears(anchor, q_star, window, None, (q_star[0], pj[0]))
 
 
 def case_d(pv: Pivot, path: list, depth: int) -> dict:
@@ -669,12 +742,12 @@ def case_d(pv: Pivot, path: list, depth: int) -> dict:
         return _fill_rest(view, colors, RED)
 
     # nothing lower left of l_L (and nothing of the upper family right of p)
-    if l_L == view.l.pts[0]:
+    if l_L == view.l.at(0):
         path.append("D1")
         colors = {p[2]: BLUE, r_L[2]: BLUE, l_U[2]: RED, l_L[2]: RED}
-        _paint(colors, (w for w in view.u.left_of(p[0]) if w != l_U), RED)
-        _paint(colors, (w for w in view.l.right_of(r_L[0]) if w != r_L), RED)
-        _paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
+        view.u.paint(colors, view.u.left_of(p[0]), RED)
+        view.l.paint(colors, view.l.right_of(r_L[0]), RED)
+        view.l.paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
         return colors
 
     # D2: a blue triangle of rays pierces everything
@@ -724,7 +797,7 @@ def case_c(pv: Pivot, path: list, depth: int) -> dict:
     if colors is not None:
         return colors
 
-    if r_U is not None and _triangle_free(view.u.pts, l_U, p, r_U):
+    if r_U is not None and _triangle_free(view.u, l_U, p, r_U):
         return _case_c3(pv, mv, path)
 
     return _case_c4(pv, mv, path)
@@ -735,11 +808,15 @@ def _c1_holds(pv: Pivot) -> bool:
     the window pair) and above all upper points (except r_U); scan order:
     `_clears`."""
     skip = (pv.r_L[0], pv.l_L[0], pv.r_U[0])
-    return _clears(pv.r_L, pv.r_U, pv.view.l.pts, pv.view.u.pts, skip)
+    return _clears(pv.r_L, pv.r_U, pv.view.l, pv.view.u, skip)
 
 
-def _triangle_free(pts, a, b, c) -> bool:
-    for w in pts:
+def _triangle_free(fam: _Fam, a, b, c) -> bool:
+    """No tip of `fam` but the corners lies inside the frame triangle
+    a, b, c.  The tips are read in their list's coordinates, with the
+    corners mapped there: a mirror keeps the interior."""
+    a, b, c = fam.map(a), fam.map(b), fam.map(c)
+    for w in fam.order():
         if w in (a, b, c):
             continue
         if geo.point_in_triangle_interior(w, a, b, c):
@@ -751,7 +828,7 @@ def _case_c2_ladder(pv: Pivot, mv: Pivot, path: list) -> Optional[dict]:
     """Subcase c2 on the right when the triangle l_L, r_L, r_L' is empty,
     else on the left (in the mirror frame `mv`); None when neither is."""
     for side, q in (("r", pv), ("l", mv)):
-        if q.r_Lp is not None and _triangle_free(q.view.l.pts, q.l_L, q.r_L, q.r_Lp):
+        if q.r_Lp is not None and _triangle_free(q.view.l, q.l_L, q.r_L, q.r_Lp):
             return _case_c2(q, path, side)
     return None
 
@@ -764,16 +841,10 @@ def _case_c2(pv: Pivot, path: list, side: str) -> dict:
     colors = {p[2]: BLUE, l_L[2]: BLUE, r_Lp[2]: BLUE, r_L[2]: RED}
     if r_U is not None:
         colors[r_U[2]] = RED
-    _paint(
-        colors,
-        (w for w in view.l.between(l_L[0], r_Lp[0]) if w != r_L),
-        RED,
-    )
-    _paint(colors, view.l.left_of(l_L[0]), RED)
-    _paint(colors, (u for u in view.u.right_of(p[0])), RED)
-    u_act = view.u.left_of(p[0]) + [p]
-    l_act = [r_L, r_Lp] + view.l.right_of(r_Lp[0])
-    sub = _observe(pv, u_act, l_act, path)
+    view.l.paint(colors, view.l.between(l_L[0], r_Lp[0]), RED)  # r_L is red too
+    view.l.paint(colors, view.l.left_of(l_L[0]), RED)
+    view.u.paint(colors, view.u.right_of(p[0]), RED)
+    sub = _observe(pv, [p], [r_L, r_Lp], path)
     if sub.get(r_Lp[2]) != BLUE:
         raise ExhaustivenessViolation("masked window q-successor not blue")
     _merge(colors, sub)
@@ -792,7 +863,7 @@ def _is_low_tangent(pv: Pivot, through_l) -> bool:
     while passing above every upper point except p and l_U?  Scan order:
     `_clears`."""
     skip = (through_l[0], pv.p[0], pv.l_U[0])
-    return _clears(pv.l_U, through_l, pv.view.l.pts, pv.view.u.pts, skip)
+    return _clears(pv.l_U, through_l, pv.view.l, pv.view.u, skip)
 
 
 def _case_c3(pv: Pivot, mv: Pivot, path: list) -> dict:
@@ -800,15 +871,13 @@ def _case_c3(pv: Pivot, mv: Pivot, path: list) -> dict:
     view, p, l_U, r_U = pv.view, pv.p, pv.l_U, pv.r_U
     l_L, r_L = pv.l_L, pv.r_L
     colors = {p[2]: BLUE, l_U[2]: RED, r_U[2]: RED, r_L[2]: RED, l_L[2]: RED}
-    _paint(colors, (u for u in view.u.between(l_U[0], r_U[0]) if u != p), BLUE)
-    _paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
+    view.u.paint(colors, view.u.between(l_U[0], r_U[0]), BLUE)  # p is blue too
+    view.l.paint(colors, view.l.between(l_L[0], r_L[0]), BLUE)
     # l_U (r_U in the mirror) stays in the observation scene as an
     # already-colored hull anchor: the hull structure (and the tangent
     # rule) must see it
     for q in (pv, mv):
-        u_act = q.view.u.left_of(q.l_U[0]) + [q.l_U, q.p]
-        l_act = [q.r_L] + q.view.l.right_of(q.r_L[0])
-        _merge(colors, _observe(q, u_act, l_act, path), fixed=(q.l_U[2],))
+        _merge(colors, _observe(q, [q.l_U, q.p], [q.r_L], path), fixed=(q.l_U[2],))
     return colors
 
 
@@ -816,10 +885,8 @@ def _case_c4(pv: Pivot, mv: Pivot, path: list, singleton: bool = False) -> dict:
     path.append("c4" if not singleton else "c4s")
     colors = {pv.p[2]: BLUE, pv.r_L[2]: RED, pv.l_L[2]: RED}
     for q in (pv, mv):
-        u_act = q.view.u.left_of(q.p[0]) + [q.p]
-        l_act = [q.r_L] + q.view.l.right_of(q.r_L[0])
-        _merge(colors, _observe(q, u_act, l_act, path))
-    _paint(colors, pv.view.l.between(pv.l_L[0], pv.r_L[0]), BLUE)
+        _merge(colors, _observe(q, [q.p], [q.r_L], path))
+    pv.view.l.paint(colors, pv.view.l.between(pv.l_L[0], pv.r_L[0]), BLUE)
 
     if singleton:
         return colors
@@ -835,7 +902,7 @@ def _case_c4(pv: Pivot, mv: Pivot, path: list, singleton: bool = False) -> dict:
             and colors.get(l_U[2]) == BLUE
             and (
                 _is_low_tangent(q, l_Lp)
-                or _clears(l_Lp, l_L, (), q.view.u.pts, (l_U[0], q.p[0]))
+                or _clears(l_Lp, l_L, None, q.view.u, (l_U[0], q.p[0]))
             )
         ):
             path.append(f"c4!{side}")
@@ -869,12 +936,10 @@ def _case_c_below(pv: Pivot, path: list, depth: int) -> dict:
         return case_b(pv2, path, depth + 1)
 
     colors = {p[2]: BLUE, l_L[2]: BLUE, r_L[2]: RED, r_U[2]: RED}
-    _paint(colors, view.u.right_of(r_U[0]), BLUE)
-    _paint(colors, (w for w in view.l.left_of(r_L[0]) if w != l_L), BLUE)
-    _paint(colors, (u for u in view.u.between(p[0], r_U[0])), RED)
-    u_act = view.u.left_of(p[0]) + [p]
-    l_act = [r_L] + view.l.right_of(r_L[0])
-    _merge(colors, _observe(pv, u_act, l_act, path))
+    view.u.paint(colors, view.u.right_of(r_U[0]), BLUE)
+    view.l.paint(colors, view.l.left_of(r_L[0]), BLUE)  # l_L is blue too
+    view.u.paint(colors, view.u.between(p[0], r_U[0]), RED)
+    _merge(colors, _observe(pv, [p], [r_L], path))
     return colors
 
 
@@ -912,7 +977,7 @@ def color_covered(cov: Coverage) -> tuple[dict, list]:
     """Color a covered scene; returns colors by half-plane index, and the path."""
     path: list = []
     colors = _dispatch(find_pivot(cov), path)
-    n = len(cov.view.u.pts) + len(cov.view.l.pts)
+    n = len(cov.view.u) + len(cov.view.l)
     if len(colors) != n:
         raise InternalError(f"uncolored half-planes: {sorted(range(n) - colors.keys())[:3]}")
     return colors, path

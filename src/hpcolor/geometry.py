@@ -24,6 +24,7 @@ Point = tuple  # (x, y), or a dual tip (x, y, i), with exact rational x and y
 LEFT, COLLINEAR, RIGHT = 1, 0, -1
 
 by_x = itemgetter(0)  # the key that x-sorted point lists are bisected by
+by_y = itemgetter(1)
 
 
 class GeometryError(Exception):
@@ -147,9 +148,54 @@ def _scan(points: Sequence[Point], turn: int) -> list:
     return out
 
 
+def _outside(points: Sequence[Point], lo: int, hi: int, a: Point, b: Point, turn: int) -> list:
+    """The points of points[lo:hi] strictly outside the chord a -> b
+    (a.x < b.x), on the hull's side: above it for an upper chain (turn
+    RIGHT), below it for a lower one, by one cross product each."""
+    dx, dy = (b[0] - a[0]) * -turn, (b[1] - a[1]) * -turn
+    c = dx * a[1] - dy * a[0]  # cross(b - a, w - a) > 0 iff dx*w.y - dy*w.x > c
+    return [w for w in points[lo:hi] if dx * w[1] - dy * w[0] > c]
+
+
 def hull_from_sorted(points: Sequence[Point], side: str) -> HullChain:
-    """Hull of already x-sorted, duplicate-free points (no re-sort)."""
-    return HullChain(side, _scan(points, RIGHT if side == UPPER else LEFT))
+    """Hull of already x-sorted points with pairwise distinct x (no re-sort).
+
+    Before the scan, the throw-away step of Akl and Toussaint ("A fast
+    convex hull algorithm", IPL 1978), made exact: the points split at t,
+    the first point of extreme y (greatest for an upper chain, least for
+    a lower one), and in each part every point on the chord of the
+    part's two ends or inside it (below it, for an upper chain) is
+    dropped.  `_scan` then runs on what is left, and its vertex list is
+    the one a scan of all the points gives:
+
+    - `_scan` returns the strict corners of the ray hull's boundary, its
+      vertices, and so depends only on that hull.  The first and last
+      points are vertices, and so is t: it is the only point that
+      maximizes y - e*x (an upper chain; y + e*x is minimized for a lower
+      one) for every small enough e > 0.
+    - The chain is concave from the first point to t (convex, for a lower
+      chain) and meets the chord at both ends, so between them it runs on
+      the chord or outside it.  A point on the chord or inside it is
+      therefore no strict corner: a corner on the chord would make the
+      chain coincide with the chord there.  The same holds from t to the
+      last point.
+    - So every dropped point is a non-vertex.  The kept points include
+      every vertex and lie in the hull, so they span the same hull, and
+      the scan returns the same list.
+    """
+    turn = RIGHT if side == UPPER else LEFT
+    n = len(points)
+    if n < 3:
+        return HullChain(side, _scan(points, turn))
+    first, last = points[0], points[-1]
+    top = (max if side == UPPER else min)(points, key=by_y)  # the first one of that y
+    k = points.index(top)
+    kept = [first, *_outside(points, 1, k, first, top, turn)]
+    if 0 < k < n - 1:
+        kept.append(top)
+    kept += _outside(points, k + 1, n - 1, top, last, turn)
+    kept.append(last)
+    return HullChain(side, _scan(kept, turn))
 
 
 def second_layer(sorted_points: Sequence[Point], first: HullChain) -> list:

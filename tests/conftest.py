@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hpcolor.engine import obs_separated
-from hpcolor.geometry import hull_from_sorted
+from hpcolor.engine import _Fam, obs_separated
 from hpcolor.model import LOWER, UPPER, HalfPlane, Instance
 from hpcolor.verification import arrangement_samples, depth
 
@@ -47,11 +46,14 @@ def instance_from_tips(upper_tips, lower_tips) -> Instance:
     return Instance(hps)
 
 
+def frame_points(fam) -> list:
+    """The tips an engine family reads, in its frame's coordinates and order."""
+    return fam.take(range(len(fam)))
+
+
 def observe(u_act, l_act, p, q, path) -> dict:
-    """obs_separated with its sub-hulls built by a hull scan."""
-    u_hull = hull_from_sorted(u_act, UPPER).vertices
-    l_hull = hull_from_sorted(l_act, LOWER).vertices
-    return obs_separated(u_act, l_act, u_hull, l_hull, p, q, path)
+    """obs_separated on the tip lists, with their sub-hulls built by a hull scan."""
+    return obs_separated(_Fam.build(u_act, UPPER), _Fam.build(l_act, LOWER), p, q, path)
 
 
 def verify_brute(inst, colors, k=3):

@@ -20,7 +20,7 @@ from hpcolor.geometry import region_contains
 from hpcolor.model import BLUE, HalfPlane, dual_line_meets_ray, dualize
 from hpcolor.verification import arrangement_samples, depth, oracle, verify
 
-from conftest import instance_from_tips, observe
+from conftest import frame_points, instance_from_tips, observe
 
 MODES = ("covered", "uncovered", "degenerate", "random")
 
@@ -105,11 +105,13 @@ def test_criterion_4_work_counts(monkeypatch):
     """Criterion 4's instances, solved once each with check=False, do
     linear work in counts that host load cannot move.  Per solve:
     `hull_from_sorted` runs at most 3 times over at most 2n points in all,
-    `geometry.orientation` runs at most 4n times, and at most 2n points
+    `geometry.orientation` runs at most n times, and at most 2n points
     are passed to `engine._clears`.  (Measured maxima over n = 2^10..2^17:
-    3 calls, 1.36n points, 2.71n orientations, 0.79n `_clears` points.)
-    The floors (one call, n points, n orientations) show the counters fired:
-    `coverage` scans every tip.
+    3 calls, 1.36n points, 0.86n orientations, 0.79n `_clears` points.)
+    The floors (one call, n points) show the counters fired, and every
+    tip is read, by the hull filter (`geometry._outside`, which reads each
+    point of its range once) or by the scan (`geometry._scan`, which
+    reads each point it is given): together they read at least n points.
     """
     counts = Counter()
 
@@ -131,9 +133,17 @@ def test_criterion_4_work_counts(monkeypatch):
         )
     counted(geometry, "orientation", lambda p, q, r: counts.update(orientations=1))
     counted(
+        geometry,
+        "_outside",
+        lambda points, lo, hi, a, b, turn: counts.update(filter_reads=len(range(lo, hi))),
+    )
+    counted(geometry, "_scan", lambda points, turn: counts.update(scan_reads=len(points)))
+    counted(
         engine,
         "_clears",
-        lambda a, b, lows, ups, skip: counts.update(clears_points=len(lows) + len(ups)),
+        lambda a, b, lows, ups, skip: counts.update(
+            clears_points=sum(len(fam) for fam in (lows, ups) if fam is not None)
+        ),
     )
     clears_seen = 0
     for n in [2**k for k in range(10, 18)]:
@@ -142,7 +152,8 @@ def test_criterion_4_work_counts(monkeypatch):
         engine.solve_detailed(inst, check=False)
         assert 1 <= counts["hull_calls"] <= 3, (n, counts)
         assert n <= counts["hull_points"] <= 2 * n, (n, counts)
-        assert n <= counts["orientations"] <= 4 * n, (n, counts)
+        assert n <= counts["filter_reads"] + counts["scan_reads"], (n, counts)
+        assert counts["orientations"] <= n, (n, counts)
         assert counts["clears_points"] <= 2 * n, (n, counts)
         clears_seen += counts["clears_points"]
     assert clears_seen > 0  # the `_clears` wrapper fired
@@ -199,7 +210,7 @@ def test_criterion_6_observation_suites():
         if cov.kind != "covered":
             continue
         pv = find_pivot(cov)
-        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.gap))
+        view = View.of(DualScene(frame_points(pv.view.u), frame_points(pv.view.l), pv.view.gap))
         if view.u.chain.vertex_index(pv.p) is None or not region_contains(view.l.chain, pv.p):
             ok = False
             break

@@ -41,7 +41,7 @@ from hpcolor.rationals import normalize
 from hpcolor.uncovered import uncovered_witness
 from hpcolor.verification import oracle, verify
 
-from conftest import coprime_image, instance_from_tips, make_instance, observe
+from conftest import coprime_image, frame_points, instance_from_tips, make_instance, observe
 
 
 def scene_of(upper_tips, lower_tips):
@@ -262,7 +262,7 @@ def test_find_pivot_postcondition_fuzz():
         if cov.kind != "covered":
             continue
         pv = find_pivot(cov)
-        view = View.of(DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.gap))
+        view = View.of(DualScene(frame_points(pv.view.u), frame_points(pv.view.l), pv.view.gap))
         assert view.u.chain.vertex_index(pv.p) is not None
         assert region_contains(view.l.chain, pv.p)
         assert pv.l_L[0] < pv.p[0] < pv.r_L[0]
@@ -271,27 +271,41 @@ def test_find_pivot_postcondition_fuzz():
 
 
 def test_lookups_by_key_match_filter_by_x():
-    """A family's `between` / `left_of` / `right_of` and its chain's
-    `vertex_index` / `edge_at`, which bisect the x-sorted lists by key,
-    equal filters by x, with int and Fraction x, queried on tips, between
-    tips and past both ends."""
+    """A family's `between` / `left_of` / `right_of`, `at`, `position` and
+    `paint`, and its chain's `vertex_index` / `edge_at`, which bisect the
+    x-sorted lists by key, equal filters by x on the points the frame
+    reads, in each of the four mirrors of the family, with int and
+    Fraction x, queried on tips, between tips and past both ends."""
     rng = random.Random(10)
     seen = Counter()
     for t in range(600):
         draws = range(rng.randint(1, 14))
         xs = sorted({normalize(Fraction(rng.randint(-40, 40), rng.randint(1, 3))) for _ in draws})
         ys = [normalize(Fraction(rng.randint(-30, 30), rng.choice([1, 2]))) for _ in xs]
-        pts = [(x, y, i) for i, (x, y) in enumerate(zip(xs, ys))]
-        fam = E._Fam.build(pts, rng.choice([UPPER, LOWER]))
+        tips = [(x, y, i) for i, (x, y) in enumerate(zip(xs, ys))]
+        sx, sy = rng.choice([(1, 1), (-1, 1), (1, -1), (-1, -1)])
+        fam = E._Fam.build(tips, rng.choice([UPPER, LOWER])).mirrored(sx, sy)
+        assert fam.tips is tips
+        seen[sx, sy] += 1
+        pts = [(sx * x, sy * y, i) for x, y, i in (tips[::-1] if sx < 0 else tips)]
+        assert frame_points(fam) == pts, t
+        for k, p in enumerate(pts):
+            assert fam.at(k) == p and fam.position(p) == k, t
+        fxs = [p[0] for p in pts]
         verts = fam.chain.vertices
-        mids = [Fraction(a + b, 2) for a, b in zip(xs, xs[1:])]
-        queries = xs + mids + [xs[0] - 1, xs[-1] + Fraction(1, 2)]
+        mids = [Fraction(a + b, 2) for a, b in zip(fxs, fxs[1:])]
+        queries = fxs + mids + [fxs[0] - 1, fxs[-1] + Fraction(1, 2)]
         for x in queries:
             seen[type(x).__name__] += 1
-            assert fam.left_of(x) == [p for p in pts if p[0] < x], t
-            assert fam.right_of(x) == [p for p in pts if p[0] > x], t
+            assert fam.take(fam.left_of(x)) == [p for p in pts if p[0] < x], t
+            assert fam.take(fam.right_of(x)) == [p for p in pts if p[0] > x], t
             x2 = rng.choice(queries)
-            assert fam.between(x, x2) == [p for p in pts if x < p[0] < x2], t
+            between = fam.between(x, x2)
+            want = [p for p in pts if x < p[0] < x2]
+            assert fam.take(between) == want, t
+            colors = {}
+            fam.paint(colors, between, BLUE)
+            assert colors == {p[2]: BLUE for p in want}, t
             if not verts[0][0] <= x <= verts[-1][0]:
                 with pytest.raises(OutOfSpanError):
                     fam.chain.edge_at(x)
@@ -309,25 +323,41 @@ def test_lookups_by_key_match_filter_by_x():
             seen["on chain"] += want is not None
             assert fam.chain.vertex_index(p) == want, t
     floors = {"int": 2500, "Fraction": 5000, "in span": 7000, "on chain": 1500}
+    floors.update(dict.fromkeys([(1, 1), (-1, 1), (1, -1), (-1, -1)], 100))
     assert all(seen[k] >= floor for k, floor in floors.items()), seen
 
 
+MIRRORS = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+
+def mirror_list(pts, sx, sy):
+    """pts, x-sorted, under the mirror (x, y) -> (sx*x, sy*y), re-sorted."""
+    return [(sx * x, sy * y, i) for x, y, i in (pts[::-1] if sx < 0 else pts)]
+
+
+def frame_reads(view):
+    """What a frame reads: each family's points, in frame order, and its chain."""
+    return [(frame_points(fam), fam.chain) for fam in (view.u, view.l)] + [view.gap]
+
+
 def test_mirror_frame_fuzz(monkeypatch):
-    """A mirrored View equals the View rebuilt on the mirrored scene,
-    mirroring a pivot twice gives it back, and every sub-hull and tangent
-    touch a case takes from the frame's chains equals a rebuilt one."""
+    """A mirrored View reads what the View rebuilt on the mirrored scene
+    holds, mirroring a pivot twice gives it back, and every sub-hull and
+    tangent touch a case takes from the frame's chains equals a rebuilt
+    one."""
     observed = touched = 0
     raw_obs = E.obs_separated
 
-    def checked_obs(u_act, l_act, u_hull, l_hull, p, q, path, _depth=0):
+    def checked_obs(u_act, l_act, p, q, path, _depth=0):
         nonlocal observed, touched
-        assert u_hull == hull_from_sorted(u_act, UPPER).vertices
-        assert l_hull == hull_from_sorted(l_act, LOWER).vertices
-        touch = E._tangent_touch(l_act, l_hull, q)
-        assert touch == touch_by_second_layer(l_act, q)
+        u_pts, l_pts = frame_points(u_act), frame_points(l_act)
+        assert u_act.chain.vertices == hull_from_sorted(u_pts, UPPER).vertices
+        assert l_act.chain.vertices == hull_from_sorted(l_pts, LOWER).vertices
+        touch = E._tangent_touch(l_act, q)
+        assert touch == touch_by_second_layer(l_pts, q)
         observed += 1
         touched += touch is not None
-        return raw_obs(u_act, l_act, u_hull, l_hull, p, q, path, _depth)
+        return raw_obs(u_act, l_act, p, q, path, _depth)
 
     monkeypatch.setattr(E, "obs_separated", checked_obs)
     rng = random.Random(5)
@@ -339,8 +369,10 @@ def test_mirror_frame_fuzz(monkeypatch):
         for flipped, rebuilt in (
             (view.x_flip(), View.of(x_mirror(scene))),
             (view.y_flip(), View.of(y_mirror(scene))),
+            (view.x_flip().y_flip(), View.of(y_mirror(x_mirror(scene)))),
         ):
-            assert flipped == rebuilt  # the points and the chains of both families
+            # the points and the chains of both families
+            assert frame_reads(flipped) == frame_reads(rebuilt)
         cov = coverage(scene)
         if cov.kind != "covered":
             continue
@@ -351,8 +383,11 @@ def test_mirror_frame_fuzz(monkeypatch):
             assert getattr(twice, f.name) == getattr(pv, f.name), f.name
         if pv.r_U is not None:
             # the mirror is the configuration a rebuilt mirror frame gives
-            frame = DualScene(pv.view.u.pts, pv.view.l.pts, pv.view.gap)
-            assert mv == build_pivot(View.of(x_mirror(frame)), mv.p)
+            frame = DualScene(frame_points(pv.view.u), frame_points(pv.view.l), pv.view.gap)
+            rebuilt = build_pivot(View.of(x_mirror(frame)), mv.p)
+            assert frame_reads(mv.view) == frame_reads(rebuilt.view)
+            for f in fields(Pivot)[1:]:
+                assert getattr(mv, f.name) == getattr(rebuilt, f.name), f.name
             compared += 1
         pivots += 1
         try:
@@ -362,12 +397,49 @@ def test_mirror_frame_fuzz(monkeypatch):
     assert pivots > 1900 and compared > 300
     assert observed > 1000 and touched > 250
 
-    # collinear ties: many points on one line through q
+    # collinear ties: many points on one line through q, read through
+    # each mirror of the list that holds them
     for t in range(3000):
         xs = sorted(rng.sample(range(-12, 12), rng.randint(2, 12)))
         pts = [(x, rng.randint(-3, 3), i) for i, x in enumerate(xs)]
-        hull = hull_from_sorted(pts, LOWER).vertices
-        assert E._tangent_touch(pts, hull, pts[0]) == touch_by_second_layer(pts, pts[0])
+        sx, sy = MIRRORS[t % 4]
+        tips = mirror_list(pts, sx, sy)
+        fam = E._Fam.build(tips, LOWER if sy > 0 else UPPER).mirrored(sx, sy)
+        assert fam.chain.vertices == hull_from_sorted(pts, LOWER).vertices
+        assert E._tangent_touch(fam, pts[0]) == touch_by_second_layer(pts, pts[0])
+
+
+def test_frames_read_the_scene_lists(monkeypatch):
+    """No frame holds a copied family list: on fuzzed covered scenes, each
+    frame of every pivot the case machine builds reads the scene's own
+    tip lists, the lower ones as the upper family after an up-down
+    mirror."""
+    scenes, seen = [], Counter()
+    raw_dualize, raw_build, raw_mirror = E.dualize, E.build_pivot, E._mirror
+
+    def keep_scene(inst):
+        scenes.append(raw_dualize(inst))
+        return scenes[-1]
+
+    def check(pv):
+        scene, view = scenes[-1], pv.view
+        pair = (view.u.tips, view.l.tips)
+        if view.u.sy > 0:
+            assert pair[0] is scene.tips_u and pair[1] is scene.tips_l
+        else:
+            assert pair[0] is scene.tips_l and pair[1] is scene.tips_u
+        assert (view.u.sx, view.u.sy) == (view.l.sx, view.l.sy)
+        seen[view.u.sx, view.u.sy] += 1
+        return pv
+
+    monkeypatch.setattr(E, "dualize", keep_scene)
+    monkeypatch.setattr(E, "build_pivot", lambda view, pivot: check(raw_build(view, pivot)))
+    monkeypatch.setattr(E, "_mirror", lambda pv: check(raw_mirror(pv)))
+    rng = random.Random(12)
+    for t in range(1500):
+        n, bound = rng.randint(3, 40), rng.choice([5, 30, 400])
+        solve_detailed(generate(GenSpec(n=n, mode="covered", seed=t, bound=bound)), check=False)
+    assert all(seen[m] >= 100 for m in MIRRORS), seen
 
 
 def test_case_d_invariants_fuzz(monkeypatch):
@@ -446,9 +518,14 @@ def test_clears_matches_pointwise_reference():
         lows.sort()
         ups.sort()
         skip = tuple(w[0] for w in skipped)
-        got = outcome(E._clears, a, b, lows, ups, skip)
-        assert got == outcome(clears_reference, a, b, lows, ups, skipped), (t, a, b)
+        want = outcome(clears_reference, a, b, lows, ups, skipped)
+        # the frame reads each family out of a list in mirrored coordinates
+        sx, sy = MIRRORS[t % 4]
+        fams = [E._Fam(mirror_list(pts, sx, sy), None, sx, sy) for pts in (lows, ups)]
+        got = outcome(E._clears, a, b, *fams, skip)
+        assert got == want, (t, a, b)
         seen[got if isinstance(got, bool) else "raise", a[0] > b[0]] += 1
+        seen[sx, sy] += 1
     assert min(seen.values()) >= 100, seen
 
 

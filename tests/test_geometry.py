@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,3 +165,102 @@ def test_second_layer_matches_hull_layers(pts):
         layers = hull_layers(spts, side)
         expect = layers.layers[1].vertices if len(layers.layers) > 1 else []
         assert g.second_layer(spts, g.hull_from_sorted(spts, side)) == expect
+
+
+def normal(v: Fraction):
+    """An integral Fraction as the int the package would hold."""
+    return int(v) if v.denominator == 1 else v
+
+
+def plain_scan(points, side: str) -> list:
+    """The oracle: a monotone scan over every point, the hull before the
+    throw-away filter."""
+    turn = g.RIGHT if side == UPPER else g.LEFT
+    out: list = []
+    for p in points:
+        while len(out) > 1 and g.orientation(out[-2], out[-1], p) != turn:
+            out.pop()
+        out.append(p)
+    return out
+
+
+def filtered_reference(points, side: str) -> list:
+    """What the filter passes to the scan: the first and the last point,
+    the first point of extreme y, and every other point strictly outside
+    the chord of its part's two ends, on the hull's side."""
+    n = len(points)
+    if n < 3:
+        return list(points)
+    ys = [p[1] for p in points]
+    k = ys.index(max(ys) if side == UPPER else min(ys))
+    beyond = g.LEFT if side == UPPER else g.RIGHT
+    ends = {0, k, n - 1}
+    out = []
+    for i, w in enumerate(points):
+        a, b = (0, k) if i < k else (k, n - 1)
+        if i in ends or g.orientation(points[a], points[b], w) == beyond:
+            out.append(w)
+    return out
+
+
+def test_hull_matches_plain_scan(monkeypatch):
+    """`hull_from_sorted` returns the plain scan's vertex list, list for
+    list, and scans exactly the filter's survivors, over ints and
+    Fractions, 2- and 3-tuples, n <= 3, convex position (nothing is
+    dropped), all-collinear sets, several points sharing the extreme y
+    (the first and the last among them), and the extreme at either end."""
+    scanned = []
+    raw_scan = g._scan
+    monkeypatch.setattr(g, "_scan", lambda points, turn: scanned.append(list(points)) or raw_scan(points, turn))
+    rng = random.Random(21)
+    seen = Counter()
+    for t in range(6000):
+        kind = ("random", "convex", "collinear", "ties", "monotone")[t % 5]
+        n = rng.randint(0, 3) if t % 7 == 0 else rng.randint(4, 16)
+        den = rng.choice([1, 1, 2, 3, 7])
+        xs = sorted({Fraction(rng.randint(-60, 60), den) for _ in range(n)})
+        side = rng.choice([UPPER, LOWER])
+        sign = -1 if side == UPPER else 1
+        if kind == "convex":
+            ys = [sign * x * x for x in xs]
+        elif kind == "collinear":
+            slope, at0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-9, 9)
+            ys = [slope * x + at0 for x in xs]
+        elif kind == "monotone":
+            ys = sorted(Fraction(rng.randint(-40, 40), den) for _ in xs)[:: rng.choice([1, -1])]
+        else:
+            ys = [Fraction(rng.randint(-4, 4), rng.choice([1, den])) for _ in xs]
+        if kind == "ties" and xs:
+            top = -sign * 5
+            picks = {0, len(xs) - 1} | {rng.randrange(len(xs)) for _ in range(3)}
+            for i in rng.sample(sorted(picks), rng.randint(1, len(picks))):
+                ys[i] = top
+        pts = [(normal(x), normal(y)) for x, y in zip(xs, ys)]
+        if rng.random() < 0.5:
+            pts = [(x, y, i) for i, (x, y) in enumerate(pts)]
+        scanned.clear()
+        got = g.hull_from_sorted(pts, side).vertices
+        want = plain_scan(pts, side)
+        assert got == want, (t, side, pts)
+        assert scanned == [filtered_reference(pts, side)], (t, side, pts)
+
+        ys = [p[1] for p in pts]
+        seen["3-tuple" if pts and len(pts[0]) == 3 else "2-tuple"] += 1
+        seen["Fraction" if any(isinstance(v, Fraction) for p in pts for v in p[:2]) else "int"] += 1
+        if len(pts) <= 3:
+            seen["n <= 3"] += 1
+            continue
+        extreme = max(ys) if side == UPPER else min(ys)
+        at = [i for i, y in enumerate(ys) if y == extreme]
+        seen["convex, nothing dropped"] += len(want) == len(pts)
+        seen["all collinear"] += all(g.orientation(pts[0], pts[-1], p) == 0 for p in pts)
+        seen["shared extreme"] += len(at) > 1
+        seen["shared extreme, first and last"] += len(at) > 1 and at[0] == 0 and at[-1] == len(pts) - 1
+        seen["extreme first"] += at[0] == 0
+        seen["extreme last"] += at[0] == len(pts) - 1
+    floors = {
+        "int": 1000, "Fraction": 1000, "2-tuple": 1000, "3-tuple": 1000, "n <= 3": 400,
+        "convex, nothing dropped": 800, "all collinear": 800, "shared extreme": 800,
+        "shared extreme, first and last": 150, "extreme first": 400, "extreme last": 400,
+    }
+    assert all(seen[k] >= floor for k, floor in floors.items()), seen
