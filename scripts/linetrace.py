@@ -52,6 +52,17 @@ KEEP = {
         "public API: an instance indexes like the list it was made from",
         ["return HalfPlane(self.a[i], self.b[i], self.sides[i])"],
     ),
+    ("model.py", "Instance.__getattr__"): (
+        "public API: the slope and intercept columns of a perturbed instance, built"
+        " when first read; a solve reads only the ints they are built from",
+        [
+            'if name not in ("a", "b") or self._num is None:',
+            "den = self._den",
+            'column = [normalize(Fraction(v, den)) for v in self._num[name == "b"]]',
+            "setattr(self, name, column)",
+            "return column",
+        ],
+    ),
     ("model.py", "dual_line_meets_ray"): (
         "the duality as stated, the reference that tests check containment against"
         " (acceptance criterion 5)",

@@ -16,9 +16,10 @@ per size:
   solve's colors) over ``--repeats`` calls;
 - up to n = 16,384, the perturbed row over at least 15 calls each:
   `perturb` (``perturb(inst, 0)`` on the parsed instance, whose
-  coordinates come out as Fractions), `dualize_perturbed` (`dualize` on
-  that perturbed instance) and `solve_perturbed` (``solve_detailed(...,
-  check=False)`` on it).  Larger sizes are left out because a solve
+  coordinates come out as ints over a common denominator, its `Fraction`
+  columns left unbuilt; older checkouts build one Fraction per value),
+  `dualize_perturbed` (`dualize` on that perturbed instance) and
+  `solve_perturbed` (``solve_detailed(..., check=False)`` on it).  Larger sizes are left out because a solve
   that runs in `Fraction` arithmetic (before denominators were cleared
   in `dualize`) takes more than about 1 s per call there: 2.0 s at
   32,768 and 5.3 s at 65,536, against 0.9 s at 16,384;
@@ -40,6 +41,7 @@ Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_6.json
     python3 scripts/stage_counts.py --out BENCH_18.json --against ../parent
     python3 scripts/stage_counts.py --out BENCH_21.json --against ../parent
+    python3 scripts/stage_counts.py --out BENCH_22.json --against ../parent
 """
 
 import argparse

@@ -812,16 +812,30 @@ def _c1_holds(pv: Pivot) -> bool:
 
 
 def _triangle_free(fam: _Fam, a, b, c) -> bool:
-    """No tip of `fam` but the corners lies inside the frame triangle
-    a, b, c.  The tips are read in their list's coordinates, with the
-    corners mapped there: a mirror keeps the interior."""
+    """No tip of `fam` but the corners, three of its tips, lies inside the
+    frame triangle a, b, c.
+
+    Only a tip with x strictly inside the triangle's x-span can, so only
+    those are read, in their list's coordinates, with the corners mapped
+    there: a mirror keeps the interior.  Collinear corners raise
+    DegenerateTriangleError when the family holds a fourth tip, as a
+    strict interior test on each tip but the corners did before the
+    window (the callers pass consecutive strict hull vertices, which
+    never are); with no fourth tip every tip is a corner, on the line of
+    all three, and none is inside.
+    """
+    window = fam.between(min(a[0], b[0], c[0]), max(a[0], b[0], c[0]))
     a, b, c = fam.map(a), fam.map(b), fam.map(c)
-    for w in fam.order():
-        if w in (a, b, c):
-            continue
-        if geo.point_in_triangle_interior(w, a, b, c):
-            return False
-    return True
+    turn = geo.orientation(a, b, c)
+    if turn == 0 and len(fam) > 3:
+        raise geo.DegenerateTriangleError("collinear triangle corners")
+    if turn < 0:
+        b, c = c, b
+    # a corner in the window lies on two of the edges, so it is not inside
+    return not any(
+        geo.orientation(a, b, w) > 0 and geo.orientation(b, c, w) > 0 and geo.orientation(c, a, w) > 0
+        for w in fam._slice(window)
+    )
 
 
 def _case_c2_ladder(pv: Pivot, mv: Pivot, path: list) -> Optional[dict]:

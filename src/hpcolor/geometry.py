@@ -200,9 +200,18 @@ def hull_from_sorted(points: Sequence[Point], side: str) -> HullChain:
 
 def second_layer(sorted_points: Sequence[Point], first: HullChain) -> list:
     """Vertices of the hull of the points not on `first`, the hull of
-    `sorted_points` (may be [])."""
-    on_first = set(first.vertices)
-    rest = [p for p in sorted_points if p not in on_first]
+    `sorted_points` (may be []).
+
+    The vertices of `first` are points of `sorted_points`, in x order,
+    and x tells the points apart, so the rest are the slices between the
+    vertices' positions.
+    """
+    rest, start = [], 0
+    for v in first.vertices:
+        i = bisect.bisect_left(sorted_points, v[0], start, key=by_x)
+        rest += sorted_points[start:i]
+        start = i + 1
+    rest += sorted_points[start:]
     return hull_from_sorted(rest, first.side).vertices
 
 
@@ -235,17 +244,3 @@ def _slope_cmp(q: Point, u: Point, v: Point) -> int:
     if (u[0] > q[0]) != (v[0] > q[0]):
         raise GeometryError("slope comparison across q")
     return orientation(q, v, u)
-
-
-def point_in_triangle_interior(pt: Point, a: Point, b: Point, c: Point) -> bool:
-    """Strict interior test via three orientation signs."""
-    d = orientation(a, b, c)
-    if d == 0:
-        raise DegenerateTriangleError("collinear triangle corners")
-    if d < 0:
-        b, c = c, b
-    return (
-        orientation(a, b, pt) > 0
-        and orientation(b, c, pt) > 0
-        and orientation(c, a, pt) > 0
-    )

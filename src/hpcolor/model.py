@@ -23,7 +23,9 @@ dual plane) and the uncovered path included.
 An `Instance` stores its half-planes as three columns (slopes,
 intercepts, sides), which is what parsing produces and what the screen,
 `dualize` and the verifier read; a `HalfPlane` value is built only when
-an instance is indexed or iterated.
+an instance is indexed or iterated.  A perturbed instance with a common
+denominator holds its columns as ints over it, which `dualize` reads,
+and builds the slope and intercept columns only when they are read.
 """
 
 from __future__ import annotations
@@ -130,12 +132,25 @@ class Instance:
     `_den` is a positive common denominator of both columns when the
     maker of the instance knows one (the parse of an all-int column pair,
     `perturb`), else None and `common_denominator` looks for one.
+    `_num`, when not None, holds the columns times `_den`, as ints: a
+    perturbed instance is made of them alone, and its `a` and `b` are
+    built from them when first read.
     """
 
     a: list
     b: list
     sides: list
-    _den = None  # not a field: equality and repr see the columns only
+    _den = None  # not fields: equality and repr see the columns only
+    _num = None
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: an unbuilt column
+        if name not in ("a", "b") or self._num is None:
+            raise AttributeError(f"'Instance' object has no attribute {name!r}")
+        den = self._den
+        column = [normalize(Fraction(v, den)) for v in self._num[name == "b"]]
+        setattr(self, name, column)
+        return column
 
     def __init__(self, halfplanes):
         hps = list(halfplanes)
@@ -153,7 +168,7 @@ class Instance:
         return inst
 
     def __len__(self) -> int:
-        return len(self.a)
+        return len(self.sides)
 
     def __iter__(self) -> Iterator[HalfPlane]:
         return map(HalfPlane, self.a, self.b, self.sides)
@@ -377,23 +392,35 @@ def perturb(inst: Instance, attempt: int = 0) -> Instance:
     combinatorially different ways, which matters when a coloring valid
     for the perturbed instance fails on the degenerate original.
 
-    delta = dn/dd with dn = +-1, so v + delta*k is the one Fraction
-    (vn*dd + dn*k*vd) / (vd*dd), and dd times the input's common
-    denominator, if it has one, is the result's.
+    delta = dn/dd with dn = +-1.  When the input has a common denominator
+    den, L = dd*den is the result's, and v + delta*k is the int
+    v*L + dn*k*den over L: the result records these ints (`_num`), which
+    `dualize` reads, and builds its `Fraction` columns only when they are
+    read.  Without one, v + delta*k is the one Fraction
+    (vn*dd + dn*k*vd) / (vd*dd).
     """
     den = common_denominator(inst)
     nums = map(attrgetter("numerator"), chain(inst.a, inst.b))
     dens = map(attrgetter("denominator"), chain(inst.a, inst.b))
     m = max(chain(map(abs, nums), dens), default=1)
     dn, dd = (-1) ** attempt, (2 * (1 + m)) ** 3 << attempt
-    n = max(len(inst), 1)
-    keys = [(i + attempt) % n + 1 for i in range(len(inst))]
-    return Instance._of_columns(
-        _shifted(inst.a, [dn * k for k in keys], dd),
-        _shifted(inst.b, [dn * k * k for k in keys], dd),
-        list(inst.sides),
-        None if den is None else dd * den,
+    n = len(inst)
+    keys = [(i + attempt) % n + 1 for i in range(n)]
+    if den is None:
+        return Instance._of_columns(
+            _shifted(inst.a, [dn * k for k in keys], dd),
+            _shifted(inst.b, [dn * k * k for k in keys], dd),
+            list(inst.sides),
+            None,
+        )
+    scale, step = dd * den, dn * den
+    pert = Instance.__new__(Instance)
+    pert.sides, pert._den = list(inst.sides), scale
+    pert._num = (
+        [v + step * k for v, k in zip(_cleared(inst.a, scale), keys)],
+        [v + step * k * k for v, k in zip(_cleared(inst.b, scale), keys)],
     )
+    return pert
 
 
 def _shifted(column: list, steps: list, dd: int) -> list:
@@ -442,12 +469,15 @@ def dualize(inst: Instance) -> DualScene:
     image.  `coverage`'s separating lines are S of the unscaled ones, and
     `uncovered.polarize` proves the uncovered colors unscaled too.
     """
-    scale = common_denominator(inst) or 1
-    if scale == 1:
-        xs, ys = map(neg, inst.a), inst.b
+    if inst._num is not None:  # `perturb` cleared the denominators
+        scale, (xs, ys) = inst._den, inst._num
     else:
-        xs, ys = map(neg, _cleared(inst.a, scale)), _cleared(inst.b, scale)
-    tips = sorted(zip(xs, ys, range(len(inst))), key=itemgetter(0))
+        scale = common_denominator(inst) or 1
+        if scale == 1:
+            xs, ys = inst.a, inst.b
+        else:
+            xs, ys = _cleared(inst.a, scale), _cleared(inst.b, scale)
+    tips = sorted(zip(map(neg, xs), ys, range(len(inst))), key=itemgetter(0))
     gaps = list(map(sub, map(itemgetter(0), tips[1:]), map(itemgetter(0), tips)))
     if 0 in gaps:
         raise GeneralPositionViolation(

@@ -164,43 +164,18 @@ def _normal(p, q) -> tuple:
     return yq * wp - yp * wq, xp * wq - xq * wp
 
 
-def _cross(u, v) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _starts_in(u, arc) -> bool:
-    """Whether direction u lies in [lo, hi) for the arc (lo, hi)."""
-    lo, hi = arc
-    c = _cross(lo, u)
-    return c > 0 and _cross(u, hi) > 0 or c == 0 and lo[0] * u[0] + lo[1] * u[1] > 0
-
-
-def _clip(arc, parent):
-    """The open arc arc & parent, or None if it is empty.  An arc (lo, hi)
-    holds the directions counter-clockwise from lo to hi, both left out,
-    and turns at most half a turn, so two arcs meet in at most one arc,
-    which starts at the start of one that lies in the other."""
-    if _starts_in(parent[0], arc):
-        lo = parent[0]
-    elif _starts_in(arc[0], parent):
-        lo = arc[0]
-    else:
-        return None
-    # both ends lie within half a turn past lo: the first one ends the arc
-    return lo, parent[1] if _cross(arc[1], parent[1]) < 0 else arc[1]
-
-
 def _remove(hom, at, size: int, j: int, pool) -> tuple:
     """The strict hull cycle left when vertex at(j) is removed from the
     counter-clockwise cycle t -> at(t mod size).  `pool` holds every
     location the removal exposes, and may hold others.
 
-    Returns (at', size', k): the new cycle, whose first k vertices are
-    the chain that replaces at(j), from a = at(j - 1) to b = at(j + 1).
-    When a != b the exposed points are those strictly beyond the chord ab,
-    and the chain is the hull of them and a, b, which has the edge b -> a.
-    When a == b the cycle was a segment, the rest lies on it, and the
-    chain, the whole new cycle, is the hull of the pool and a.
+    Returns (at', size', around): the new cycle, whose first vertices are
+    the chain that replaces at(j), from a = at(j - 1) to b = at(j + 1),
+    and `around`, that chain between the cycle vertices before and after
+    it.  When a != b the exposed points are those strictly beyond the
+    chord ab, and the chain is the hull of them and a, b, which has the
+    edge b -> a.  When a == b the cycle was a segment, the rest lies on
+    it, and the chain, the whole new cycle, is the hull of the pool and a.
     """
     a, b = at(j - 1), at(j + 1)
     if a == b:
@@ -218,7 +193,10 @@ def _remove(hom, at, size: int, j: int, pool) -> tuple:
         t %= size2
         return chain[t] if t < len(chain) else at(j + 2 + t - len(chain))
 
-    return at2, size2, len(chain)
+    # past a segment the chain is the cycle; else the old cycle goes on
+    # around it (at j - 2 = j + 1 and j + 2 = j - 1 on a triangle)
+    outer = (chain[-1], chain[0]) if a == b else (at(j - 2), at(j + 2))
+    return at2, size2, [outer[0], *chain, outer[1]]
 
 
 def enumerate_point_hyperedges(hom) -> list:
@@ -248,8 +226,8 @@ def enumerate_point_hyperedges(hom) -> list:
     edges, half a turn at either end of a segment, the whole circle at a
     single location.  So within an open arc P (the directions where the
     tops so far are fixed) the next top takes exactly the values x whose
-    cone meets P, on the arc where it does (`_clip`), and an open arc
-    holds generic directions.  The walk follows these arcs to depth 3.
+    cone meets P, on the arc where it does (the walk's clip), and an open
+    arc holds generic directions.  The walk follows these arcs to depth 3.
 
     Removal.  Let w be the top of R + {w} in P, a, b its neighbours on the
     cycle of R + {w}.  If a == b that cycle is the segment aw, and R lies
@@ -319,24 +297,40 @@ def enumerate_point_hyperedges(hom) -> list:
     def cycle(t):
         return hull[t % h]
 
-    # (taken so far, v = at(j), the top in `arc` of what `taken` leaves, the
-    # cycle at and its size, v's position j, the pool of the hull vertex
-    # removed first, arc)
-    stack = [([], hull[j], cycle, h, j, pools[hull[j]], (normals[j - 1], normals[j])) for j in range(h)]
+    # (taken so far, v = at(j), the top in the arc (lo, hi) of what `taken`
+    # leaves, the cycle at and its size, v's position j, the pool of the
+    # hull vertex removed first, lo, hi)
+    stack = [([], hull[j], cycle, h, j, pools[hull[j]], normals[j - 1], normals[j]) for j in range(h)]
     while stack:
-        taken, v, at, size, j, pool, arc = stack.pop()
+        taken, v, at, size, j, pool, lo, hi = stack.pop()
         taken = taken + group[v][: 3 - len(taken)]
         if len(taken) == 3:
             edges.add(tuple(sorted(taken)))
             continue
-        at, size, k = _remove(hom, at, size, j, [q for q in pool if q != v])
-        around = [at(t) for t in range(-1, k + 1)]
+        at, size, around = _remove(hom, at, size, j, [q for q in pool if q != v])
         normals = [_normal(hom[p], hom[q]) for p, q in zip(around, around[1:])]
-        for t in range(k):
-            # the top of a single location is fixed throughout `arc`
-            sub = arc if around[t] == around[t + 1] else _clip(normals[t : t + 2], arc)
-            if sub is not None:
-                stack.append((taken, around[t + 1], at, size, t, pool, sub))
+        (lx, ly), (hx, hy) = lo, hi
+        for t in range(len(around) - 2):
+            if around[t] == around[t + 1]:
+                start, end = lo, hi  # a single location tops all of (lo, hi)
+            else:
+                # the arc of around[t + 1], (normals[t], normals[t + 1]),
+                # clipped to (lo, hi).  An arc holds the directions counter-
+                # clockwise from its start to its end, both left out, and
+                # turns at most half a turn, so two arcs meet in at most one
+                # arc, which starts at the start of one that lies in the
+                # other; both ends then lie within half a turn past that
+                # start, and the first one ends it.
+                (ax, ay), (bx, by) = normals[t], normals[t + 1]
+                c = ax * ly - ay * lx
+                if c > 0 and lx * by - ly * bx > 0 or c == 0 and ax * lx + ay * ly > 0:
+                    start = lo  # lo lies in [normals[t], normals[t + 1])
+                elif c < 0 and ax * hy - ay * hx > 0:
+                    start = normals[t]  # which lies in (lo, hi)
+                else:
+                    continue
+                end = hi if bx * hy - by * hx < 0 else normals[t + 1]
+            stack.append((taken, around[t + 1], at, size, t, pool, start, end))
     return sorted(edges)
 
 

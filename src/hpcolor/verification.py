@@ -358,16 +358,11 @@ def _violated(lines, members, is_red, k: int, tally=None) -> bool:
     m_env = qmax**2 + 1
     # |A| <= 2 * P_max * Q_max for every A of ``_line_depth``
     m = (2 * max(abs(p) for p, _q, _r in lines) * qmax) ** 2 + 1
+    bounding = _bounding_lines(members, is_red)
     for red in (False, True):
         if is_red.count(red) < k:
             continue
-        floor, ceiling = [], []
-        for g, ms in enumerate(members):
-            sides = {s for hp, s in ms if is_red[hp] != red}
-            if -1 in sides:  # an upper half-plane of O: y <= its line
-                floor.append(g)
-            if 1 in sides:
-                ceiling.append(g)
+        floor, ceiling = bounding[not red]  # O's half-planes bound K_c
         floor, ceiling = _envelope(lines, floor, m_env, 1), _envelope(lines, ceiling, m_env, -1)
         region = _region([lines[g] for g in floor], [lines[g] for g in ceiling])
         if region is None:
@@ -405,6 +400,19 @@ def _violated(lines, members, is_red, k: int, tally=None) -> bool:
             if sum(map(len, kept.values())) >= k:
                 return True
     return False
+
+
+def _bounding_lines(members, is_red) -> tuple:
+    """For each color (index: red), the lines of its upper half-planes
+    (y <= the line; a floor of the other color's region) and of its lower
+    ones (a ceiling), each list ascending and without repeats, in one pass."""
+    out = (([], []), ([], []))
+    for g, ms in enumerate(members):
+        for hp, s in ms:
+            group = out[is_red[hp]][s > 0]
+            if not group or group[-1] != g:
+                group.append(g)
+    return out
 
 
 def _line_depth(line, env, scan, m: int, seen) -> Optional[int]:
@@ -466,20 +474,27 @@ def _envelope(lines, group, m: int, sign: int) -> list:
     least 1/Q_max**2 and m > Q_max**2, as for ``_walk``'s crossing key.
     Of parallel lines only the outermost stays, and a line goes when its
     neighbours meet on it or beyond it, so the envelope is unchanged.
+
+    The pop test is ``_meet``, inlined.  The slope keys ascend strictly
+    along the hull, so the new line's -sign*P/Q exceeds that of hull[-2],
+    and their determinant W = P1*Q2 - P2*Q1 has the sign `sign`.
+    ``_meet`` returns sign times the raw point (X, Y, W), so the test
+    sign*(P*x + Q*y + R*w) < 0 on its point is P*X + Q*Y + R*W < 0.
     """
-
-    def key(g):
+    keyed = []
+    for g in group:
         p, q, r = lines[g]
-        return -sign * p * m // q, -sign * r * m // q
-
-    hull: list = []  # (slope key, line); `group` ascends, so ties keep its order
-    for (slope, _intercept), g in sorted(zip(map(key, group), group)):
+        keyed.append((-sign * p * m // q, -sign * r * m // q, g))
+    keyed.sort()  # `group` ascends, so ties keep its order
+    hull: list = []  # (slope key, line)
+    for slope, _intercept, g in keyed:
         if hull and hull[-1][0] == slope:
             hull.pop()
+        p2, q2, r2 = lines[g]
         while len(hull) >= 2:
-            x, y, w = _meet(lines[hull[-2][1]], lines[g])
+            p1, q1, r1 = lines[hull[-2][1]]
             p, q, r = lines[hull[-1][1]]
-            if sign * (p * x + q * y + r * w) < 0:
+            if p * (q1 * r2 - q2 * r1) + q * (r1 * p2 - r2 * p1) + r * (p1 * q2 - p2 * q1) < 0:
                 break
             hull.pop()
         hull.append((slope, g))

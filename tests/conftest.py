@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hpcolor.engine import _Fam, obs_separated
+from hpcolor.geometry import DegenerateTriangleError, orientation
 from hpcolor.model import LOWER, UPPER, HalfPlane, Instance
 from hpcolor.verification import arrangement_samples, depth
 
@@ -49,6 +50,18 @@ def instance_from_tips(upper_tips, lower_tips) -> Instance:
 def frame_points(fam) -> list:
     """The tips an engine family reads, in its frame's coordinates and order."""
     return fam.take(range(len(fam)))
+
+
+def point_in_triangle_interior(pt, a, b, c) -> bool:
+    """Strict interior test via three orientation signs, the corners'
+    own orientation first: the per-tip test the engine's whole-family
+    triangle scan made before it read only the triangle's x-span."""
+    d = orientation(a, b, c)
+    if d == 0:
+        raise DegenerateTriangleError("collinear triangle corners")
+    if d < 0:
+        b, c = c, b
+    return orientation(a, b, pt) > 0 and orientation(b, c, pt) > 0 and orientation(c, a, pt) > 0
 
 
 def observe(u_act, l_act, p, q, path) -> dict:

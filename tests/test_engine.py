@@ -18,6 +18,7 @@ from hpcolor.engine import (
 )
 from hpcolor.generate import GenSpec, generate
 from hpcolor.geometry import (
+    GeometryError,
     OutOfSpanError,
     _slope_cmp,
     chain_eval,
@@ -41,7 +42,14 @@ from hpcolor.rationals import normalize
 from hpcolor.uncovered import uncovered_witness
 from hpcolor.verification import oracle, verify
 
-from conftest import coprime_image, frame_points, instance_from_tips, make_instance, observe
+from conftest import (
+    coprime_image,
+    frame_points,
+    instance_from_tips,
+    make_instance,
+    observe,
+    point_in_triangle_interior,
+)
 
 
 def scene_of(upper_tips, lower_tips):
@@ -407,6 +415,66 @@ def test_mirror_frame_fuzz(monkeypatch):
         fam = E._Fam.build(tips, LOWER if sy > 0 else UPPER).mirrored(sx, sy)
         assert fam.chain.vertices == hull_from_sorted(pts, LOWER).vertices
         assert E._tangent_touch(fam, pts[0]) == touch_by_second_layer(pts, pts[0])
+
+
+def whole_family_triangle_free(fam, a, b, c) -> bool:
+    """The oracle: `_triangle_free` before it read only the triangle's
+    x-span, every tip of the family but the corners, in frame order."""
+    a, b, c = fam.map(a), fam.map(b), fam.map(c)
+    for w in fam.order():
+        if w in (a, b, c):
+            continue
+        if point_in_triangle_interior(w, a, b, c):
+            return False
+    return True
+
+
+def _outcome(triangle_free, fam, corners):
+    try:
+        return triangle_free(fam, *corners)
+    except GeometryError as exc:
+        return type(exc)
+
+
+def test_triangle_free_window_matches_whole_scan():
+    """On the mirror-frame fuzz scenes, read through every mirror, the
+    windowed `_triangle_free` answers as the whole-family scan does: on
+    three consecutive hull vertices of either family, the corners its
+    callers pass, and on three tips drawn at random, collinear ones
+    included, where both raise DegenerateTriangleError."""
+    rng = random.Random(5)
+    seen = Counter()
+    for t in range(2000):
+        n, bound = rng.randint(3, 24), rng.choice([5, 30])
+        view = View.of(dualize(generate(GenSpec(n=n, mode="covered", seed=t, bound=bound))))
+        for frame in (view, view.x_flip(), view.y_flip(), view.x_flip().y_flip()):
+            for fam in (frame.u, frame.l):
+                verts = fam.chain.vertices if fam.chain else []
+                triples = [("hull", verts[k : k + 3]) for k in range(len(verts) - 2)]
+                if len(fam) >= 3:
+                    picks = rng.sample(range(len(fam)), 3)
+                    triples.append(("drawn", [fam.at(k) for k in picks]))
+                for kind, corners in triples:
+                    got = _outcome(E._triangle_free, fam, corners)
+                    assert got == _outcome(whole_family_triangle_free, fam, corners), (t, corners)
+                    seen[kind, got if type(got) is bool else "raises"] += 1
+
+    # collinear corners, in families of exactly three tips and larger,
+    # read through each mirror of the list that holds them
+    for t in range(1200):
+        xs = sorted(rng.sample(range(-12, 12), rng.randint(3, 8)))
+        on_line = rng.sample(xs, 3)
+        pts = [(x, x - 2 if x in on_line else rng.randint(-9, 9), i) for i, x in enumerate(xs)]
+        sx, sy = MIRRORS[t % 4]
+        fam = E._Fam.build(mirror_list(pts, sx, sy), UPPER).mirrored(sx, sy)
+        corners = [p for p in pts if p[0] in on_line]
+        got = _outcome(E._triangle_free, fam, corners)
+        assert got == _outcome(whole_family_triangle_free, fam, corners), (t, pts)
+        seen["collinear", got if type(got) is bool else "raises"] += 1
+    assert seen["hull", True] >= 10000 and seen["hull", False] >= 5000, seen
+    assert seen["drawn", True] >= 8000 and seen["drawn", False] >= 2500, seen
+    assert seen["drawn", "raises"] >= 40 and ("hull", "raises") not in seen, seen
+    assert seen["collinear", True] >= 100 and seen["collinear", "raises"] >= 800, seen
 
 
 def test_frames_read_the_scene_lists(monkeypatch):

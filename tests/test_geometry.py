@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hpcolor import geometry as g
 from hpcolor.model import LOWER, UPPER
 
+from conftest import point_in_triangle_interior
+
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16
 ).map(lambda f: int(f) if f.denominator == 1 else f)
@@ -148,13 +150,15 @@ def test_region_contains_examples():
 
 
 def test_point_in_triangle_examples():
+    """The interior test that `test_triangle_free_window_matches_whole_scan`
+    takes as its oracle."""
     a, b, c = (0, 0), (3, 0), (0, 3)
-    assert g.point_in_triangle_interior((1, 1), a, b, c)
-    assert not g.point_in_triangle_interior((0, 0), a, b, c)
+    assert point_in_triangle_interior((1, 1), a, b, c)
+    assert not point_in_triangle_interior((0, 0), a, b, c)
     # on the hypotenuse of (0,0),(2,0),(2,2): boundary excluded
-    assert not g.point_in_triangle_interior((1, 1), (0, 0), (2, 0), (2, 2))
+    assert not point_in_triangle_interior((1, 1), (0, 0), (2, 0), (2, 2))
     with pytest.raises(g.DegenerateTriangleError):
-        g.point_in_triangle_interior((1, 1), (0, 0), (1, 0), (2, 0))
+        point_in_triangle_interior((1, 1), (0, 0), (1, 0), (2, 0))
 
 
 @settings(max_examples=30)

@@ -104,6 +104,60 @@ def test_perturb_matches_its_formula():
             assert pert.sides == inst.sides
 
 
+def fraction_perturb(inst, attempt):
+    """The oracle: `perturb` as it was before it recorded integer
+    numerators, one canonical Fraction per value, with dd times the
+    input's common denominator, if it has one, recorded as the result's."""
+    fracs = list(map(Fraction, inst.a + inst.b))
+    big = max([1] + [max(abs(v.numerator), v.denominator) for v in fracs])
+    dn, dd = (-1) ** attempt, (2 * (1 + big)) ** 3 << attempt
+    keys = [(i + attempt) % len(inst) + 1 for i in range(len(inst))]
+    den = common_denominator(inst)
+    return Instance._of_columns(
+        [normalize(Fraction(a) + Fraction(dn * k, dd)) for a, k in zip(inst.a, keys)],
+        [normalize(Fraction(b) + Fraction(dn * k * k, dd)) for b, k in zip(inst.b, keys)],
+        list(inst.sides),
+        None if den is None else dd * den,
+    )
+
+
+def test_perturb_matches_fraction_oracle():
+    """`dualize` of `perturb`, which records the perturbed values as ints
+    over a common denominator, gives the scene (tips and gap) of
+    `dualize` of the Fraction-built perturbation, on the four generator
+    modes at attempts 0-7, as generated, on fractional images and on
+    images with pairwise coprime denominators, big enough that no common
+    denominator is cleared; and the perturbed instance's columns, length,
+    screen and common denominator are the oracle's."""
+    rng = random.Random(22)
+    seen = Counter()
+    for trial in range(96):
+        mode, kind = MODES[trial % 4], ("int", "fractional", "coprime")[trial // 4 % 3]
+        n = rng.randint(18, 24) if kind == "coprime" else rng.randint(3, 30)
+        inst = generate(GenSpec(n=n, mode=mode, seed=trial, bound=rng.choice([3, 12, 50])))
+        if kind == "fractional":
+            f = Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9))
+            inst = Instance.from_json(
+                make_instance(*[(h.a * f, h.b + f, h.side) for h in inst]).to_json()
+            )
+        elif kind == "coprime":
+            inst = coprime_image(inst)
+        for attempt in range(8):
+            pert, want = perturb(inst, attempt), fraction_perturb(inst, attempt)
+            got, expected = dualize(pert), dualize(want)
+            assert (got.tips_u, got.tips_l) == (expected.tips_u, expected.tips_l), (trial, attempt)
+            assert got.gap == expected.gap and type(got.gap) is type(expected.gap)
+            den = common_denominator(pert)
+            assert den == common_denominator(want)
+            assert len(pert) == len(want) and cheap_position_ok(pert) == cheap_position_ok(want)
+            assert (pert.a, pert.b, pert.sides) == (want.a, want.b, want.sides)
+            assert [type(v) for v in pert.a + pert.b] == [type(v) for v in want.a + want.b]
+            seen[kind, mode, den is None] += 1
+    for mode in MODES:
+        assert seen["int", mode, False] >= 64 and seen["fractional", mode, False] >= 64, seen
+        assert seen["coprime", mode, True] >= 64, seen
+
+
 def test_dualize_i3(i3):
     scene = dualize(i3)
     # tips are (x, y, half-plane index)

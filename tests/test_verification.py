@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -420,3 +422,102 @@ def test_decider_edge_branches():
         expected = _decides(inst, [RED] * len(inst), k, branches)
         assert (expected is not None) == bad, (inst, k, expected)
         assert "region None" not in branches and "no crossing line" not in branches
+
+
+def _load_verify_digest():
+    """`scripts/verify_digest.py` as a module, for its families."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_digest.py"
+    spec = importlib.util.spec_from_file_location("verify_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_bounding_lines(members, is_red) -> tuple:
+    """The oracle: the grouping `_violated` made per color before it
+    grouped both colors in one pass, from a set of the other color's
+    sides per line, indexed as `_bounding_lines` is, by the color of the
+    half-planes."""
+    regions = {}
+    for red in (False, True):
+        floor, ceiling = [], []
+        for g, ms in enumerate(members):
+            sides = {s for hp, s in ms if is_red[hp] != red}
+            if -1 in sides:  # an upper half-plane of O: y <= its line
+                floor.append(g)
+            if 1 in sides:
+                ceiling.append(g)
+        regions[red] = (floor, ceiling)
+    return regions[True], regions[False]
+
+
+def _reference_envelope(lines, group, m: int, sign: int) -> list:
+    """The oracle: `_envelope` before its keys were built in one list and
+    `_meet` inlined in its pop loop."""
+
+    def key(g):
+        p, q, r = lines[g]
+        return -sign * p * m // q, -sign * r * m // q
+
+    hull: list = []
+    for (slope, _intercept), g in sorted(zip(map(key, group), group)):
+        if hull and hull[-1][0] == slope:
+            hull.pop()
+        while len(hull) >= 2:
+            x, y, w = verification._meet(lines[hull[-2][1]], lines[g])
+            p, q, r = lines[hull[-1][1]]
+            if sign * (p * x + q * y + r * w) < 0:
+                break
+            hull.pop()
+        hull.append((slope, g))
+    return [g for _slope, g in hull]
+
+
+def test_decider_prep_matches_reference(monkeypatch):
+    """On the first 4,000 calls of `scripts/verify_digest.py` (its
+    families, images, colorings and thresholds), the one-pass grouping
+    gives each color the reference's floor and ceiling lists, `_envelope`
+    the reference's envelopes, and `_violated` with both references
+    swapped in the same answer and the same branch tally."""
+    digest = _load_verify_digest()
+    rng = random.Random(2)
+    seen = Counter()
+    for t in range(4000):
+        mode = MODES[t % len(MODES)]
+        n = rng.randint(3 if mode == "covered" else 1, 36)
+        inst = generate(GenSpec(n=n, mode=mode, seed=t, bound=rng.choice([2, 10, 50])))
+        inst = digest.variant(inst, t // len(MODES) % 4, rng)
+        share = rng.choice([0.05, 0.3, 0.5])
+        is_red = [rng.random() < share for _ in range(n)]
+        k = rng.choice([2, 3, 4])
+        lines, members = _line_table(inst)
+        grouped = verification._bounding_lines(members, is_red)
+        assert grouped == _reference_bounding_lines(members, is_red), t
+        m = max(q for _p, q, _r in lines) ** 2 + 1
+        for floor, ceiling in grouped:
+            for group, sign in ((floor, 1), (ceiling, -1)):
+                envelope = verification._envelope(lines, group, m, sign)
+                assert envelope == _reference_envelope(lines, group, m, sign), t
+                seen["popped" if len(envelope) < len(group) else "kept all"] += 1
+        if n < k:
+            continue
+        tally, reference_tally = Counter(), Counter()
+        got = _violated(lines, members, is_red, k, tally)
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, "_bounding_lines", _reference_bounding_lines)
+            patch.setattr(verification, "_envelope", _reference_envelope)
+            want = _violated(lines, members, is_red, k, reference_tally)
+        assert got == want and tally == reference_tally, t
+        seen[got] += 1
+        seen.update(tally.keys())
+    assert seen["popped"] >= 6000 and seen["kept all"] >= 6000, seen
+    assert seen[True] >= 2000 and seen[False] >= 1000, seen
+    floors = {
+        "threshold inside": 1000,
+        "region None": 800,
+        "constant interval": 800,
+        "parallel": 300,
+        "no crossing line": 80,
+        "other-color member": 20,
+    }
+    assert all(seen[b] >= floor for b, floor in floors.items()), seen
