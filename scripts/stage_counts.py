@@ -10,7 +10,10 @@ per size:
   (counted by wrapping the function, including the call inside
   `second_layer`); these counts are deterministic;
 - the median milliseconds of each stage (screen, dualize, coverage,
-  cases) and of the whole solve over ``--repeats`` solves;
+  cases) and of the whole solve over ``--repeats`` solves, and of
+  `hull`, the time of every `hull_from_sorted` call of a solve summed
+  (`second_layer`'s included), which the stages that build hulls
+  include too;
 - the median milliseconds of `read` (`Instance.from_json` on the
   instance's JSON text) and of `write` (`coloring_to_json` on the
   solve's colors) over ``--repeats`` calls;
@@ -42,6 +45,7 @@ Run from the repo root:
     python3 scripts/stage_counts.py --out BENCH_18.json --against ../parent
     python3 scripts/stage_counts.py --out BENCH_21.json --against ../parent
     python3 scripts/stage_counts.py --out BENCH_22.json --against ../parent
+    python3 scripts/stage_counts.py --out BENCH_23.json --against ../parent
 """
 
 import argparse
@@ -73,6 +77,7 @@ STAGES = {
     "dualize": "dualize",
     "coverage": "coverage",
     "cases": "color_covered",
+    "hull": "hull_from_sorted",  # also wrapped in geometry, for second_layer
 }
 
 
@@ -134,6 +139,7 @@ def time_stages(inst, repeats, engines):
     saved = [
         _patch(eng, name, make(stage)) for _mod, eng in engines.values() for stage, name in STAGES.items()
     ]
+    saved += [_patch(eng.geo, STAGES["hull"], make("hull")) for _mod, eng in engines.values()]
     try:
         for rep in range(repeats):
             for key in list(engines)[:: 1 if rep % 2 == 0 else -1]:

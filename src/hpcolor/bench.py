@@ -4,11 +4,14 @@ Timing covers the coloring computation only; verification is excluded
 (the uncovered path's constraint search carries no n log n guarantee, so
 the benchmark sticks to covered instances).  A covered solve is one
 hash pass over the slopes (the screen), dualize's one slope sort, and
-linear scans.  Each hull build drops the points inside two chords
-before its scan, so dualize is the largest stage at every size (40-51%
-of the solve from 16,384 up), ahead of coverage.  The case machine
-copies no family; it stays below coverage except at 8,192, whose
-crossing case scans both families with exact line tests.
+linear scans.  Each hull build drops the points inside chords between
+known vertices before its scan, splitting at a new vertex while a chord
+drops at least half of what it reads, so it reads each tip about twice
+at most and scans little more than its vertices.  dualize is the
+largest stage at every size (40-51% of the solve from 16,384 up), ahead
+of coverage.  The case machine copies no family, and its exact line
+tests read a family only where its hull chain leaves the outcome open,
+so it stays below coverage at every size, 8,192's crossing case too.
 `scripts/stage_counts.py` prints the stage medians per size.
 """
 

@@ -98,6 +98,10 @@ def _clears(a, b, lows, ups, skip) -> bool:
     test s = dx*(w.y - a.y) - dy*(w.x - a.x), on mirrored coordinates
     (sx*x, sy*y), is cx*(y - sy*a.y) - cy*(x - sx*a.x) on the list's,
     with cx = sy*dx and cy = sx*dy.
+
+    A family with a chain is read only where it may hold a wrong-side
+    tip (`_suspects`), in frame order, so the first one found and the
+    outcome are those of a scan of every tip.
     """
     dx, dy = b[0] - a[0], b[1] - a[1]
     if dx < 0:  # orient the line left to right: s > 0 means above
@@ -107,17 +111,40 @@ def _clears(a, b, lows, ups, skip) -> bool:
             sx, sy = fam.sx, fam.sy
             ax, ay, cx, cy = sx * a[0], sy * a[1], sy * dx, sx * dy
             xs = [sx * x for x in skip]
-            for w in fam.order():
-                wx = w[0]
-                if wx in xs:
-                    continue
-                s = cx * (w[1] - ay) - cy * (wx - ax)
-                if s <= 0:
+            for w in _suspects(fam, a, dx, dy):
+                s = cx * (w[1] - ay) - cy * (w[0] - ax)
+                if s <= 0 and w[0] not in xs:
                     if s == 0:
                         raise _collinear(a, b, fam.map(w))
                     return False
         dx, dy = -dx, -dy  # the upper tips must lie below
     return True
+
+
+def _suspects(fam, a, dx, dy):
+    """The tips of `fam` that `_clears` reads, in frame order and in the
+    list's coordinates, for the frame side s = dx*(w.y - a.y) - dy*(w.x - a.x),
+    which must be positive: every tip when the family has no chain, else
+    the chain's vertices and the tips between two consecutive vertices
+    v and v' unless s(v) >= 0, s(v') >= 0 and not both are 0.
+
+    The chain is the family's hull, and s grows along the hull's rays
+    (up for a lower family, down for an upper one: `_clears` negates
+    dx, dy for it), so a tip strictly between v and v' has s at least
+    that of the point of the edge v v' at its x, a mix of s(v) and s(v')
+    with positive weights: positive, for such a pair.
+    """
+    if fam.chain is None:
+        return fam.order()
+    verts = fam.chain.vertices
+    s = [dx * (v[1] - a[1]) - dy * (v[0] - a[0]) for v in verts]
+    out = [fam.map(verts[0])]
+    for j in range(1, len(verts)):
+        if min(s[j - 1], s[j]) < 0 or not (s[j - 1] or s[j]):
+            part = fam._slice(fam.between(verts[j - 1][0], verts[j][0]))
+            out += reversed(part) if fam.sx < 0 else part
+        out.append(fam.map(verts[j]))
+    return out
 
 
 @dataclass
@@ -474,16 +501,19 @@ def _fill_rest(view: View, colors: dict, default: str) -> dict:
 
 
 def _merge(colors: dict, sub: dict, fixed=()) -> None:
-    """Adopt an observation's colors; context anchors (indices in `fixed`)
-    keep their colors."""
-    for i, c in sub.items():
-        if i in fixed:
-            continue
-        if i in colors and colors[i] != c:
-            raise ExhaustivenessViolation(
-                f"inconsistent colors for half-plane {i}: {colors[i]} vs {c}"
-            )
-        colors[i] = c
+    """Adopt an observation's colors; context anchors (indices in `fixed`,
+    all in `colors`) keep their colors.  Only an index in both dicts can
+    clash, so only those are compared; a clash names the first one in
+    `sub`'s order."""
+    shared = (colors.keys() & sub.keys()).difference(fixed)
+    if any(colors[i] != sub[i] for i in shared):
+        raise ExhaustivenessViolation(
+            "inconsistent colors for half-plane %s: %s vs %s"
+            % next((i, colors[i], c) for i, c in sub.items() if i in shared and colors[i] != c)
+        )
+    anchors = {i: colors[i] for i in fixed}
+    colors.update(sub)
+    colors.update(anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +616,11 @@ def _tangent_touch(l_act: _Fam, q):
     leftmost one, which is still a second-layer vertex.  The tips are
     read in frame order in their list's coordinates, where a mirror by
     one axis reverses every turn (`sign`).
+
+    The scan stops at the first chain vertex v steeper from q than the
+    touch so far.  A later tip lies on or above the chain, whose slope
+    from q does not fall along x (the chain is convex and starts at q),
+    so it is at least as steep from q as v, and replaces no touch.
     """
     sx, sy = l_act.sx, l_act.sy
     qx, qy, sign = sx * q[0], sy * q[1], sx * sy
@@ -595,6 +630,8 @@ def _tangent_touch(l_act: _Fam, q):
     for w in l_act.order():
         wx = w[0]
         if wx == next_x:  # a first-layer vertex; tip x values are distinct
+            if touch is not None and dx * (w[1] - qy) - dy * (wx - qx) > 0:
+                break
             next_x = next(hull_xs)
             continue
         # cross(touch - q, w - q) < 0 in the frame: w has the smaller slope from q

@@ -157,28 +157,65 @@ def _outside(points: Sequence[Point], lo: int, hi: int, a: Point, b: Point, turn
     return [w for w in points[lo:hi] if dx * w[1] - dy * w[0] > c]
 
 
+def _narrow(points: Sequence[Point], lo: int, hi: int, a: Point, b: Point, turn: int) -> list:
+    """The points of points[lo:hi] outside the chord a -> b that may be
+    hull vertices, a and b being vertices; see `hull_from_sorted`.
+
+    The part `_outside` keeps is split at f, its first point farthest
+    from the chord, and each side is narrowed by the chord from its end
+    to f, but only while a filter keeps at most half of its range: the
+    parts halve, so the depth is at most log2 n and the filters read at
+    most 2n points in all.
+    """
+    part = _outside(points, lo, hi, a, b, turn)
+    if len(part) < 2 or 2 * len(part) > hi - lo:
+        return part
+    dx, dy = (b[0] - a[0]) * -turn, (b[1] - a[1]) * -turn
+    far = [dx * w[1] - dy * w[0] for w in part]
+    m = far.index(max(far))
+    f = part[m]
+    return [*_narrow(part, 0, m, a, f, turn), f, *_narrow(part, m + 1, len(part), f, b, turn)]
+
+
 def hull_from_sorted(points: Sequence[Point], side: str) -> HullChain:
     """Hull of already x-sorted points with pairwise distinct x (no re-sort).
 
     Before the scan, the throw-away step of Akl and Toussaint ("A fast
-    convex hull algorithm", IPL 1978), made exact: the points split at t,
-    the first point of extreme y (greatest for an upper chain, least for
-    a lower one), and in each part every point on the chord of the
-    part's two ends or inside it (below it, for an upper chain) is
-    dropped.  `_scan` then runs on what is left, and its vertex list is
-    the one a scan of all the points gives:
+    convex hull algorithm", IPL 1978), made exact and recursive in the
+    style of quickhull: the points split at t, the first point of extreme
+    y (greatest for an upper chain, least for a lower one), and in each
+    part every point on the chord of the part's two ends or inside it
+    (below it, for an upper chain) is dropped.  While a chord drops at
+    least half of the points it reads, what is left between its ends a
+    and b splits at f, the first of them farthest from the chord, and the
+    chords a -> f and f -> b drop points in turn (`_narrow`).  `_scan`
+    then runs on what is left, and its vertex list is the one a scan of
+    all the points gives:
 
     - `_scan` returns the strict corners of the ray hull's boundary, its
       vertices, and so depends only on that hull.  The first and last
       points are vertices, and so is t: it is the only point that
       maximizes y - e*x (an upper chain; y + e*x is minimized for a lower
       one) for every small enough e > 0.
-    - The chain is concave from the first point to t (convex, for a lower
-      chain) and meets the chord at both ends, so between them it runs on
-      the chord or outside it.  A point on the chord or inside it is
-      therefore no strict corner: a corner on the chord would make the
-      chain coincide with the chord there.  The same holds from t to the
-      last point.
+    - A chord between two vertices a and b drops only non-vertices.  The
+      chain is concave from a to b (convex, for a lower chain) and meets
+      the chord at both ends, so between them it runs on the chord or
+      outside it.  A point on the chord or inside it is therefore no
+      strict corner: a corner on the chord would make the chain coincide
+      with the chord there.
+    - The part narrowed between a and b holds every point strictly
+      outside their chord within (a.x, b.x).  Each point dropped before
+      lay on or inside an earlier chord over that span, and a and b lie
+      on or outside that chord, so the point lies on or inside a -> b too.
+    - f is a vertex.  Along the chain, the distance from the chord toward
+      the hull's side is a concave function of x that is 0 at a and b and
+      positive somewhere between them, as the part is not empty.  So it
+      is negative left of a and right of b, and its maximum over the
+      hull, which the hull's rays do not raise, is taken on a face of the
+      chain strictly between a and b and strictly outside the chord.
+      Every point of that face is in the part, so f is the face's left
+      end, a strict corner: the chain comes in from its left at another
+      slope than the face's.
     - So every dropped point is a non-vertex.  The kept points include
       every vertex and lie in the hull, so they span the same hull, and
       the scan returns the same list.
@@ -190,10 +227,10 @@ def hull_from_sorted(points: Sequence[Point], side: str) -> HullChain:
     first, last = points[0], points[-1]
     top = (max if side == UPPER else min)(points, key=by_y)  # the first one of that y
     k = points.index(top)
-    kept = [first, *_outside(points, 1, k, first, top, turn)]
+    kept = [first, *_narrow(points, 1, k, first, top, turn)]
     if 0 < k < n - 1:
         kept.append(top)
-    kept += _outside(points, k + 1, n - 1, top, last, turn)
+    kept += _narrow(points, k + 1, n - 1, top, last, turn)
     kept.append(last)
     return HullChain(side, _scan(kept, turn))
 

@@ -133,8 +133,8 @@ class Instance:
     maker of the instance knows one (the parse of an all-int column pair,
     `perturb`), else None and `common_denominator` looks for one.
     `_num`, when not None, holds the columns times `_den`, as ints: a
-    perturbed instance is made of them alone, and its `a` and `b` are
-    built from them when first read.
+    perturbed instance is made of them alone, the screen and `dualize`
+    read them, and its `a` and `b` are built from them when first read.
     """
 
     a: list
@@ -346,8 +346,10 @@ def cheap_position_ok(inst: Instance) -> bool:
     concurrent triple surfaces later as a collinear-tip assertion or a
     verifier rejection, and the retry loop perturbs.
     """
-    # slopes are normalized, so equal slopes are equal, hash-equal values
-    return len(set(inst.a)) == len(inst.a)
+    # slopes are normalized, so equal slopes are equal, hash-equal values;
+    # cleared ints are the slopes times one positive den, as distinct
+    slopes = inst.a if inst._num is None else inst._num[0]
+    return len(set(slopes)) == len(slopes)
 
 
 # The bits a scanned common denominator may have beyond four times its

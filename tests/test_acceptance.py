@@ -109,9 +109,12 @@ def test_criterion_4_work_counts(monkeypatch):
     are passed to `engine._clears`.  (Measured maxima over n = 2^10..2^17:
     3 calls, 1.36n points, 0.86n orientations, 0.79n `_clears` points.)
     The floors (one call, n points) show the counters fired, and every
-    tip is read, by the hull filter (`geometry._outside`, which reads each
-    point of its range once) or by the scan (`geometry._scan`, which
-    reads each point it is given): together they read at least n points.
+    tip is read, by the hull filters (`geometry._outside`, which reads
+    each point of the range it is given) or by the scan (`geometry._scan`,
+    which reads each point it is given): together they read at least n
+    points.  The throw-away narrows a part again only while a filter keeps
+    at most half of its range, so its filters read a point about twice at
+    most: at most 2 points per hull point in all.
     """
     counts = Counter()
 
@@ -153,6 +156,7 @@ def test_criterion_4_work_counts(monkeypatch):
         assert 1 <= counts["hull_calls"] <= 3, (n, counts)
         assert n <= counts["hull_points"] <= 2 * n, (n, counts)
         assert n <= counts["filter_reads"] + counts["scan_reads"], (n, counts)
+        assert counts["filter_reads"] <= 2 * counts["hull_points"], (n, counts)
         assert counts["orientations"] <= n, (n, counts)
         assert counts["clears_points"] <= 2 * n, (n, counts)
         clears_seen += counts["clears_points"]

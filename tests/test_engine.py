@@ -558,7 +558,9 @@ def outcome(fn, *args):
 
 def test_clears_matches_pointwise_reference():
     """Tips with distinct x around lines drawn both ways; some points sit
-    on the wrong side of the line and some on it."""
+    on the wrong side of the line and some on it.  Each family is read
+    without a chain (every tip) and with its hull as the chain, where
+    `_clears` reads only the tips that may be on the wrong side."""
     rng = random.Random(8)
     seen = Counter()
     for t in range(3000):
@@ -589,12 +591,34 @@ def test_clears_matches_pointwise_reference():
         want = outcome(clears_reference, a, b, lows, ups, skipped)
         # the frame reads each family out of a list in mirrored coordinates
         sx, sy = MIRRORS[t % 4]
-        fams = [E._Fam(mirror_list(pts, sx, sy), None, sx, sy) for pts in (lows, ups)]
-        got = outcome(E._clears, a, b, *fams, skip)
-        assert got == want, (t, a, b)
-        seen[got if isinstance(got, bool) else "raise", a[0] > b[0]] += 1
+        left, right = sorted([a, b])
+        for chained in (False, True):
+            fams = [E._Fam(mirror_list(pts, sx, sy), None, sx, sy) for pts in (lows, ups)]
+            if chained:  # as a frame builds them: the hull of the list, mirrored
+                fams = [
+                    E._Fam.build(fam.tips, side if sy > 0 else other).mirrored(sx, sy)
+                    for fam, side, other in zip(fams, (LOWER, UPPER), (UPPER, LOWER))
+                ]
+                read = len(list(E._suspects(fams[0], a, right[0] - left[0], right[1] - left[1])))
+                seen["fewer lows read"] += read < len(lows)
+            got = outcome(E._clears, a, b, *fams, skip)
+            assert got == want, (t, chained, a, b)
+            seen[got if isinstance(got, bool) else "raise", a[0] > b[0], chained] += 1
         seen[sx, sy] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_merge_keeps_anchors_and_names_the_first_clash():
+    """`_merge` adopts the sub-coloring, an anchor keeps its color even
+    where the sub-coloring differs, and a clash names the first clashing
+    index in the sub-coloring's order, leaving the coloring as it was."""
+    colors = {0: RED, 1: BLUE, 2: RED}
+    E._merge(colors, {3: BLUE, 1: RED, 2: RED}, fixed=(1,))
+    assert colors == {0: RED, 1: BLUE, 2: RED, 3: BLUE}
+    colors = {4: RED, 5: RED, 6: BLUE}
+    with pytest.raises(E.ExhaustivenessViolation, match="half-plane 5: red vs blue"):
+        E._merge(colors, {7: RED, 5: BLUE, 6: RED})
+    assert colors == {4: RED, 5: RED, 6: BLUE}
 
 
 def touch_by_second_layer(l_act, q):

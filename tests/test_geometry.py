@@ -188,36 +188,93 @@ def plain_scan(points, side: str) -> list:
     return out
 
 
-def filtered_reference(points, side: str) -> list:
-    """What the filter passes to the scan: the first and the last point,
-    the first point of extreme y, and every other point strictly outside
-    the chord of its part's two ends, on the hull's side."""
+def narrowed_reference(points, side: str) -> tuple:
+    """What the throw-away passes to the scan, with the depth of its
+    deepest split and whether a split had several farthest points.
+
+    The kept points are the first and the last point, the first point t of
+    extreme y, and, in each part, the points strictly outside the chord of
+    the part's two ends, on the hull's side.  A part kept from at most
+    half of its range, with at least two points, splits at its first
+    farthest point from the chord, and each side is narrowed the same
+    way by the chord from its end to that point."""
     n = len(points)
     if n < 3:
-        return list(points)
-    ys = [p[1] for p in points]
-    k = ys.index(max(ys) if side == UPPER else min(ys))
-    beyond = g.LEFT if side == UPPER else g.RIGHT
-    ends = {0, k, n - 1}
-    out = []
-    for i, w in enumerate(points):
-        a, b = (0, k) if i < k else (k, n - 1)
-        if i in ends or g.orientation(points[a], points[b], w) == beyond:
-            out.append(w)
-    return out
+        return list(points), 0, False
+    sign = 1 if side == UPPER else -1
+    deepest, tied = 0, False
+
+    def beyond(a, b, w):  # twice the area of a, b, w, > 0 outside the chord
+        a, b, w = points[a], points[b], points[w]
+        return sign * ((b[0] - a[0]) * (w[1] - a[1]) - (b[1] - a[1]) * (w[0] - a[0]))
+
+    def narrow(span, a, b, depth):
+        nonlocal deepest, tied
+        part = [i for i in span if beyond(a, b, i) > 0]
+        if len(part) < 2 or 2 * len(part) > len(span):
+            return part
+        deepest = max(deepest, depth)
+        heights = [beyond(a, b, i) for i in part]
+        tied |= heights.count(max(heights)) > 1
+        f = part[heights.index(max(heights))]
+        left = narrow([i for i in part if i < f], a, f, depth + 1)
+        return left + [f] + narrow([i for i in part if i > f], f, b, depth + 1)
+
+    ys = [sign * p[1] for p in points]
+    k = ys.index(max(ys))
+    kept = [0] + narrow(range(1, k), 0, k, 1) + ([k] if 0 < k < n - 1 else [])
+    kept += narrow(range(k + 1, n - 1), k, n - 1, 1) + [n - 1]
+    return [points[i] for i in kept], deepest, tied
+
+
+def faces_with_noise(rng, side: str) -> list:
+    """A concave chain through (4*w*j, -2*w*j*j) for j in [-J, J], with
+    the lattice points of its edges at x = 4t, and noise strictly below it
+    at x = 4t + 1..3 (mirrored for a lower chain).  A chord between two
+    vertices whose j sum to an odd number is parallel to an edge, all
+    of whose lattice points are then farthest from it."""
+    J, w = rng.randint(2, 7), rng.randint(2, 6)
+    sign = -1 if side == UPPER else 1
+
+    def chain(t):
+        j = min(t // w, J - 1)  # the edge from vertex j to j + 1
+        return -2 * w * j * j - 2 * (2 * j + 1) * (t - w * j)
+
+    pts = []
+    spread = 2 * w * J * rng.randint(1, J)
+    for t in range(-J * w, J * w + 1):
+        pts.append((4 * t, -sign * chain(t)))
+        if t < J * w:
+            floor = min(chain(t), chain(t + 1))
+            pts += [(4 * t + d, -sign * (floor - rng.randint(1, spread))) for d in (1, 2, 3)]
+    return pts
 
 
 def test_hull_matches_plain_scan(monkeypatch):
     """`hull_from_sorted` returns the plain scan's vertex list, list for
-    list, and scans exactly the filter's survivors, over ints and
-    Fractions, 2- and 3-tuples, n <= 3, convex position (nothing is
+    list, and scans exactly what the recursive throw-away keeps, over ints
+    and Fractions, 2- and 3-tuples, n <= 3, convex position (nothing is
     dropped), all-collinear sets, several points sharing the extreme y
-    (the first and the last among them), and the extreme at either end."""
+    (the first and the last among them), and the extreme at either end.
+    Draws up to n = 500 split at depth 2 and more, and chains with noise
+    below them have several points farthest from a chord."""
     scanned = []
     raw_scan = g._scan
     monkeypatch.setattr(g, "_scan", lambda points, turn: scanned.append(list(points)) or raw_scan(points, turn))
     rng = random.Random(21)
     seen = Counter()
+
+    def check(pts, side, kind):
+        scanned.clear()
+        got = g.hull_from_sorted(pts, side).vertices
+        want = plain_scan(pts, side)
+        assert got == want, (kind, side, pts)
+        kept, depth, tied = narrowed_reference(pts, side)
+        assert scanned == [kept], (kind, side, pts)
+        seen[f"{kind}, depth >= 2"] += depth >= 2
+        seen[f"{kind}, tied farthest"] += tied
+        return want
+
     for t in range(6000):
         kind = ("random", "convex", "collinear", "ties", "monotone")[t % 5]
         n = rng.randint(0, 3) if t % 7 == 0 else rng.randint(4, 16)
@@ -242,11 +299,7 @@ def test_hull_matches_plain_scan(monkeypatch):
         pts = [(normal(x), normal(y)) for x, y in zip(xs, ys)]
         if rng.random() < 0.5:
             pts = [(x, y, i) for i, (x, y) in enumerate(pts)]
-        scanned.clear()
-        got = g.hull_from_sorted(pts, side).vertices
-        want = plain_scan(pts, side)
-        assert got == want, (t, side, pts)
-        assert scanned == [filtered_reference(pts, side)], (t, side, pts)
+        want = check(pts, side, "small")
 
         ys = [p[1] for p in pts]
         seen["3-tuple" if pts and len(pts[0]) == 3 else "2-tuple"] += 1
@@ -262,9 +315,48 @@ def test_hull_matches_plain_scan(monkeypatch):
         seen["shared extreme, first and last"] += len(at) > 1 and at[0] == 0 and at[-1] == len(pts) - 1
         seen["extreme first"] += at[0] == 0
         seen["extreme last"] += at[0] == len(pts) - 1
+    for t in range(400):
+        side = rng.choice([UPPER, LOWER])
+        if t % 2:
+            check(faces_with_noise(rng, side), side, "faces")
+            continue
+        n = rng.randint(100, 500)
+        xs = sorted(rng.sample(range(-5000, 5000), n))
+        pts = [(x, rng.randint(-3000, 3000), i) for i, x in enumerate(xs)]
+        check(pts, side, "large")
     floors = {
         "int": 1000, "Fraction": 1000, "2-tuple": 1000, "3-tuple": 1000, "n <= 3": 400,
         "convex, nothing dropped": 800, "all collinear": 800, "shared extreme": 800,
         "shared extreme, first and last": 150, "extreme first": 400, "extreme last": 400,
+        "large, depth >= 2": 100, "faces, depth >= 2": 15, "faces, tied farthest": 40,
     }
     assert all(seen[k] >= floor for k, floor in floors.items()), seen
+
+
+def test_hull_throw_away_on_geometric_chain(monkeypatch):
+    """Quickhull's worst case: a convex chain whose x gaps grow by 1/128
+    per point, n = 2**17.  The farthest point from a chord of the chain
+    lies about 89 points before the chord's right end, so a recursion
+    that always split would nest about 1,480 deep on it.  The throw-away
+    keeps every point of the chain, so it never splits, and under deep
+    noise it splits only as far as each filter halves its range: no
+    `RecursionError`, and the filters read at most 2n points."""
+    reads = []
+    raw = g._outside
+    monkeypatch.setattr(
+        g, "_outside", lambda points, lo, hi, a, b, turn: reads.append(len(range(lo, hi))) or raw(points, lo, hi, a, b, turn)
+    )
+    n = 2**17
+    xs = [2**8]
+    while len(xs) < n:
+        xs.append(xs[-1] + (xs[-1] >> 7))
+    chain = [(x, -x * x) for x in xs]
+    assert g.hull_from_sorted(chain, UPPER).vertices == chain
+    assert sum(reads) == n - 2  # one filter over all but the two ends
+
+    half = chain[: n // 2]
+    deep = -half[-1][0] ** 2 - 1
+    noisy = half[:1] + [q for p in half[1:] for q in ((p[0] - 1, deep), p)]
+    reads.clear()
+    assert g.hull_from_sorted(noisy, UPPER).vertices == half
+    assert len(reads) > 1 and sum(reads) <= 2 * n  # the recursion started, and stayed bounded

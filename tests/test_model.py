@@ -398,6 +398,27 @@ def test_cheap_screen_matches_sorted_adjacency():
     assert seen == {True, False}
 
 
+def test_cheap_screen_reads_the_cleared_ints():
+    """On a perturbed instance the screen reads the ints `perturb`
+    recorded and builds no `Fraction` column, and it agrees with a screen
+    of the slopes.  Small values and many half-planes let the
+    perturbation itself plant parallels: slopes a_i + k_i/dd and
+    a_j + k_j/dd meet when (a_i - a_j)*dd = k_j - k_i."""
+    rng = random.Random(23)
+    seen = Counter()
+    for trial in range(300):
+        n, s = rng.randint(2, 400), rng.choice([1, 2])
+        inst = make_instance(
+            *[(rng.randint(-s, s), rng.randint(-s, s), rng.choice([UPPER, LOWER])) for _ in range(n)]
+        )
+        pert = perturb(inst, rng.randrange(3))
+        ok = cheap_position_ok(pert)
+        assert "a" not in vars(pert) and "b" not in vars(pert)
+        assert ok == (len(set(pert.a)) == len(pert)), trial
+        seen[ok] += 1
+    assert min(seen[True], seen[False]) >= 80, seen
+
+
 def test_halfplane_contract():
     h = HalfPlane(Fraction(4, 2), Fraction(1, 3), UPPER)
     assert type(h.a) is int and h.a == 2 and h.b == Fraction(1, 3)
