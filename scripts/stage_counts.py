@@ -168,8 +168,8 @@ def checkout_commit(root: Path) -> str:
     return head.stdout.strip() + ("+changes" if status.stdout else "")
 
 
-def load_against(root: Path):
-    """`hpcolor.model` and `hpcolor.engine` of another checkout, imported
+def load_against(root: Path, names=("model", "engine")):
+    """The modules `names` of the hpcolor of another checkout, imported
     as `hpcolor_against`."""
     pkg = root / "src" / "hpcolor"
     spec = importlib.util.spec_from_file_location(
@@ -178,7 +178,7 @@ def load_against(root: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return tuple(importlib.import_module(f"hpcolor_against.{name}") for name in ("model", "engine"))
+    return tuple(importlib.import_module(f"hpcolor_against.{name}") for name in names)
 
 
 def primes_above(lo: int, count: int) -> list:

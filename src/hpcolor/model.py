@@ -130,8 +130,9 @@ class Instance:
     not the same objects.
 
     `_den` is a positive common denominator of both columns when the
-    maker of the instance knows one (the parse of an all-int column pair,
-    `perturb`), else None and `common_denominator` looks for one.
+    maker of the instance knows one (1 for an all-int column pair, made
+    or parsed; `perturb`), else None and `common_denominator` looks for
+    one.
     `_num`, when not None, holds the columns times `_den`, as ints: a
     perturbed instance is made of them alone, the screen and `dualize`
     read them, and its `a` and `b` are built from them when first read.
@@ -157,6 +158,8 @@ class Instance:
         self.a = [h.a for h in hps]
         self.b = [h.b for h in hps]
         self.sides = [h.side for h in hps]
+        if {*map(type, self.a), *map(type, self.b)} <= {int}:
+            self._den = 1
 
     @classmethod
     def _of_columns(cls, a: list, b: list, sides: list, den) -> "Instance":

@@ -134,9 +134,11 @@ def _chain(hom, seq, pop: int, weak: bool) -> list:
 
 
 def _hull(hom, seq) -> list:
-    """The strict hull of distinct x-sorted points `seq` as a
-    counter-clockwise cycle: one point, the two ends of a segment, or the
-    vertices of a polygon."""
+    """The strict hull of x-sorted points `seq` as a counter-clockwise
+    cycle: one point, the two ends of a segment, or the vertices of a
+    polygon.  Coincident points count once, except that points all at
+    one location give two entries, so from three points up the cycle is
+    as long as `seq` exactly when every point is a distinct vertex."""
     return _chain(hom, seq, -1, False) + _chain(hom, seq, 1, False)[-2:0:-1]
 
 
@@ -215,19 +217,33 @@ def enumerate_point_hyperedges(hom) -> list:
     boundaries have distinct polar points.  The rule is kept for direct
     callers.
 
-    Iterated extremes.  Group the candidates by location, each group by
-    position.  In a generic direction u the locations are strictly
-    ordered, so the top-3 set is the first three of the groups of l1, l2,
-    l3, where l_k is the top location of the candidates less l1..l(k-1):
-    a removal takes the lowest position in a group, and its twins keep
-    the same directions.  Let R be a set of locations and its strict hull
-    a counter-clockwise cycle.  A generic u has its strict top at vertex x
-    exactly in x's open normal cone: between the outer normals of its two
-    edges, half a turn at either end of a segment, the whole circle at a
-    single location.  So within an open arc P (the directions where the
-    tops so far are fixed) the next top takes exactly the values x whose
-    cone meets P, on the arc where it does (the walk's clip), and an open
-    arc holds generic directions.  The walk follows these arcs to depth 3.
+    Convex position.  When every candidate is a distinct strict vertex of
+    the first layer's hull (the other two layers are empty and the strict
+    hull keeps every point), the list is the h cyclically consecutive
+    triples of the hull cycle, one when h = 3, and nothing else is built.
+    A line cuts the vertices of a convex polygon into two arcs, so every
+    top-3 set is three consecutive vertices.  Conversely, let a, b, c be
+    consecutive and u the outer normal of the chord ac: b lies strictly
+    beyond the chord and, no three vertices being collinear, every other
+    vertex strictly within it.  So in u the order starts b, then a and c
+    tied, then the rest, and in the generic directions just off u the
+    top-3 set is {a, b, c}.  No two candidates coincide, so the rule for
+    coincident points adds nothing.
+
+    Iterated extremes, the walk every other set takes.  Group the
+    candidates by location, each group by position.  In a generic
+    direction u the locations are strictly ordered, so the top-3 set is
+    the first three of the groups of l1, l2, l3, where l_k is the top
+    location of the candidates less l1..l(k-1): a removal takes the lowest
+    position in a group, and its twins keep the same directions.  Let R be
+    a set of locations and its strict hull a counter-clockwise cycle.  A
+    generic u has its strict top at vertex x exactly in x's open normal
+    cone: between the outer normals of its two edges, half a turn at
+    either end of a segment, the whole circle at a single location.  So
+    within an open arc P (the directions where the tops so far are fixed)
+    the next top takes exactly the values x whose cone meets P, on the arc
+    where it does (the walk's clip), and an open arc holds generic
+    directions.  The walk follows these arcs to depth 3.
 
     Removal.  Let w be the top of R + {w} in P, a, b its neighbours on the
     cycle of R + {w}.  If a == b that cycle is the segment aw, and R lies
@@ -238,9 +254,7 @@ def enumerate_point_hyperedges(hom) -> list:
     So in P the top of R is a vertex of the chain from a to b of the hull
     of a, b and the points strictly beyond the chord, and the cycle of R is
     the old one with w replaced by that chain: the chain lies in the
-    triangle a w b, so a and b stay strict vertices (`_remove`).  In
-    convex position nothing lies beyond a chord, and the walk takes O(1)
-    steps per vertex, emitting the m consecutive triples.
+    triangle a w b, so a and b stay strict vertices (`_remove`).
 
     Pools.  Let H be the cycle of all candidates, the inner locations those
     off its vertices, and a', b' the second neighbours of v on H.  Removing
@@ -260,6 +274,8 @@ def enumerate_point_hyperedges(hom) -> list:
     unless it has H[0] as a vertex, so only j = k-3 .. k+1 and j = -2 ..
     2 are tested, each exactly.
 
+    The peel sorts the n points once, O(n log n); a set in convex
+    position then pays one strict hull, O(m).  Otherwise the walk is
     O(m log m) for m candidates, plus for each chain of a first removal
     its length times its pool, short on the sets measured.
     """
@@ -267,6 +283,11 @@ def enumerate_point_hyperedges(hom) -> list:
         return []
     layers = _first_layers(hom)
     cand = [i for layer in layers for i in sorted(layer)]
+    if not layers[1]:  # every point is on the first layer
+        hull = _hull(hom, layers[0])
+        h = len(hull)
+        if h == len(cand):  # in convex position
+            return sorted({tuple(sorted((hull[j - 1], hull[j], hull[(j + 1) % h]))) for j in range(h)})
     at_location = {}  # lowest terms -> indices, by position
     for i in cand:
         x, y, w = hom[i]

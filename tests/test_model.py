@@ -487,6 +487,23 @@ def test_instance_columns_contract():
         assert [type(v) for v in got.a + got.b] == [type(v) for v in want.a + want.b]
 
 
+def test_instance_records_the_den_of_int_columns():
+    """An instance made of int half-planes records the common
+    denominator 1, as the parse of int columns does, so `dualize` and
+    `perturb` need not scan the columns for one; one `Fraction` leaves it
+    to `common_denominator`."""
+    ints = [HalfPlane(3, -1, UPPER), HalfPlane(Fraction(4, 2), 0, LOWER), HalfPlane(-5, 7, LOWER)]
+    assert Instance(ints)._den == 1 and Instance([])._den == 1
+    assert generate(GenSpec(n=40, mode="covered", seed=3))._den == 1
+    one_fraction = ints + [HalfPlane(1, Fraction(1, 3), UPPER)]
+    made = Instance(one_fraction)
+    assert made._den is None and common_denominator(made) == 3
+    for hps in (ints, one_fraction):
+        parsed = Instance.from_json(Instance(hps).to_json())
+        assert parsed._den == Instance(hps)._den
+        assert dualize(parsed) == dualize(Instance(hps))
+
+
 BAD_ENTRIES = [
     {"b": 0, "side": "upper"},  # no slope
     [1, 0, "upper"],  # not an object

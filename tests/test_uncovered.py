@@ -22,6 +22,7 @@ from hpcolor.model import (
 )
 from hpcolor.nae import nae_solutions, solve_nae
 from hpcolor.rationals import num_den
+from hpcolor import uncovered
 from hpcolor.uncovered import (
     NotActuallyUncovered,
     _first_layers,
@@ -420,13 +421,97 @@ def test_pocket_walk_matches_sweep():
 
 
 def test_pocket_walk_in_convex_position():
-    """On convex polar sets up to n = 1,024 the walk returns the sweep's
-    list, the n triples of consecutive hull vertices."""
+    """On convex polar sets up to n = 1,024 the enumeration (the exit for
+    convex position) returns the sweep's list, the n triples of
+    consecutive hull vertices."""
     for n in (3, 4, 5, 8, 33, 64, 256, 1024):
         hom = _convex_polar_points(n, n)
         got = enumerate_point_hyperedges(hom)
         assert got == _reference_sweep(hom), n
         assert len(got) == (n if n > 3 else 1)
+
+
+def _convex_cycle(pts) -> list:
+    """The strict hull vertices of `pts` as a counter-clockwise cycle."""
+    locations = sorted(set(pts))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and orientation(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(locations) + chain(locations[::-1])
+
+
+def _convex_set(rng, kind, m):
+    """m points in strictly convex position (m at most the hull size of
+    the draw, which is checked), as a counter-clockwise cycle from a
+    random vertex; the caller shuffles the indices."""
+    if kind == "parabola":  # (t, t^2) over Fraction t
+        ts = [Fraction(k, rng.randint(1, 5)) for k in rng.sample(range(-40, 41), 2 * m)]
+        cycle = _convex_cycle([(t, t * t) for t in ts])
+    else:
+        # near a circle of radius 10**4, each coordinate over its own
+        # denominator (times 10**40, plus a small offset, when huge)
+        scale = 10**40 if kind == "huge" else 1
+        draw = []
+        for _ in range(2 * m):
+            turn = rng.random() * 2 * math.pi
+            dx, dy = rng.randint(1, 9), rng.randint(1, 9)
+            x = Fraction(round(10**4 * math.cos(turn) * dx), dx)
+            y = Fraction(round(10**4 * math.sin(turn) * dy), dy)
+            draw.append((x * scale + rng.randint(-3, 3), y * scale))
+        cycle = _convex_cycle(draw)
+    assert len(cycle) >= m
+    keep = sorted(rng.sample(range(len(cycle)), m))  # a subset of a convex cycle is one
+    start = rng.randrange(m)
+    return [cycle[k] for k in keep[start:] + keep[:start]]
+
+
+def test_convex_exit_matches_sweep(monkeypatch):
+    """Strictly convex sets that are no polar image (shuffled indices,
+    Fraction and 10**40 coordinates, m = 3, 4, 5 and up) take the exit,
+    no `_remove`, and return the sweep's list, one triple when m = 3.
+    Near-convex sets skip it and still match the sweep: a point on a hull
+    edge, a duplicated vertex (both leave every point on the first
+    layer, so only the strict hull tells them apart) and one interior
+    point."""
+    removals = Counter()
+    real_remove = uncovered._remove
+
+    def counted(*args):
+        removals["calls"] += 1
+        return real_remove(*args)
+
+    monkeypatch.setattr(uncovered, "_remove", counted)
+    rng = random.Random(41)
+    seen = Counter()
+    for t in range(900):
+        kind = ("parabola", "fraction", "huge")[t % 3]
+        m = (3, 4, 5)[t // 3 % 3] if t % 2 == 0 else rng.randint(6, 24)
+        cycle = _convex_set(rng, kind, m)
+        a, b, c = cycle[0], cycle[1], cycle[2]
+        near = {
+            "convex": cycle,
+            "on an edge": cycle + [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)],
+            "duplicated vertex": cycle + [b],
+            "interior point": cycle + [((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)],
+        }
+        for case, pts in near.items():
+            order = rng.sample(range(len(pts)), len(pts))
+            hom = _homogeneous([pts[k] for k in order])
+            removals.clear()
+            got = enumerate_point_hyperedges(hom)
+            assert got == _reference_sweep(hom), (t, kind, case, pts)
+            if case == "convex":
+                assert removals["calls"] == 0 and len(got) == (m if m > 3 else 1), (t, kind)
+            else:
+                assert removals["calls"] > 0, (t, kind, case)
+            seen[case, min(m, 6)] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_pocket_walk_matches_sweep_on_polar_images():
